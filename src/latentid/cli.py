@@ -63,24 +63,18 @@ def _resolve_graph(spec: str) -> LatentFactorGraph:
 
 
 def _search_config(args: argparse.Namespace) -> SearchConfig:
-    if args.legacy_lf_htc:
-        return SearchConfig(
-            legacy_lf_htc_only=True,
-            enable_det=False,
-            enable_recursion=False,
-            cap_det_pairs=args.cap_det_pairs,
-            cap_h_size=args.cap_h,
-            cap_recursion=args.cap_recursion,
-            simplify_wz_loop=args.simplify_wz,
-        )
+    # --legacy-lf-htc is a fixed preset: no determinantal search, no
+    # recursion, and --no-det/--no-elf/--no-rec are ignored.
+    legacy = args.legacy_lf_htc
     return SearchConfig(
+        legacy_lf_htc_only=legacy,
+        enable_det=not (legacy or args.no_det),
+        enable_elf=legacy or not args.no_elf,
+        enable_recursion=not (legacy or args.no_rec),
         cap_det_pairs=args.cap_det_pairs,
         cap_h_size=args.cap_h,
-        simplify_wz_loop=args.simplify_wz,
         cap_recursion=args.cap_recursion,
-        enable_det=not args.no_det,
-        enable_elf=not args.no_elf,
-        enable_recursion=not args.no_rec,
+        simplify_wz_loop=args.simplify_wz,
     )
 
 
@@ -274,6 +268,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise CliError(f"--trials must be non-negative, got {args.trials}")
     g = _resolve_graph(args.graph)
     state = combined_algorithm(g, _search_config(args))
     try:

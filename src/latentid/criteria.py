@@ -13,7 +13,6 @@ from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .flow import (
-    FlowNetwork,
     build_det_flow,
     build_elf_flow,
     max_flow,
@@ -358,9 +357,8 @@ def _elf_allowed_sources(
     v: str,
     z: frozenset[str],
     h: frozenset[str],
-) -> tuple[frozenset[str], frozenset[str]]:
-    """The candidate source pool A and the half-trek-reachable set used
-    for its construction."""
+) -> frozenset[str]:
+    """The candidate source pool A."""
     targets = z | {v}
     reachable = htr(g, targets, h)
     blocked_lat = parents_lat_of_set(g, targets) - h
@@ -386,7 +384,7 @@ def _elf_allowed_sources(
             for t in col_targets
         ):
             ok.add(a)
-    return frozenset(ok), reachable
+    return frozenset(ok)
 
 
 def elf_htc_subprocedure(
@@ -417,7 +415,7 @@ def elf_htc_subprocedure(
             z_pool = sorted(children(g, h) - {v})
             for z_combo in combinations(z_pool, h_size):
                 z = frozenset(z_combo)
-                sources, _ = _elf_allowed_sources(g, state, v, z, h)
+                sources = _elf_allowed_sources(g, state, v, z, h)
                 options = [
                     _superset_choices(
                         frozenset(
@@ -496,7 +494,7 @@ def lf_htc_subprocedure(
             )
             for z_combo in combinations(z_pool, h_size):
                 z = frozenset(z_combo)
-                sources, _ = _elf_allowed_sources(g, state, v, z, h)
+                sources = _elf_allowed_sources(g, state, v, z, h)
                 target = len(pa | z)
                 net = build_elf_flow(g, v, sources, z, frozenset(), pa)
                 value, carrying = max_flow_sources(net)
@@ -529,19 +527,6 @@ def lf_htc_subprocedure(
 
 # -- determinantal subprocedure -------------------------------------------
 
-_det_net_cache: dict[LatentFactorGraph, FlowNetwork] = {}
-
-
-def _det_net(g: LatentFactorGraph) -> FlowNetwork:
-    net = _det_net_cache.get(g)
-    if net is None:
-        net = build_det_flow(g)
-        if len(_det_net_cache) > 256:
-            _det_net_cache.clear()
-        _det_net_cache[g] = net
-    return net
-
-
 def det_subprocedure(
     g: LatentFactorGraph,
     state: IdentificationState,
@@ -554,7 +539,7 @@ def det_subprocedure(
     if v in dec_v:
         return state
     obs = sorted(g.observed)
-    base = _det_net(g)
+    base = build_det_flow(g)
 
     for w0 in sorted(pa):
         if (w0, v) in state.solved_edges:

@@ -176,16 +176,13 @@ def _canonical_levels(
     return levels
 
 
-def _graph_from_mask(
-    pattern: LatentPattern, canon: _Canonicalizer, mask: int
+def _graph_from_edges(
+    pattern: LatentPattern, edges: Iterable[tuple[int, int]]
 ) -> LatentFactorGraph:
-    edges = [
-        (str(a + 1), str(b + 1)) for a, b in canon.edges_of(mask)
-    ]
     return LatentFactorGraph(
         pattern.observed_names(),
         [name for name, _ in pattern.latents],
-        edges,
+        [(str(a + 1), str(b + 1)) for a, b in edges],
         pattern.latent_edges(),
     )
 
@@ -202,7 +199,7 @@ def enumerate_dags(
         )
     canon = _Canonicalizer(pattern)
     level = _canonical_levels(pattern, num_edges)[num_edges]
-    return [_graph_from_mask(pattern, canon, m) for m in level]
+    return [_graph_from_edges(pattern, canon.edges_of(m)) for m in level]
 
 
 # -- method presets --------------------------------------------------------
@@ -234,7 +231,9 @@ DEFAULT_METHODS = ("LF-HTC", "Det+eLF-HTC+rec")
 @dataclass
 class BenchmarkRow:
     """Counts for one edge-count level: how many symmetry classes exist
-    in total and how many each method fully identifies."""
+    in total and how many each method fully identifies. `seconds` holds
+    each method's wall-clock time summed over the level's graphs; unlike
+    the counts, it varies from run to run."""
 
     num_edges: int
     total: int
@@ -252,19 +251,19 @@ class BenchmarkRow:
 
 def _identify_task(
     args: tuple[LatentPattern, tuple[tuple[int, int], ...], tuple[str, ...]],
-) -> dict[str, bool]:
-    """Worker body: run each requested method on one graph."""
+) -> dict[str, tuple[bool, float]]:
+    """Worker body: run each requested method on one graph. Per method,
+    whether it identifies every edge and the wall-clock seconds it took."""
     pattern, edges, methods = args
-    g = LatentFactorGraph(
-        pattern.observed_names(),
-        [name for name, _ in pattern.latents],
-        [(str(a + 1), str(b + 1)) for a, b in edges],
-        pattern.latent_edges(),
-    )
+    g = _graph_from_edges(pattern, edges)
     out = {}
     for m in methods:
+        start = time.perf_counter()
         state = combined_algorithm(g, METHOD_PRESETS[m])
-        out[m] = g.edges_obs <= state.solved_edges
+        out[m] = (
+            g.edges_obs <= state.solved_edges,
+            time.perf_counter() - start,
+        )
     return out
 
 
@@ -292,16 +291,14 @@ def run_benchmark(
         tasks = [
             (pattern, canon.edges_of(mask), methods) for mask in level
         ]
-        start = time.perf_counter()
         if workers and workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_identify_task, tasks, chunksize=8))
         else:
             results = [_identify_task(t) for t in tasks]
-        elapsed = time.perf_counter() - start
         for m in methods:
-            row.counts[m] = sum(1 for r in results if r[m])
-            row.seconds[m] = elapsed / max(len(methods), 1)
+            row.counts[m] = sum(1 for r in results if r[m][0])
+            row.seconds[m] = sum(r[m][1] for r in results)
         rows.append(row)
     return rows
 

@@ -1,5 +1,7 @@
-"""Node-capacitated integer max-flow and the two flow-network builders.
+"""Vertex-disjoint paths and the two flow-network builders.
 
+Every node of a flow network passes at most one unit, so a maximum flow is
+a largest set of vertex-disjoint paths from the sources to the sinks.
 Flow-node ids are tagged tuples so that the "primed" copy of a graph node
 can never collide with an original node name.
 """
@@ -7,7 +9,7 @@ can never collide with an original node name.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import GraphError, LatentFactorGraph
@@ -25,14 +27,15 @@ def primed(n: str) -> FlowNode:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """A directed network with unit node capacities and integer arc
-    capacities; `inf` is the finite stand-in for unbounded capacity."""
+    """A directed network in which every node passes at most one unit.
+
+    `node_capacity` and `arcs` map each node and arc to 1; only their keys
+    matter. A node absent from `node_capacity` passes nothing."""
 
     node_capacity: dict[FlowNode, int]
     arcs: dict[tuple[FlowNode, FlowNode], int]
     sources: tuple[FlowNode, ...] = ()
     sinks: tuple[FlowNode, ...] = ()
-    inf: int = field(default=1)
 
     def with_terminals(
         self, sources: Iterable[FlowNode], sinks: Iterable[FlowNode]
@@ -42,17 +45,14 @@ class FlowNetwork:
             self.arcs,
             tuple(sorted(set(sources))),
             tuple(sorted(set(sinks))),
-            self.inf,
         )
 
     def without_arcs(
         self, removed: Iterable[tuple[FlowNode, FlowNode]]
     ) -> "FlowNetwork":
         removed = set(removed)
-        kept = {a: c for a, c in self.arcs.items() if a not in removed}
-        return FlowNetwork(
-            self.node_capacity, kept, self.sources, self.sinks, self.inf
-        )
+        kept = {a: 1 for a in self.arcs if a not in removed}
+        return FlowNetwork(self.node_capacity, kept, self.sources, self.sinks)
 
 
 def build_det_flow(g: LatentFactorGraph) -> FlowNetwork:
@@ -60,7 +60,7 @@ def build_det_flow(g: LatentFactorGraph) -> FlowNetwork:
 
     Contains every graph node and a primed copy; an arc i -> j for every
     graph edge j -> i, an arc i -> i' for every node, and an arc i' -> j'
-    for every graph edge i -> j. All capacities are 1.
+    for every graph edge i -> j.
     """
     all_nodes = list(g.observed) + list(g.latent)
     node_capacity: dict[FlowNode, int] = {}
@@ -73,7 +73,7 @@ def build_det_flow(g: LatentFactorGraph) -> FlowNetwork:
     for a, b in list(g.edges_obs) + list(g.edges_lat):
         arcs[(orig(b), orig(a))] = 1
         arcs[(primed(a), primed(b))] = 1
-    return FlowNetwork(node_capacity, arcs, inf=1)
+    return FlowNetwork(node_capacity, arcs)
 
 
 def build_elf_flow(
@@ -87,9 +87,7 @@ def build_elf_flow(
     """Flow network whose max-flow checks the extended half-trek criterion.
 
     Sources are the candidate half-trek start nodes `allowed`; sinks are
-    the primed copies of `w_v` union `z` union `w_z`. Arc capacities are
-    effectively unbounded (node capacities bound the flow), node
-    capacities are 1.
+    the primed copies of `w_v` union `z` union `w_z`.
     """
     allowed = frozenset(allowed)
     z = frozenset(z)
@@ -102,7 +100,6 @@ def build_elf_flow(
         )
 
     sink_names = w_v | z | w_z
-    inf = max(1, len(sink_names))
 
     node_capacity: dict[FlowNode, int] = {}
     for n in allowed:
@@ -115,113 +112,85 @@ def build_elf_flow(
     arcs: dict[tuple[FlowNode, FlowNode], int] = {}
     for h, a in g.edges_lat:
         if a in allowed:
-            arcs[(orig(a), orig(h))] = inf
+            arcs[(orig(a), orig(h))] = 1
     for n in allowed:
-        arcs[(orig(n), primed(n))] = inf
+        arcs[(orig(n), primed(n))] = 1
     for h in g.latent:
-        arcs[(orig(h), primed(h))] = inf
+        arcs[(orig(h), primed(h))] = 1
     for u, w in g.edges_lat:
-        arcs[(primed(u), primed(w))] = inf
+        arcs[(primed(u), primed(w))] = 1
     for u, w in g.edges_obs:
         if w not in z:
-            arcs[(primed(u), primed(w))] = inf
+            arcs[(primed(u), primed(w))] = 1
 
     return FlowNetwork(
         node_capacity,
         arcs,
         tuple(sorted(orig(n) for n in allowed)),
         tuple(sorted(primed(n) for n in sink_names)),
-        inf,
     )
 
 
-def _solve(net: FlowNetwork) -> tuple[int, dict[FlowNode, int]]:
-    """Edmonds-Karp on the node-split network.
+_SRC = ("+src", "", "x")
+_SNK = ("+snk", "", "x")
 
-    Returns the flow value and, per source, the units leaving it.
+
+def _solve(net: FlowNetwork) -> tuple[int, frozenset[str]]:
+    """Shortest augmenting paths over unit-capacity split nodes.
+
+    Returns the number of vertex-disjoint paths and the names of the
+    sources that one of them passes through.
     """
-    # Split every capacitated node into an in/out pair joined by an arc of
-    # the node capacity; original arcs run out -> in. Split nodes are flat
-    # (tag, name, side) triples so they sort deterministically.
-    SRC = ("+src", "", "x")
-    SNK = ("+snk", "", "x")
-    cap: dict[tuple, dict[tuple, int]] = {}
+    # Node n becomes an entry (tag, name, "i") and an exit (tag, name, "x")
+    # joined by one unit; arc u -> w runs from u's exit to w's entry. Every
+    # split arc carries one unit, so the residual network is the set of
+    # open arc directions and pushing a unit reverses the arcs it crosses.
+    # Neighbours are visited in sorted order (super-sink and super-source
+    # first), which fixes the paths found and so the carrying sources.
+    unit_arcs = [(n + ("i",), n + ("x",)) for n in net.node_capacity]
+    unit_arcs += [(u + ("x",), w + ("i",)) for u, w in net.arcs]
+    unit_arcs += [(_SRC, s + ("i",)) for s in net.sources]
+    unit_arcs += [(t + ("x",), _SNK) for t in net.sinks]
+    open_arcs = set(unit_arcs)
+    adjacency: dict[tuple, list[tuple]] = {}
+    for a, b in unit_arcs:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    for nbrs in adjacency.values():
+        nbrs.sort()
 
-    def split(n: FlowNode, side: str) -> tuple:
-        return (n[0], n[1], side)
-
-    def add_arc(u: tuple, w: tuple, c: int) -> None:
-        cap.setdefault(u, {})[w] = cap.setdefault(u, {}).get(w, 0) + c
-        cap.setdefault(w, {}).setdefault(u, 0)
-
-    big = net.inf * max(1, len(net.sinks))
-    for n, c in net.node_capacity.items():
-        add_arc(split(n, "i"), split(n, "x"), c)
-    for (u, w), c in net.arcs.items():
-        add_arc(split(u, "x"), split(w, "i"), c)
-    for s in net.sources:
-        add_arc(SRC, split(s, "i"), big)
-    for t in net.sinks:
-        add_arc(split(t, "x"), SNK, big)
-
-    adjacency = {u: sorted(nbrs) for u, nbrs in cap.items()}
     total = 0
     while True:
-        parent: dict[tuple, tuple] = {SRC: SRC}
-        queue = deque([SRC])
-        while queue and SNK not in parent:
-            u = queue.popleft()
-            for w in adjacency.get(u, ()):
-                if w not in parent and cap[u][w] > 0:
-                    parent[w] = u
-                    queue.append(w)
-        if SNK not in parent:
+        parent = {_SRC: _SRC}
+        queue = deque([_SRC])
+        while queue and _SNK not in parent:
+            a = queue.popleft()
+            for b in adjacency.get(a, ()):
+                if b not in parent and (a, b) in open_arcs:
+                    parent[b] = a
+                    queue.append(b)
+        if _SNK not in parent:
             break
-        # Bottleneck along the path, then push.
-        path = [SNK]
-        while path[-1] != SRC:
-            path.append(parent[path[-1]])
-        path.reverse()
-        push = min(cap[path[i]][path[i + 1]] for i in range(len(path) - 1))
-        for i in range(len(path) - 1):
-            u, w = path[i], path[i + 1]
-            cap[u][w] -= push
-            cap[w][u] += push
-        total += push
+        b = _SNK
+        while b != _SRC:
+            a = parent[b]
+            open_arcs.remove((a, b))
+            open_arcs.add((b, a))
+            b = a
+        total += 1
 
-    # Units through a source equal the residual gained on the reverse of
-    # its split arc.
-    used = {
-        s: cap[split(s, "x")].get(split(s, "i"), 0) for s in net.sources
-    }
-    return total, used
+    carrying = frozenset(
+        s[1] for s in net.sources if (s + ("x",), s + ("i",)) in open_arcs
+    )
+    return total, carrying
 
 
 def max_flow(net: FlowNetwork) -> int:
-    """Value of a maximum integer flow from sources to sinks."""
+    """Number of vertex-disjoint paths from the sources to the sinks."""
     return _solve(net)[0]
 
 
 def max_flow_sources(net: FlowNetwork) -> tuple[int, frozenset[str]]:
     """Max-flow value plus the original-node names of the sources that
-    carry at least one unit of flow."""
-    total, used = _solve(net)
-    carrying = frozenset(n for (_, n), units in used.items() if units > 0)
-    return total, carrying
-
-
-def to_dot(net: FlowNetwork) -> str:
-    """Debug rendering of a flow network in DOT format."""
-
-    def label(n: FlowNode) -> str:
-        tag, name = n
-        return f"{name}'" if tag == "p" else name
-
-    lines = ["digraph flow {"]
-    for n in sorted(net.node_capacity):
-        shape = "doublecircle" if n in net.sources or n in net.sinks else "circle"
-        lines.append(f'  "{label(n)}" [shape={shape}];')
-    for (u, w), c in sorted(net.arcs.items()):
-        lines.append(f'  "{label(u)}" -> "{label(w)}" [label="{c}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    carry a unit of flow."""
+    return _solve(net)

@@ -224,6 +224,8 @@ def covariance_to_csv(sigma: CovarianceMatrix) -> str:
 
 def covariance_from_csv(text: str) -> CovarianceMatrix:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("the covariance CSV is empty")
     nodes = [n.strip() for n in lines[0].split(",")]
     rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
     return CovarianceMatrix(nodes, np.array(rows))

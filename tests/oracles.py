@@ -95,7 +95,7 @@ def disjoint_paths_bruteforce(net):
 
     def usable(path, node_use, arc_use):
         for n in path:
-            if node_use.get(n, 0) + 1 > net.node_capacity.get(n, net.inf):
+            if node_use.get(n, 0) + 1 > net.node_capacity.get(n, 0):
                 return False
         for a, b in zip(path, path[1:]):
             if arc_use.get((a, b), 0) + 1 > net.arcs[(a, b)]:

@@ -1,10 +1,11 @@
 """End-to-end exercises of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from latentid.catalog import builtin_graph
+from latentid.catalog import BUILTIN_GRAPHS, builtin_graph
 from latentid.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PARTIAL, main
 from latentid.numerics import (
     covariance,
@@ -17,6 +18,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# Recorded `check` and `formula` JSON output and exit code per builtin
+# graph, keyed "<command> <graph>". Update it only for an intended change
+# of certificates or formulas.
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "builtin_cli.json").read_text()
+)
 
 
 class TestCheck:
@@ -91,6 +105,20 @@ class TestCheck:
         _, out1, _ = run_cli(capsys, "check", "--graph", "fig3")
         _, out2, _ = run_cli(capsys, "check", "--graph", "fig3")
         assert out1 == out2
+
+
+class TestPinnedOutput:
+    """Certificates (carrying set y, sets s and t) and formulas must not
+    drift: another witness changes the CLI output."""
+
+    def test_every_builtin_pinned(self):
+        assert {key.split()[1] for key in PINNED} == set(BUILTIN_GRAPHS)
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_builtin_output(self, capsys, key):
+        command, graph = key.split()
+        code, out, _ = run_cli(capsys, command, "--graph", graph)
+        assert {"exit_code": code, "output": json.loads(out)} == PINNED[key]
 
 
 class TestFormula:
@@ -178,6 +206,16 @@ class TestEstimate:
         )
         assert code == EXIT_INPUT_ERROR
         assert "does not exist" in err
+
+    def test_empty_cov_file(self, capsys, tmp_path):
+        path = tmp_path / "sigma.csv"
+        path.write_text("")
+        code, _, err = run_cli(
+            capsys, "estimate", "--graph", "fig2a", "--cov", str(path)
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert_one_line_error(err)
+        assert "empty" in err
 
     def test_node_mismatch(self, capsys, tmp_path):
         g = builtin_graph("fig2b")
@@ -281,3 +319,12 @@ class TestVerify:
         assert code == EXIT_PARTIAL
         report = json.loads(out)["report"]
         assert ["HA", "TC"] in report["unverified_edges"]
+
+    def test_negative_trials_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--graph", "fig2a", "--trials", "-1"
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+        assert "--trials" in err

@@ -1,7 +1,10 @@
 """DAG enumeration up to symmetry and the benchmark harness."""
 
+import time
+
 import pytest
 
+from latentid import enumeration
 from latentid.enumeration import (
     DEFAULT_METHODS,
     METHOD_PRESETS,
@@ -147,6 +150,24 @@ class TestBenchmark:
             SINGLE_FACTOR_SIX, 3, DEFAULT_METHODS, workers=2
         )
         assert [r.counts for r in serial] == [r.counts for r in parallel]
+
+    def test_seconds_timed_per_method(self, monkeypatch):
+        # A fake clock that only the identification calls advance: every
+        # LF-HTC run takes 1 s and every Det run 10 s.
+        now = [0.0]
+        cost = {METHOD_PRESETS["LF-HTC"]: 1.0, METHOD_PRESETS["Det"]: 10.0}
+        decide = enumeration.combined_algorithm
+
+        def timed_decide(g, cfg):
+            now[0] += cost[cfg]
+            return decide(g, cfg)
+
+        monkeypatch.setattr(enumeration, "combined_algorithm", timed_decide)
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        rows = run_benchmark(SINGLE_FACTOR_SIX, 2, ("LF-HTC", "Det"))
+        assert [r.seconds for r in rows] == [
+            {"LF-HTC": 1.0 * r.total, "Det": 10.0 * r.total} for r in rows
+        ]
 
     def test_all_presets_valid(self):
         for name, cfg in METHOD_PRESETS.items():

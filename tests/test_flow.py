@@ -1,4 +1,4 @@
-"""Flow-network builders and the node-capacitated max-flow solver."""
+"""Flow-network builders and the vertex-disjoint-paths solver."""
 
 import random
 
@@ -99,7 +99,7 @@ class TestBuildElfFlow:
 
 class TestMaxFlowSolver:
     def test_no_sinks(self):
-        net = FlowNetwork({orig("1"): 1}, {}, (orig("1"),), (), 1)
+        net = FlowNetwork({orig("1"): 1}, {}, (orig("1"),), ())
         assert max_flow(net) == 0
 
     def test_matches_bruteforce_on_random_networks(self):
@@ -116,6 +116,25 @@ class TestMaxFlowSolver:
             if not sources or not sinks:
                 continue
             net = net.with_terminals(sources, sinks)
+            assert max_flow(net) == disjoint_paths_bruteforce(net)
+            checked += 1
+
+    def test_elf_networks_match_bruteforce(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 60:
+            g = random_latent_factor_graph(
+                rng, max_obs=4, max_lat=1, acyclic=False
+            )
+            obs = sorted(g.observed)
+            v = rng.choice(obs)
+            rest = [n for n in obs if n != v]
+            z = {n for n in rest if rng.random() < 0.3}
+            allowed = {n for n in rest if n not in z and rng.random() < 0.7}
+            w_v = {n for n in rest if rng.random() < 0.5}
+            net = build_elf_flow(g, v, allowed, z, set(), w_v)
+            if not net.sources or not net.sinks:
+                continue
             assert max_flow(net) == disjoint_paths_bruteforce(net)
             checked += 1
 
