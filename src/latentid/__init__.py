@@ -22,8 +22,6 @@ from .criteria import (
     cov_pair,
     det_subprocedure,
     elf_htc_subprocedure,
-    is_graph_identified,
-    lf_htc_subprocedure,
     verify_certificate,
 )
 from .enumeration import (

@@ -194,6 +194,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise CliError(
             "covariance node ids do not match the graph's observed nodes"
         )
+    try:
+        sigma.check_positive_definite()
+    except ValueError as exc:  # numpy's LinAlgError
+        raise CliError("covariance matrix is not positive definite") from exc
     state = combined_algorithm(g, _search_config(args))
     fmap = formula_map_from_state(g, state)
     results = estimate(g, sigma, fmap)

@@ -333,17 +333,24 @@ def verify_certificate(
     return max_flow(barred) < k
 
 
-# -- extended half-trek subprocedure --------------------------------------
+# -- half-trek subprocedure (extended, or legacy as a mode) ---------------
 
 
-def _superset_choices(
-    base: frozenset[str], pool: frozenset[str], simplify: bool
+def _wz_choices(
+    g: LatentFactorGraph,
+    state: IdentificationState,
+    zz: str,
+    cfg: SearchConfig,
 ) -> list[frozenset[str]]:
-    """Candidate conditioning sets: `base` plus subsets of `pool` minus
-    `base`, by ascending added size then lexicographic."""
-    if simplify:
+    """Candidate conditioning sets W_z for the sink `zz`: its unsolved
+    parents plus subsets of its solved parents, by ascending added size
+    then lexicographic. The legacy criterion conditions on nothing."""
+    if cfg.legacy_lf_htc_only:
+        return [frozenset()]
+    base = state.unsolved_parents(zz)
+    if cfg.simplify_wz_loop:
         return [base]
-    extras = sorted(pool - base)
+    extras = sorted(parents_obs(g, zz) - base)
     out = []
     for size in range(len(extras) + 1):
         for combo in combinations(extras, size):
@@ -399,8 +406,18 @@ def elf_htc_subprocedure(
     and conditioning sets W_z; each max-flow success solves the edges
     p -> v for p in W_v minus (Z2 union W_Z) and the search continues
     with the shrunken W_v.
+
+    Under `cfg.legacy_lf_htc_only` this is the original node-wise
+    criterion: W_v is every observed parent of `v`, the sinks are solved
+    non-parents and every W_z is empty, so W_v never shrinks and all
+    edges into `v` are solved at once or not at all.
     """
-    w_v = state.unsolved_parents(v)
+    if cfg.legacy_lf_htc_only:
+        w_v = parents_obs(g, v)
+        sink_pool = state.solved_nodes - w_v
+    else:
+        w_v = state.unsolved_parents(v)
+        sink_pool = frozenset(g.observed)
     if not w_v:
         return state
 
@@ -412,22 +429,11 @@ def elf_htc_subprocedure(
     for h_size in range(max_h + 1):
         for h_combo in combinations(lat_pool, h_size):
             h = frozenset(h_combo)
-            z_pool = sorted(children(g, h) - {v})
+            z_pool = sorted((children(g, h) - {v}) & sink_pool)
             for z_combo in combinations(z_pool, h_size):
                 z = frozenset(z_combo)
                 sources = _elf_allowed_sources(g, state, v, z, h)
-                options = [
-                    _superset_choices(
-                        frozenset(
-                            p
-                            for p in parents_obs(g, zz)
-                            if (p, zz) not in state.solved_edges
-                        ),
-                        parents_obs(g, zz),
-                        cfg.simplify_wz_loop,
-                    )
-                    for zz in z_combo
-                ]
+                options = [_wz_choices(g, state, zz, cfg) for zz in z_combo]
                 for w_choice in product(*options):
                     w_z_map = dict(zip(z_combo, w_choice))
                     w_big = frozenset().union(*w_choice) if w_choice else frozenset()
@@ -442,7 +448,12 @@ def elf_htc_subprocedure(
                     if value != target:
                         continue
                     z2 = z - z1
-                    newly = sorted(w_v - (z2 | w_big))
+                    # Only the legacy W_v can hold solved parents.
+                    newly = sorted(
+                        p
+                        for p in w_v - (z2 | w_big)
+                        if (p, v) not in state.solved_edges
+                    )
                     if not newly:
                         continue
                     cert = HtcCertificate(
@@ -469,59 +480,6 @@ def elf_htc_subprocedure(
                         state.refresh_solved_nodes()
                         return state
     state.refresh_solved_nodes()
-    return state
-
-
-def lf_htc_subprocedure(
-    g: LatentFactorGraph,
-    state: IdentificationState,
-    v: str,
-    cfg: SearchConfig,
-) -> IdentificationState:
-    """Original node-wise criterion: all edges into `v` are solved at once
-    or not at all; the sink nodes Z must already be solved."""
-    pa = parents_obs(g, v)
-    lat_pool = [h for h in sorted(g.latent) if len(children(g, [h])) >= 4]
-    max_h = len(lat_pool)
-    if cfg.cap_h_size is not None:
-        max_h = min(max_h, cfg.cap_h_size)
-
-    for h_size in range(max_h + 1):
-        for h_combo in combinations(lat_pool, h_size):
-            h = frozenset(h_combo)
-            z_pool = sorted(
-                (children(g, h) & state.solved_nodes) - {v} - pa
-            )
-            for z_combo in combinations(z_pool, h_size):
-                z = frozenset(z_combo)
-                sources = _elf_allowed_sources(g, state, v, z, h)
-                target = len(pa | z)
-                net = build_elf_flow(g, v, sources, z, frozenset(), pa)
-                value, carrying = max_flow_sources(net)
-                if value != target:
-                    continue
-                cert = HtcCertificate(
-                    v=v,
-                    w_v=pa,
-                    y=carrying,
-                    z=z,
-                    w_z_map=tuple((zz, frozenset()) for zz in sorted(z)),
-                    h=h,
-                )
-                newly = tuple(
-                    (p, v) for p in sorted(pa) if (p, v) not in state.solved_edges
-                )
-                state.solved_edges.update(newly)
-                state.certificates.append(
-                    CertRecord(
-                        edges=newly,
-                        cert=cert,
-                        depth=len(state.deleted_edges),
-                        deleted=state.deleted_edges,
-                    )
-                )
-                state.solved_nodes.add(v)
-                return state
     return state
 
 
@@ -718,10 +676,7 @@ def _search(
             if v in state.solved_nodes:
                 continue
             if cfg.enable_elf:
-                if cfg.legacy_lf_htc_only:
-                    lf_htc_subprocedure(g, state, v, cfg)
-                else:
-                    elf_htc_subprocedure(g, state, v, cfg)
+                elf_htc_subprocedure(g, state, v, cfg)
             if v in state.solved_nodes:
                 continue
             if cfg.enable_det:
@@ -769,9 +724,3 @@ def _search(
     memo[key] = out
     return out
 
-
-def is_graph_identified(
-    state: IdentificationState, g: LatentFactorGraph
-) -> bool:
-    """True when every observed edge of `g` has been solved."""
-    return g.edges_obs <= state.solved_edges

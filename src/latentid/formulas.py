@@ -18,6 +18,7 @@ from .criteria import (
     DetCertificate,
     HtcCertificate,
     IdentificationState,
+    all_cov_pairs,
     allowed_update,
     cov_pair,
 )
@@ -186,41 +187,21 @@ def _lam_refs(expr: RationalExpr) -> set[Edge]:
 
 class DeletionContext:
     """An ordered sequence of single-edge deletions from a base graph,
-    together with the covariance pairs still computable at each level."""
+    with the subgraph it leaves and the covariance pairs still
+    computable there."""
 
     def __init__(self, graph: LatentFactorGraph, deleted: Iterable[Edge] = ()):
-        self.graph = graph
         self.deleted = tuple(tuple(e) for e in deleted)
-        self._levels = [graph]
-        self._allowed = [
-            frozenset(
-                cov_pair(x, y)
-                for i, x in enumerate(sorted(graph.observed))
-                for y in sorted(graph.observed)[i:]
-            )
-        ]
+        self.subgraph = graph
+        self.allowed = all_cov_pairs(graph)
         for w, v in self.deleted:
-            g_prev = self._levels[-1]
             # Descendants are taken in the base graph so the allowed set
             # only depends on the union of deleted edges (order-free).
-            self._allowed.append(
-                allowed_update(graph, self._allowed[-1], v, {w})
-            )
-            self._levels.append(g_prev.without_obs_edges({(w, v)}))
-
-    @property
-    def subgraph(self) -> LatentFactorGraph:
-        return self._levels[-1]
-
-    @property
-    def allowed(self) -> frozenset[tuple[str, str]]:
-        return self._allowed[-1]
+            self.allowed = allowed_update(graph, self.allowed, v, {w})
+            self.subgraph = self.subgraph.without_obs_edges({(w, v)})
 
     def is_allowed(self, x: str, y: str) -> bool:
         return cov_pair(x, y) in self.allowed
-
-    def extend(self, edge: Edge) -> "DeletionContext":
-        return DeletionContext(self.graph, self.deleted + (tuple(edge),))
 
 
 def adjusted_cov(x: str, y: str, ctx: DeletionContext) -> RationalExpr:

@@ -263,6 +263,11 @@ def graph_from_dict(data: dict) -> LatentFactorGraph:
         edges_lat = data.get("edges_lat", [])
     except (KeyError, TypeError) as exc:
         raise GraphError(f"missing or malformed field: {exc}") from exc
+    for name, nodes in (("observed", observed), ("latent", latent)):
+        if not isinstance(nodes, list) or not all(
+            isinstance(n, str) for n in nodes
+        ):
+            raise GraphError(f"field {name!r} must be a list of node names")
     if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges_obs):
         raise GraphError("field 'edges_obs' must contain [from, to] pairs")
     if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges_lat):

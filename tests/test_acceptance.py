@@ -21,7 +21,6 @@ from latentid.criteria import (
     allowed_update,
     check_elf_htc,
     combined_algorithm,
-    is_graph_identified,
 )
 from latentid.enumeration import (
     OVERLAPPING_FACTORS_SIX,
@@ -129,8 +128,9 @@ class TestGoldenExamples:
         with criterion("Golden examples: five example-graph behaviours"):
             # Chain with shortcut: full under combined, not under legacy.
             g = builtin_graph("fig2a")
-            assert is_graph_identified(combined_algorithm(g), g)
-            assert not is_graph_identified(combined_algorithm(g, LEGACY), g)
+            assert g.edges_obs <= combined_algorithm(g).solved_edges
+            legacy = combined_algorithm(g, LEGACY)
+            assert not g.edges_obs <= legacy.solved_edges
 
             # Two-proxy: 2 -> 3 via the extended criterion with the known
             # witness sets, and not via the legacy criterion.
@@ -151,12 +151,12 @@ class TestGoldenExamples:
 
             # Household panel graph: fully identified.
             g = builtin_graph("household")
-            assert is_graph_identified(combined_algorithm(g), g)
+            assert g.edges_obs <= combined_algorithm(g).solved_edges
 
             # Chain with fork: fully identified; under the determinantal
             # criterion alone the edge 2 -> 3 needs the recursive step.
             g = builtin_graph("fig4a")
-            assert is_graph_identified(combined_algorithm(g), g)
+            assert g.edges_obs <= combined_algorithm(g).solved_edges
             det_flat = SearchConfig(enable_elf=False, enable_recursion=False)
             assert ("2", "3") not in combined_algorithm(g, det_flat).solved_edges
             det_rec = SearchConfig(enable_elf=False)
@@ -348,7 +348,7 @@ class TestNumericRoundTrip:
                 if not g.edges_obs:
                     continue
                 state = combined_algorithm(g)
-                if not is_graph_identified(state, g):
+                if not g.edges_obs <= state.solved_edges:
                     continue
                 seed += 1
                 report = verify_identification(

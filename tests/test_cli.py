@@ -3,11 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latentid.catalog import BUILTIN_GRAPHS, builtin_graph
 from latentid.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PARTIAL, main
 from latentid.numerics import (
+    CovarianceMatrix,
     covariance,
     covariance_to_csv,
     sample_parameters,
@@ -26,8 +28,9 @@ def assert_one_line_error(err):
 
 
 # Recorded `check` and `formula` JSON output and exit code per builtin
-# graph, keyed "<command> <graph>". Update it only for an intended change
-# of certificates or formulas.
+# graph, keyed "<command> <graph>" with any further CLI flags appended
+# (e.g. "check fig2a --legacy-lf-htc"). Update it only for an intended
+# change of certificates or formulas.
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "builtin_cli.json").read_text()
 )
@@ -101,6 +104,26 @@ class TestCheck:
         assert code == EXIT_INPUT_ERROR
         assert "could not load graph" in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("observed", "1234"), ("latent", "h1")]
+    )
+    def test_node_field_must_be_string_list(
+        self, capsys, tmp_path, field, value
+    ):
+        data = {
+            "observed": ["1", "2", "3", "4"],
+            "latent": ["h1"],
+            "edges_obs": [["1", "2"]],
+            "edges_lat": [["h1", "1"], ["h1", "2"]],
+        }
+        data[field] = value
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "check", "--graph", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert_one_line_error(err)
+        assert f"'{field}' must be a list" in err
+
     def test_repeated_runs_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "check", "--graph", "fig3")
         _, out2, _ = run_cli(capsys, "check", "--graph", "fig3")
@@ -112,12 +135,17 @@ class TestPinnedOutput:
     drift: another witness changes the CLI output."""
 
     def test_every_builtin_pinned(self):
-        assert {key.split()[1] for key in PINNED} == set(BUILTIN_GRAPHS)
+        assert set(PINNED) == {
+            f"{command} {graph}{flags}"
+            for graph in BUILTIN_GRAPHS
+            for command in ("check", "formula")
+            for flags in ("", " --legacy-lf-htc")
+        }
 
     @pytest.mark.parametrize("key", sorted(PINNED))
     def test_builtin_output(self, capsys, key):
-        command, graph = key.split()
-        code, out, _ = run_cli(capsys, command, "--graph", graph)
+        command, graph, *flags = key.split()
+        code, out, _ = run_cli(capsys, command, "--graph", graph, *flags)
         assert {"exit_code": code, "output": json.loads(out)} == PINNED[key]
 
 
@@ -216,6 +244,21 @@ class TestEstimate:
         assert code == EXIT_INPUT_ERROR
         assert_one_line_error(err)
         assert "empty" in err
+
+    def test_not_positive_definite(self, capsys, tmp_path):
+        g = builtin_graph("fig2a")
+        values = np.eye(len(g.observed))
+        values[0, 0] = -1.0
+        path = tmp_path / "sigma.csv"
+        path.write_text(
+            covariance_to_csv(CovarianceMatrix(g.observed, values))
+        )
+        code, _, err = run_cli(
+            capsys, "estimate", "--graph", "fig2a", "--cov", str(path)
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert_one_line_error(err)
+        assert "not positive definite" in err
 
     def test_node_mismatch(self, capsys, tmp_path):
         g = builtin_graph("fig2b")

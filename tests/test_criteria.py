@@ -18,9 +18,9 @@ from latentid.criteria import (
     cov_pair,
     det_subprocedure,
     elf_htc_subprocedure,
-    is_graph_identified,
     verify_certificate,
 )
+from latentid.enumeration import METHOD_PRESETS
 from latentid.graph import GraphError, LatentFactorGraph
 
 from oracles import random_latent_factor_graph
@@ -172,14 +172,30 @@ class TestCertificateVerification:
         )
         assert not verify_certificate(g, cert)
 
-    def test_all_recorded_certificates_reverify(self):
-        for name in ("fig2a", "fig2b", "fig4a", "household", "fig3"):
-            g = builtin_graph(name)
-            state = combined_algorithm(g)
-            assert state.certificates
-            for rec in state.certificates:
+    @pytest.mark.parametrize(
+        "preset",
+        ["Det+eLF-HTC+rec", "LF-HTC", "Det+LF-HTC+rec", "eLF-HTC+rec"],
+    )
+    def test_all_recorded_certificates_reverify(self, preset):
+        cfg = METHOD_PRESETS[preset]
+        rng = random.Random(5)
+        graphs = [
+            builtin_graph(name)
+            for name in ("fig2a", "fig2b", "fig4a", "household", "fig3")
+        ] + [
+            random_latent_factor_graph(rng, max_obs=5, acyclic=i % 2 == 0)
+            for i in range(30)
+        ]
+        records = 0
+        for g in graphs:
+            for rec in combined_algorithm(g, cfg).certificates:
+                records += 1
+                c = rec.cert
                 sub = g.without_obs_edges(set(rec.deleted))
-                assert verify_certificate(sub, rec.cert), (name, rec)
+                assert verify_certificate(sub, c), (g, rec)
+                if cfg.legacy_lf_htc_only and isinstance(c, HtcCertificate):
+                    assert check_lf_htc(sub, c.v, c.y, c.z, c.h), (g, rec)
+        assert records
 
 
 class TestAllowedUpdate:
@@ -252,12 +268,12 @@ class TestCombinedAlgorithm:
     def test_chain_shortcut_fully_identified(self):
         g = builtin_graph("fig2a")
         state = combined_algorithm(g)
-        assert is_graph_identified(state, g)
+        assert g.edges_obs <= state.solved_edges
 
     def test_chain_shortcut_not_identified_by_plain_criterion(self):
         g = builtin_graph("fig2a")
         state = combined_algorithm(g, LEGACY)
-        assert not is_graph_identified(state, g)
+        assert not g.edges_obs <= state.solved_edges
 
     def test_two_proxy_edge_needs_extension(self):
         g = builtin_graph("fig2b")
@@ -266,7 +282,7 @@ class TestCombinedAlgorithm:
 
     def test_household_fully_identified(self):
         g = builtin_graph("household")
-        assert is_graph_identified(combined_algorithm(g), g)
+        assert g.edges_obs <= combined_algorithm(g).solved_edges
 
     def test_household_plain_criterion_exact_edges(self):
         g = builtin_graph("household")
@@ -275,7 +291,7 @@ class TestCombinedAlgorithm:
 
     def test_chain_fork_fully_identified(self):
         g = builtin_graph("fig4a")
-        assert is_graph_identified(combined_algorithm(g), g)
+        assert g.edges_obs <= combined_algorithm(g).solved_edges
 
     def test_chain_fork_det_needs_recursion(self):
         # Under the determinantal criterion alone, the edge 2 -> 3 is
@@ -297,15 +313,15 @@ class TestCombinedAlgorithm:
 
     def test_dense_six_not_identified_by_plain_criterion(self):
         g = builtin_graph("fig3")
-        assert not is_graph_identified(combined_algorithm(g, LEGACY), g)
+        assert not g.edges_obs <= combined_algorithm(g, LEGACY).solved_edges
 
     def test_empty_graph_complete(self):
         g = LatentFactorGraph([], [], [], [])
-        assert is_graph_identified(combined_algorithm(g), g)
+        assert g.edges_obs <= combined_algorithm(g).solved_edges
 
     def test_fresh_state_not_identified(self):
         g = builtin_graph("fig2a")
-        assert not is_graph_identified(IdentificationState.fresh(g), g)
+        assert not g.edges_obs <= IdentificationState.fresh(g).solved_edges
 
     def test_solved_nodes_invariant(self):
         for name in ("fig2a", "household"):
