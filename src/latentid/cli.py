@@ -247,10 +247,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 f"unknown method {m!r}; choices: "
                 f"{', '.join(sorted(METHOD_PRESETS))}"
             )
+    if args.max_edges < 0:
+        raise CliError(f"--max-edges must be >= 0, got {args.max_edges}")
     workers = args.workers
     if workers is None:
         env = os.environ.get("LATENTID_WORKERS")
         workers = int(env) if env else None
+    if workers is not None and workers < 1:
+        raise CliError(
+            f"--workers (or LATENTID_WORKERS) must be >= 1, got {workers}"
+        )
     rows = run_benchmark(
         PATTERNS[args.pattern], args.max_edges, methods, workers=workers
     )

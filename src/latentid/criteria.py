@@ -13,12 +13,14 @@ from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .flow import (
+    FlowNetwork,
     build_det_flow,
     build_elf_flow,
     max_flow,
     max_flow_sources,
     orig,
     primed,
+    without_edges,
 )
 from .graph import (
     Edge,
@@ -139,7 +141,10 @@ class CertRecord:
 
 @dataclass
 class IdentificationState:
-    """Mutable search state threaded through the subprocedures."""
+    """Mutable search state threaded through the subprocedures.
+
+    `flow_net` is the determinantal flow network of `graph`; the
+    subprocedures derive every network they solve from it."""
 
     graph: LatentFactorGraph
     solved_edges: set[Edge]
@@ -147,6 +152,7 @@ class IdentificationState:
     allowed_cov: frozenset[CovPair]
     deleted_edges: tuple[Edge, ...]
     certificates: list[CertRecord]
+    flow_net: FlowNetwork = field(repr=False, compare=False)
 
     @classmethod
     def fresh(cls, g: LatentFactorGraph) -> "IdentificationState":
@@ -157,6 +163,7 @@ class IdentificationState:
             allowed_cov=all_cov_pairs(g),
             deleted_edges=(),
             certificates=[],
+            flow_net=build_det_flow(g),
         )
 
     @staticmethod
@@ -443,7 +450,9 @@ def elf_htc_subprocedure(
                     if z1 & (w_big | w_v):
                         continue
                     target = len(w_v | z | w_big)
-                    net = build_elf_flow(g, v, sources, z, w_big, w_v)
+                    net = build_elf_flow(
+                        g, v, sources, z, w_big, w_v, det=state.flow_net
+                    )
                     value, carrying = max_flow_sources(net)
                     if value != target:
                         continue
@@ -497,7 +506,7 @@ def det_subprocedure(
     if v in dec_v:
         return state
     obs = sorted(g.observed)
-    base = build_det_flow(g)
+    base = state.flow_net
 
     for w0 in sorted(pa):
         if (w0, v) in state.solved_edges:
@@ -625,13 +634,17 @@ def combined_algorithm(
 
     Returns the top-level state; certificates found inside edge-deleted
     subgraphs are recorded with their recursion depth and deletion
-    context, and the edges they solve are lifted into the result.
+    context, and the edges they solve are lifted into the result. The
+    determinantal flow network of `g` is compiled once; each subgraph of
+    the edge-deletion recursion uses it with its deleted edges' arcs
+    closed.
     """
     state = IdentificationState.fresh(g)
     memo: dict[tuple, frozenset[Edge]] = {}
     solved = _search(
         g,
         g,
+        state.flow_net,
         frozenset(state.solved_edges),
         state.allowed_cov,
         (),
@@ -647,6 +660,7 @@ def combined_algorithm(
 def _search(
     root: LatentFactorGraph,
     g: LatentFactorGraph,
+    net: FlowNetwork,
     solved_in: frozenset[Edge],
     allowed: frozenset[CovPair],
     deleted: tuple[Edge, ...],
@@ -666,6 +680,7 @@ def _search(
         allowed_cov=allowed,
         deleted_edges=deleted,
         certificates=records,
+        flow_net=net,
     )
     state.refresh_solved_nodes()
     all_nodes = set(g.observed)
@@ -704,6 +719,7 @@ def _search(
                 result = _search(
                     root,
                     sub_graph,
+                    without_edges(net, [edge]),
                     entry,
                     sub_allowed,
                     deleted + (edge,),

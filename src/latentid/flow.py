@@ -4,17 +4,25 @@ Every node of a flow network passes at most one unit, so a maximum flow is
 a largest set of vertex-disjoint paths from the sources to the sinks.
 Flow-node ids are tagged tuples so that the "primed" copy of a graph node
 can never collide with an original node name.
+
+A network is compiled once into integer-numbered split nodes with fixed
+adjacency. The networks derived from it (`with_terminals`, `without_arcs`,
+`without_edges`, and `build_elf_flow` given a determinantal network) share
+that compiled form and differ only in which of its arcs are closed, so a
+flow call copies a byte array of arc states instead of building a network.
+The identification search compiles the determinantal network of its root
+graph once and derives every network it solves from it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import GraphError, LatentFactorGraph
+from .graph import Edge, GraphError, LatentFactorGraph, parents_obs
 
 FlowNode = tuple[str, str]
+Arc = tuple[FlowNode, FlowNode]
 
 
 def orig(n: str) -> FlowNode:
@@ -25,34 +33,117 @@ def primed(n: str) -> FlowNode:
     return ("p", n)
 
 
-@dataclass(frozen=True)
+class _Compiled:
+    """Split nodes and unit arcs of a network, numbered once.
+
+    The j-th flow node in sorted order becomes an entry, split node 2j,
+    and an exit, split node 2j + 1, joined by its split arc, arc j; arc
+    u -> w runs from u's exit to w's entry. That numbering is the sorted
+    order of the split nodes' keys (tag, name, "i"/"x"), and each adjacency
+    tuple is sorted by neighbour number: this fixes the order in which
+    neighbours are visited, and so the paths found and the carrying sources.
+
+    Arc k has two residual halves: 2k along the arc and 2k + 1 against it.
+    """
+
+    def __init__(self, nodes: Iterable[FlowNode], arcs: Iterable[Arc]):
+        arcs = list(arcs)
+        nodes = sorted(set(nodes).union(*arcs))
+        self.index = index = {n: j for j, n in enumerate(nodes)}
+        self.arc = {a: k for k, a in enumerate(arcs, len(nodes))}
+        ends = [(2 * j, 2 * j + 1) for j in range(len(nodes))]
+        ends += [(2 * index[u] + 1, 2 * index[w]) for u, w in arcs]
+        self.into: dict[FlowNode, list[int]] = {n: [] for n in nodes}
+        self.out: dict[FlowNode, list[int]] = {n: [] for n in nodes}
+        for (u, w), k in self.arc.items():
+            self.out[u].append(k)
+            self.into[w].append(k)
+        # With no flow, every arc is open along itself only.
+        self.template = b"\x01\x00" * len(ends)
+
+        halves = [(a, b, 2 * k) for k, (a, b) in enumerate(ends)]
+        halves += [(b, a, 2 * k + 1) for k, (a, b) in enumerate(ends)]
+        halves.sort()
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes * 2]
+        for a, b, half in halves:
+            adjacency[a].append((b, half))
+        self.adjacency = tuple(map(tuple, adjacency))
+        self.tail = tuple(x for ab in ends for x in ab)
+
+
 class FlowNetwork:
     """A directed network in which every node passes at most one unit.
 
     `node_capacity` and `arcs` map each node and arc to 1; only their keys
-    matter. A node absent from `node_capacity` passes nothing."""
+    matter. A node absent from `node_capacity` passes nothing. A network is
+    immutable; the ones derived from it share its compiled form."""
 
-    node_capacity: dict[FlowNode, int]
-    arcs: dict[tuple[FlowNode, FlowNode], int]
-    sources: tuple[FlowNode, ...] = ()
-    sinks: tuple[FlowNode, ...] = ()
+    def __init__(
+        self,
+        node_capacity: Mapping[FlowNode, int],
+        arcs: Mapping[Arc, int],
+        sources: Iterable[FlowNode] = (),
+        sinks: Iterable[FlowNode] = (),
+    ) -> None:
+        sources, sinks = tuple(sources), tuple(sinks)
+        compiled = _Compiled(
+            list(node_capacity) + list(sources) + list(sinks), arcs
+        )
+        residual = bytearray(compiled.template)
+        for n, j in compiled.index.items():
+            if n not in node_capacity:
+                residual[2 * j] = 0
+        self._compiled, self._residual = compiled, bytes(residual)
+        self.sources, self.sinks = sources, sinks
+
+    def _derive(
+        self,
+        closing: Sequence[int],
+        sources: tuple[FlowNode, ...],
+        sinks: tuple[FlowNode, ...],
+    ) -> "FlowNetwork":
+        """A network sharing this one's compiled form, with the arcs
+        `closing` closed as well and the given terminals."""
+        net = object.__new__(FlowNetwork)
+        net._compiled = self._compiled
+        net._residual = self._residual
+        net.sources, net.sinks = sources, sinks
+        if closing:
+            residual = bytearray(self._residual)
+            for k in closing:
+                residual[2 * k] = 0
+            net._residual = bytes(residual)
+        return net
+
+    # An arc is in the network when its residual half along itself is open
+    # (no flow is ever stored on a network).
+    @cached_property
+    def node_capacity(self) -> dict[FlowNode, int]:
+        residual, index = self._residual, self._compiled.index
+        return {n: 1 for n, j in index.items() if residual[2 * j]}
+
+    @cached_property
+    def arcs(self) -> dict[Arc, int]:
+        residual = self._residual
+        return {a: 1 for a, k in self._compiled.arc.items() if residual[2 * k]}
 
     def with_terminals(
         self, sources: Iterable[FlowNode], sinks: Iterable[FlowNode]
     ) -> "FlowNetwork":
-        return FlowNetwork(
-            self.node_capacity,
-            self.arcs,
-            tuple(sorted(set(sources))),
-            tuple(sorted(set(sinks))),
+        return self._derive(
+            (), tuple(sorted(set(sources))), tuple(sorted(set(sinks)))
         )
 
-    def without_arcs(
-        self, removed: Iterable[tuple[FlowNode, FlowNode]]
-    ) -> "FlowNetwork":
-        removed = set(removed)
-        kept = {a: 1 for a in self.arcs if a not in removed}
-        return FlowNetwork(self.node_capacity, kept, self.sources, self.sinks)
+    def without_arcs(self, removed: Iterable[Arc]) -> "FlowNetwork":
+        arc = self._compiled.arc
+        return self._derive(
+            [arc[a] for a in removed if a in arc], self.sources, self.sinks
+        )
+
+
+def _edge_arcs(a: str, b: str) -> tuple[Arc, Arc]:
+    """The two determinantal-network arcs of the graph edge a -> b."""
+    return (orig(b), orig(a)), (primed(a), primed(b))
 
 
 def build_det_flow(g: LatentFactorGraph) -> FlowNetwork:
@@ -63,17 +154,20 @@ def build_det_flow(g: LatentFactorGraph) -> FlowNetwork:
     for every graph edge i -> j.
     """
     all_nodes = list(g.observed) + list(g.latent)
-    node_capacity: dict[FlowNode, int] = {}
+    node_capacity = {}
     for n in all_nodes:
         node_capacity[orig(n)] = 1
         node_capacity[primed(n)] = 1
-    arcs: dict[tuple[FlowNode, FlowNode], int] = {}
-    for n in all_nodes:
-        arcs[(orig(n), primed(n))] = 1
+    arcs = {(orig(n), primed(n)): 1 for n in all_nodes}
     for a, b in list(g.edges_obs) + list(g.edges_lat):
-        arcs[(orig(b), orig(a))] = 1
-        arcs[(primed(a), primed(b))] = 1
+        arcs.update(dict.fromkeys(_edge_arcs(a, b), 1))
     return FlowNetwork(node_capacity, arcs)
+
+
+def without_edges(det: FlowNetwork, edges: Iterable[Edge]) -> FlowNetwork:
+    """The determinantal network of a graph with `edges` deleted, derived
+    from `det`, the determinantal network of the graph."""
+    return det.without_arcs(arc for a, b in edges for arc in _edge_arcs(a, b))
 
 
 def build_elf_flow(
@@ -83,11 +177,16 @@ def build_elf_flow(
     z: Iterable[str],
     w_z: Iterable[str],
     w_v: Iterable[str],
+    det: Optional[FlowNetwork] = None,
 ) -> FlowNetwork:
     """Flow network whose max-flow checks the extended half-trek criterion.
 
     Sources are the candidate half-trek start nodes `allowed`; sinks are
-    the primed copies of `w_v` union `z` union `w_z`.
+    the primed copies of `w_v` union `z` union `w_z`. The network is the
+    determinantal network of `g` (`det`, built when not given) without the
+    original-copy arcs of observed edges, without the original copies of
+    observed nodes outside `allowed`, and without the primed arcs of
+    observed edges into `z`.
     """
     allowed = frozenset(allowed)
     z = frozenset(z)
@@ -98,91 +197,94 @@ def build_elf_flow(
         raise GraphError(
             f"allowed source set overlaps z or v: {sorted(bad)}"
         )
+    if det is None:
+        det = build_det_flow(g)
 
-    sink_names = w_v | z | w_z
-
-    node_capacity: dict[FlowNode, int] = {}
-    for n in allowed:
-        node_capacity[orig(n)] = 1
-    for n in g.latent:
-        node_capacity[orig(n)] = 1
-    for n in list(g.observed) + list(g.latent):
-        node_capacity[primed(n)] = 1
-
-    arcs: dict[tuple[FlowNode, FlowNode], int] = {}
-    for h, a in g.edges_lat:
-        if a in allowed:
-            arcs[(orig(a), orig(h))] = 1
-    for n in allowed:
-        arcs[(orig(n), primed(n))] = 1
-    for h in g.latent:
-        arcs[(orig(h), primed(h))] = 1
-    for u, w in g.edges_lat:
-        arcs[(primed(u), primed(w))] = 1
-    for u, w in g.edges_obs:
-        if w not in z:
-            arcs[(primed(u), primed(w))] = 1
-
-    return FlowNetwork(
-        node_capacity,
-        arcs,
+    compiled = det._compiled
+    closing = []
+    for n in g.observed:
+        # Every arc into the original copy of an observed node is the
+        # original-copy arc of an observed edge.
+        closing += compiled.into[orig(n)]
+        if n not in allowed:
+            closing.append(compiled.index[orig(n)])
+            closing += compiled.out[orig(n)]
+        if n in z:
+            closing += (
+                compiled.arc[(primed(u), primed(n))]
+                for u in parents_obs(g, n)
+            )
+    return det._derive(
+        closing,
         tuple(sorted(orig(n) for n in allowed)),
-        tuple(sorted(primed(n) for n in sink_names)),
+        tuple(sorted(primed(n) for n in w_v | z | w_z)),
     )
 
 
-_SRC = ("+src", "", "x")
-_SNK = ("+snk", "", "x")
-
-
-def _solve(net: FlowNetwork) -> tuple[int, frozenset[str]]:
+def _solve(net: FlowNetwork) -> tuple[int, bytearray]:
     """Shortest augmenting paths over unit-capacity split nodes.
 
-    Returns the number of vertex-disjoint paths and the names of the
-    sources that one of them passes through.
+    Returns the number of vertex-disjoint paths and the residual arc
+    states they leave.
     """
-    # Node n becomes an entry (tag, name, "i") and an exit (tag, name, "x")
-    # joined by one unit; arc u -> w runs from u's exit to w's entry. Every
-    # split arc carries one unit, so the residual network is the set of
-    # open arc directions and pushing a unit reverses the arcs it crosses.
-    # Neighbours are visited in sorted order (super-sink and super-source
-    # first), which fixes the paths found and so the carrying sources.
-    unit_arcs = [(n + ("i",), n + ("x",)) for n in net.node_capacity]
-    unit_arcs += [(u + ("x",), w + ("i",)) for u, w in net.arcs]
-    unit_arcs += [(_SRC, s + ("i",)) for s in net.sources]
-    unit_arcs += [(t + ("x",), _SNK) for t in net.sinks]
-    open_arcs = set(unit_arcs)
-    adjacency: dict[tuple, list[tuple]] = {}
-    for a, b in unit_arcs:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    for nbrs in adjacency.values():
-        nbrs.sort()
+    # Every arc carries one unit, so a residual half is open (1) or not
+    # (0), and pushing a unit moves each crossed arc's 1 to its other half.
+    # The super-source and super-sink are implicit: each search starts from
+    # the entries of the sources not yet used, in sorted order, which is
+    # the order a super-source visits its neighbours in, and stops at the
+    # first exit it reaches of a sink not yet used, which is the first such
+    # exit it would take from the queue and so the one a super-sink is
+    # reached from. A unit through a terminal is never pushed back, because
+    # the search never leaves the super-sink and never re-enters the
+    # super-source. A terminal outside the compiled network touches no arc.
+    index = net._compiled.index
+    residual = bytearray(net._residual)
+    entries = sorted({2 * index[s] for s in net.sources if s in index})
+    open_exits = bytearray(2 * len(index))
+    for t in net.sinks:
+        if t in index:
+            open_exits[2 * index[t] + 1] = 1
+    adjacency, tail = net._compiled.adjacency, net._compiled.tail
 
     total = 0
-    while True:
-        parent = {_SRC: _SRC}
-        queue = deque([_SRC])
-        while queue and _SNK not in parent:
-            a = queue.popleft()
-            for b in adjacency.get(a, ()):
-                if b not in parent and (a, b) in open_arcs:
-                    parent[b] = a
-                    queue.append(b)
-        if _SNK not in parent:
+    while entries and total < len(net.sinks):
+        found = _augmenting_path(adjacency, residual, entries, open_exits)
+        if found is None:
             break
-        b = _SNK
-        while b != _SRC:
-            a = parent[b]
-            open_arcs.remove((a, b))
-            open_arcs.add((b, a))
-            b = a
+        via, b = found
+        open_exits[b] = 0
+        while via[b] >= 0:
+            half = via[b]
+            residual[half] = 0
+            residual[half ^ 1] = 1
+            b = tail[half]
+        entries.remove(b)
         total += 1
+    return total, residual
 
-    carrying = frozenset(
-        s[1] for s in net.sources if (s + ("x",), s + ("i",)) in open_arcs
-    )
-    return total, carrying
+
+def _augmenting_path(
+    adjacency: tuple[tuple[tuple[int, int], ...], ...],
+    residual: bytearray,
+    entries: list[int],
+    open_exits: bytearray,
+) -> Optional[tuple[list[int], int]]:
+    """Breadth-first search from the source entries `entries`. Returns, for
+    each reached node, the residual half it was reached by (-2 for a source
+    entry), and the sink exit reached; None when no sink exit is reached."""
+    via = [-1] * len(adjacency)
+    for s in entries:
+        via[s] = -2
+    queue = list(entries)
+    append = queue.append
+    for a in queue:
+        for b, half in adjacency[a]:
+            if residual[half] and via[b] == -1:
+                via[b] = half
+                if open_exits[b]:
+                    return via, b
+                append(b)
+    return None
 
 
 def max_flow(net: FlowNetwork) -> int:
@@ -193,4 +295,10 @@ def max_flow(net: FlowNetwork) -> int:
 def max_flow_sources(net: FlowNetwork) -> tuple[int, frozenset[str]]:
     """Max-flow value plus the original-node names of the sources that
     carry a unit of flow."""
-    return _solve(net)
+    total, residual = _solve(net)
+    index = net._compiled.index
+    # A source carries a unit when its split arc is open against itself.
+    carrying = frozenset(
+        s[1] for s in net.sources if s in index and residual[2 * index[s] + 1]
+    )
+    return total, carrying

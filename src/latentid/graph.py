@@ -290,6 +290,8 @@ def load_graph(path: str) -> LatentFactorGraph:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise GraphError(f"{path} must hold a JSON object")
     return graph_from_dict(data)
 
 

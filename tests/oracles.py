@@ -9,11 +9,14 @@ trek sums instead of matrix algebra.
 from __future__ import annotations
 
 import random
+from collections import deque
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from latentid.graph import LatentFactorGraph
+from latentid.flow import orig, primed
+from latentid.graph import GraphError, LatentFactorGraph
 
 
 # -- half-trek reachability by path enumeration ----------------------------
@@ -123,6 +126,133 @@ def disjoint_paths_bruteforce(net):
 
     search(0, 0, {}, {})
     return best
+
+
+# -- reference flow networks and solver ------------------------------------
+#
+# Dict-based networks and a solver that builds its split network afresh on
+# every call, with super-source and super-sink nodes and plainly sorted
+# adjacency lists: the reference the compiled kernel of `latentid.flow`
+# must match, with the same node and arc sets, the same value and the same
+# carrying sources (which depend on the order neighbours are visited in).
+
+
+@dataclass(frozen=True)
+class RefFlowNetwork:
+    node_capacity: dict
+    arcs: dict
+    sources: tuple = ()
+    sinks: tuple = ()
+
+    def with_terminals(self, sources, sinks):
+        return RefFlowNetwork(
+            self.node_capacity,
+            self.arcs,
+            tuple(sorted(set(sources))),
+            tuple(sorted(set(sinks))),
+        )
+
+    def without_arcs(self, removed):
+        removed = set(removed)
+        kept = {a: 1 for a in self.arcs if a not in removed}
+        return RefFlowNetwork(self.node_capacity, kept, self.sources, self.sinks)
+
+
+def ref_build_det_flow(g: LatentFactorGraph) -> RefFlowNetwork:
+    all_nodes = list(g.observed) + list(g.latent)
+    node_capacity = {}
+    for n in all_nodes:
+        node_capacity[orig(n)] = 1
+        node_capacity[primed(n)] = 1
+    arcs = {}
+    for n in all_nodes:
+        arcs[(orig(n), primed(n))] = 1
+    for a, b in list(g.edges_obs) + list(g.edges_lat):
+        arcs[(orig(b), orig(a))] = 1
+        arcs[(primed(a), primed(b))] = 1
+    return RefFlowNetwork(node_capacity, arcs)
+
+
+def ref_build_elf_flow(g, v, allowed, z, w_z, w_v) -> RefFlowNetwork:
+    allowed = frozenset(allowed)
+    z = frozenset(z)
+    w_z = frozenset(w_z)
+    w_v = frozenset(w_v)
+    bad = allowed & (z | {v})
+    if bad:
+        raise GraphError(f"allowed source set overlaps z or v: {sorted(bad)}")
+    sink_names = w_v | z | w_z
+    node_capacity = {}
+    for n in allowed:
+        node_capacity[orig(n)] = 1
+    for n in g.latent:
+        node_capacity[orig(n)] = 1
+    for n in list(g.observed) + list(g.latent):
+        node_capacity[primed(n)] = 1
+    arcs = {}
+    for h, a in g.edges_lat:
+        if a in allowed:
+            arcs[(orig(a), orig(h))] = 1
+    for n in allowed:
+        arcs[(orig(n), primed(n))] = 1
+    for h in g.latent:
+        arcs[(orig(h), primed(h))] = 1
+    for u, w in g.edges_lat:
+        arcs[(primed(u), primed(w))] = 1
+    for u, w in g.edges_obs:
+        if w not in z:
+            arcs[(primed(u), primed(w))] = 1
+    return RefFlowNetwork(
+        node_capacity,
+        arcs,
+        tuple(sorted(orig(n) for n in allowed)),
+        tuple(sorted(primed(n) for n in sink_names)),
+    )
+
+
+_REF_SRC = ("+src", "", "x")
+_REF_SNK = ("+snk", "", "x")
+
+
+def ref_solve(net) -> tuple[int, frozenset]:
+    """(number of vertex-disjoint paths, carrying source names) of any
+    network exposing `node_capacity`, `arcs`, `sources` and `sinks`."""
+    unit_arcs = [(n + ("i",), n + ("x",)) for n in net.node_capacity]
+    unit_arcs += [(u + ("x",), w + ("i",)) for u, w in net.arcs]
+    unit_arcs += [(_REF_SRC, s + ("i",)) for s in net.sources]
+    unit_arcs += [(t + ("x",), _REF_SNK) for t in net.sinks]
+    open_arcs = set(unit_arcs)
+    adjacency: dict = {}
+    for a, b in unit_arcs:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    for nbrs in adjacency.values():
+        nbrs.sort()
+
+    total = 0
+    while True:
+        parent = {_REF_SRC: _REF_SRC}
+        queue = deque([_REF_SRC])
+        while queue and _REF_SNK not in parent:
+            a = queue.popleft()
+            for b in adjacency.get(a, ()):
+                if b not in parent and (a, b) in open_arcs:
+                    parent[b] = a
+                    queue.append(b)
+        if _REF_SNK not in parent:
+            break
+        b = _REF_SNK
+        while b != _REF_SRC:
+            a = parent[b]
+            open_arcs.remove((a, b))
+            open_arcs.add((b, a))
+            b = a
+        total += 1
+
+    carrying = frozenset(
+        s[1] for s in net.sources if (s + ("x",), s + ("i",)) in open_arcs
+    )
+    return total, carrying
 
 
 # -- trek-rule covariance on acyclic graphs --------------------------------

@@ -124,6 +124,14 @@ class TestCheck:
         assert_one_line_error(err)
         assert f"'{field}' must be a list" in err
 
+    def test_graph_file_must_hold_object(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps([["1", "2"]]))
+        code, _, err = run_cli(capsys, "check", "--graph", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert_one_line_error(err)
+        assert "must hold a JSON object" in err
+
     def test_repeated_runs_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "check", "--graph", "fig3")
         _, out2, _ = run_cli(capsys, "check", "--graph", "fig3")
@@ -314,6 +322,26 @@ class TestEnumerate:
         )
         assert code == EXIT_INPUT_ERROR
         assert "unknown method" in err
+
+    def test_negative_max_edges_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--max-edges", "-1")
+        assert code == EXIT_INPUT_ERROR
+        assert not out
+        assert_one_line_error(err)
+        assert "--max-edges" in err
+
+    @pytest.mark.parametrize("flag", ["--workers", "LATENTID_WORKERS"])
+    def test_non_positive_workers_rejected(self, capsys, monkeypatch, flag):
+        argv = ["enumerate", "--max-edges", "1", "--methods", "LF-HTC"]
+        if flag == "--workers":
+            argv += ["--workers", "-2"]
+        else:
+            monkeypatch.setenv(flag, "-2")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR
+        assert not out
+        assert_one_line_error(err)
+        assert "must be >= 1" in err
 
     def test_workers_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("LATENTID_WORKERS", "2")

@@ -1,6 +1,9 @@
 """Identification criteria, the subprocedures, and the combined search."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,7 @@ from latentid.criteria import (
     elf_htc_subprocedure,
     verify_certificate,
 )
-from latentid.enumeration import METHOD_PRESETS
+from latentid.enumeration import METHOD_PRESETS, PATTERNS, enumerate_dags
 from latentid.graph import GraphError, LatentFactorGraph
 
 from oracles import random_latent_factor_graph
@@ -352,3 +355,45 @@ class TestCombinedAlgorithm:
         assert [r.cert for r in a.certificates] == [
             r.cert for r in b.certificates
         ]
+
+
+# sha256 per case of the JSON of every graph's sorted solved edges and
+# certificate records, in the order the search found them. Update it only
+# for an intended change of certificates.
+CERTIFICATE_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "certificates_digest.json").read_text()
+)
+BUILTINS = ("fig2a", "fig2b", "fig4a", "household", "fig3")
+DIGEST_CASES = {
+    "fig5a row 4, Det+eLF-HTC+rec": ("fig5a", 4, "Det+eLF-HTC+rec"),
+    "fig5b row 3, LF-HTC": ("fig5b", 3, "LF-HTC"),
+    "fig5b row 3, eLF-HTC+rec": ("fig5b", 3, "eLF-HTC+rec"),
+    "builtins, Det+eLF-HTC+rec": (None, None, "Det+eLF-HTC+rec"),
+}
+
+
+def certificate_digest(pattern, num_edges, preset):
+    if pattern is None:
+        graphs = [builtin_graph(name) for name in BUILTINS]
+    else:
+        graphs = enumerate_dags(PATTERNS[pattern], num_edges)
+    runs = []
+    for g in graphs:
+        state = combined_algorithm(g, METHOD_PRESETS[preset])
+        runs.append(
+            [
+                sorted(state.solved_edges),
+                [r.to_dict() for r in state.certificates],
+            ]
+        )
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+
+class TestPinnedCertificates:
+    def test_every_case_pinned(self):
+        assert set(CERTIFICATE_DIGESTS) == set(DIGEST_CASES)
+
+    @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+    def test_certificates_match_recorded(self, case):
+        digest = certificate_digest(*DIGEST_CASES[case])
+        assert digest == CERTIFICATE_DIGESTS[case]
