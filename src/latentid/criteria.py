@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterable, Optional
+from math import comb
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .flow import (
     FlowNetwork,
@@ -494,18 +495,83 @@ def elf_htc_subprocedure(
 
 # -- determinantal subprocedure -------------------------------------------
 
+
+def _lex_rank(positions: Sequence[int], n: int) -> int:
+    """Index of the increasing tuple `positions` among
+    `combinations(range(n), len(positions))`."""
+    k = len(positions)
+    return comb(n, k) - 1 - sum(
+        comb(n - 1 - c, k - j) for j, c in enumerate(positions)
+    )
+
+
+def _det_pairs(
+    obs: list[str],
+    t_literal: list[str],
+    s_pool: list[str],
+    t_pool: list[str],
+    t_allowed: dict[str, frozenset[str]],
+    cap: Optional[int],
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The literal (S, T) pairs, S from `obs` and T from `t_literal`, that
+    pass the determinantal filters, in the literal lexicographic order.
+
+    S is drawn from `s_pool` and T from the members of `t_pool` allowed
+    against every source in S; both pools are sorted subsequences of the
+    literal ones, so the order is the literal order with the failing
+    pairs left out. A pair's literal index is the number of literal pairs
+    before it; the pairs stop at the first index that reaches `cap`.
+    """
+    s_rank = {n: i for i, n in enumerate(obs)}
+    t_rank = {n: i for i, n in enumerate(t_literal)}
+    offset = 0  # literal index of the first pair with |S| = k
+    for k in range(1, len(obs) + 1):
+        if k > len(s_pool) or k - 1 > len(t_pool):
+            return
+        if cap is not None and offset >= cap:
+            return
+        stride = comb(len(t_literal), k - 1)  # literal T's per S
+        for s_combo in combinations(s_pool, k):
+            common = frozenset.intersection(*(t_allowed[s] for s in s_combo))
+            candidates = [t for t in t_pool if t in common]
+            if cap is not None:
+                s_index = offset + stride * _lex_rank(
+                    [s_rank[s] for s in s_combo], len(obs)
+                )
+                if s_index >= cap:
+                    return
+            for t_combo in combinations(candidates, k - 1):
+                if cap is not None and s_index + _lex_rank(
+                    [t_rank[t] for t in t_combo], len(t_literal)
+                ) >= cap:
+                    return
+                yield s_combo, t_combo
+        offset += comb(len(obs), k) * stride
+
+
 def det_subprocedure(
     g: LatentFactorGraph,
     state: IdentificationState,
     v: str,
     cfg: SearchConfig,
 ) -> IdentificationState:
-    """Search for determinantal witnesses solving single edges into `v`."""
+    """Search for determinantal witnesses solving single edges into `v`.
+
+    For each unsolved parent w0 the literal candidates are the pairs
+    (S, T), S a k-subset of the observed nodes and T a (k-1)-subset of
+    those other than v and w0, in lexicographic order by k, S, T;
+    `cfg.cap_det_pairs` bounds how many of them one w0 may consider. A
+    pair is tried only when T avoids the descendants of v and every
+    covariance of S against T, v, w0 and the solved parents is allowed,
+    so the pools are filtered once per w0 and only passing pairs are
+    visited.
+    """
     pa = parents_obs(g, v)
     dec_v = descendants(g, [v])
     if v in dec_v:
         return state
     obs = sorted(g.observed)
+    allowed = state.allowed_cov
     base = state.flow_net
 
     for w0 in sorted(pa):
@@ -514,66 +580,53 @@ def det_subprocedure(
         solved_parents = frozenset(
             p for p in pa if (p, v) in state.solved_edges
         )
+        fixed_targets = solved_parents | {v, w0}
+        s_pool = [
+            s
+            for s in obs
+            if all(cov_pair(s, t) in allowed for t in fixed_targets)
+        ]
+        t_literal = [n for n in obs if n not in (v, w0)]
+        t_pool = [n for n in t_literal if n not in dec_v]
+        t_allowed = {
+            s: frozenset(t for t in t_pool if cov_pair(s, t) in allowed)
+            for s in s_pool
+        }
         barred = base.without_arcs(
             {(primed(w), primed(v)) for w in solved_parents | {w0}}
         )
-        tried = 0
-        done = False
-        for k in range(1, len(obs) + 1):
-            if done:
-                break
-            t_pool = [n for n in obs if n not in (v, w0)]
-            for s_combo in combinations(obs, k):
-                if done:
-                    break
-                for t_combo in combinations(t_pool, k - 1):
-                    if (
-                        cfg.cap_det_pairs is not None
-                        and tried >= cfg.cap_det_pairs
-                    ):
-                        done = True
-                        break
-                    tried += 1
-                    t_set = frozenset(t_combo)
-                    if dec_v & t_set:
-                        continue
-                    cov_targets = t_set | {v, w0} | solved_parents
-                    if not all(
-                        cov_pair(s, t) in state.allowed_cov
-                        for s in s_combo
-                        for t in cov_targets
-                    ):
-                        continue
-                    srcs = [orig(n) for n in s_combo]
-                    full = base.with_terminals(
-                        srcs, [primed(n) for n in t_set | {w0}]
-                    )
-                    if max_flow(full) != k:
-                        continue
-                    cut = barred.with_terminals(
-                        srcs, [primed(n) for n in t_set | {v}]
-                    )
-                    if max_flow(cut) >= k:
-                        continue
-                    cert = DetCertificate(
+        for s_combo, t_combo in _det_pairs(
+            obs, t_literal, s_pool, t_pool, t_allowed, cfg.cap_det_pairs
+        ):
+            k = len(s_combo)
+            srcs = [orig(n) for n in s_combo]
+            full = base.with_terminals(
+                srcs, [primed(n) for n in t_combo + (w0,)]
+            )
+            if max_flow(full) != k:
+                continue
+            cut = barred.with_terminals(
+                srcs, [primed(n) for n in t_combo + (v,)]
+            )
+            if max_flow(cut) >= k:
+                continue
+            state.solved_edges.add((w0, v))
+            state.certificates.append(
+                CertRecord(
+                    edges=((w0, v),),
+                    cert=DetCertificate(
                         v=v,
                         w0=w0,
                         deleted_parents=solved_parents,
                         s=frozenset(s_combo),
-                        t=t_set,
+                        t=frozenset(t_combo),
                         source_contains_target=v in s_combo,
-                    )
-                    state.solved_edges.add((w0, v))
-                    state.certificates.append(
-                        CertRecord(
-                            edges=((w0, v),),
-                            cert=cert,
-                            depth=len(state.deleted_edges),
-                            deleted=state.deleted_edges,
-                        )
-                    )
-                    done = True
-                    break
+                    ),
+                    depth=len(state.deleted_edges),
+                    deleted=state.deleted_edges,
+                )
+            )
+            break
     state.refresh_solved_nodes()
     return state
 
@@ -587,6 +640,7 @@ def allowed_update(
     v: str,
     removed_parents: Iterable[str],
     solved_edges: Optional[set[Edge]] = None,
+    dec_v: Optional[frozenset[str]] = None,
 ) -> frozenset[CovPair]:
     """Allowed covariance pairs after deleting the edges
     `removed_parents -> v` from `g`.
@@ -594,6 +648,8 @@ def allowed_update(
     A pair stays allowed when both members avoid the descendants of `v`,
     the pair is not (v, v), and — when one member is `v` itself — the
     auxiliary pairs against every removed parent were allowed before.
+    A caller that already holds `descendants(g, [v])` passes it as
+    `dec_v`.
     """
     removed = frozenset(removed_parents)
     if not removed:
@@ -608,7 +664,8 @@ def allowed_update(
             raise GraphError(
                 f"cannot delete unsolved edges: {sorted(unsolved)}"
             )
-    dec_v = descendants(g, [v])
+    if dec_v is None:
+        dec_v = descendants(g, [v])
     out = set()
     for x, y in allowed_cov:
         if x in dec_v or y in dec_v:
@@ -708,12 +765,20 @@ def _search(
                 if edge not in g.edges_obs:
                     continue
                 w, v = edge
-                sub_graph = g.without_obs_edges({edge})
                 # Descendants are taken in the root graph so that the
                 # resulting allowed set depends only on the union of all
                 # deleted edges, not on the deletion order.
+                dec_v = descendants(root, [v])
+                # The subgraph's allowed set drops every pair touching
+                # dec_v, and both subprocedures need a covariance with the
+                # head of the edge they solve: when every unsolved edge
+                # points into dec_v, neither it nor any deeper deletion can
+                # solve anything.
+                if all_nodes - state.solved_nodes <= dec_v:
+                    continue
+                sub_graph = g.without_obs_edges({edge})
                 sub_allowed = allowed_update(
-                    root, state.allowed_cov, v, {w}, state.solved_edges
+                    root, state.allowed_cov, v, {w}, state.solved_edges, dec_v
                 )
                 entry = frozenset(state.solved_edges) - {edge}
                 result = _search(

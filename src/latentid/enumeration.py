@@ -276,6 +276,10 @@ def run_benchmark(
     """Per edge count 0..max_edges, count the symmetry classes each
     method preset fully identifies. Deterministic; optionally fans the
     graphs of each level out over a process pool."""
+    if max_edges < 0:
+        raise ValueError(f"max_edges must be >= 0, got {max_edges}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     for m in methods:
         if m not in METHOD_PRESETS:
             raise KeyError(

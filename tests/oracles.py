@@ -11,12 +11,18 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
-from latentid.flow import orig, primed
-from latentid.graph import GraphError, LatentFactorGraph
+from latentid.criteria import CertRecord, DetCertificate, cov_pair
+from latentid.flow import max_flow, orig, primed
+from latentid.graph import (
+    GraphError,
+    LatentFactorGraph,
+    descendants,
+    parents_obs,
+)
 
 
 # -- half-trek reachability by path enumeration ----------------------------
@@ -94,6 +100,12 @@ def disjoint_paths_bruteforce(net):
     for s in net.sources:
         extend([s])
 
+    # Every path starts at a source and ends at a sink, so no path system
+    # beats this bound; reaching it ends the search.
+    bound = min(
+        sum(net.node_capacity.get(n, 0) for n in net.sources),
+        sum(net.node_capacity.get(n, 0) for n in net.sinks),
+    )
     best = 0
 
     def usable(path, node_use, arc_use):
@@ -108,9 +120,11 @@ def disjoint_paths_bruteforce(net):
     def search(i, count, node_use, arc_use):
         nonlocal best
         best = max(best, count)
-        if count + (len(all_paths) - i) <= best:
+        if best >= bound or count + (len(all_paths) - i) <= best:
             return
         for j in range(i, len(all_paths)):
+            if best >= bound:
+                return
             path = all_paths[j]
             if not usable(path, node_use, arc_use):
                 continue
@@ -253,6 +267,91 @@ def ref_solve(net) -> tuple[int, frozenset]:
         s[1] for s in net.sources if (s + ("x",), s + ("i",)) in open_arcs
     )
     return total, carrying
+
+
+# -- literal determinantal search ------------------------------------------
+
+
+def ref_det_subprocedure(g, state, v, cfg):
+    """The determinantal subprocedure as a literal loop: every (S, T)
+    pair in lexicographic order, each counted against
+    `cfg.cap_det_pairs` and then filtered one covariance pair at a time.
+    `criteria.det_subprocedure` must match it."""
+    pa = parents_obs(g, v)
+    dec_v = descendants(g, [v])
+    if v in dec_v:
+        return state
+    obs = sorted(g.observed)
+    base = state.flow_net
+
+    for w0 in sorted(pa):
+        if (w0, v) in state.solved_edges:
+            continue
+        solved_parents = frozenset(
+            p for p in pa if (p, v) in state.solved_edges
+        )
+        barred = base.without_arcs(
+            {(primed(w), primed(v)) for w in solved_parents | {w0}}
+        )
+        tried = 0
+        done = False
+        for k in range(1, len(obs) + 1):
+            if done:
+                break
+            t_pool = [n for n in obs if n not in (v, w0)]
+            for s_combo in combinations(obs, k):
+                if done:
+                    break
+                for t_combo in combinations(t_pool, k - 1):
+                    if (
+                        cfg.cap_det_pairs is not None
+                        and tried >= cfg.cap_det_pairs
+                    ):
+                        done = True
+                        break
+                    tried += 1
+                    t_set = frozenset(t_combo)
+                    if dec_v & t_set:
+                        continue
+                    cov_targets = t_set | {v, w0} | solved_parents
+                    if not all(
+                        cov_pair(s, t) in state.allowed_cov
+                        for s in s_combo
+                        for t in cov_targets
+                    ):
+                        continue
+                    srcs = [orig(n) for n in s_combo]
+                    full = base.with_terminals(
+                        srcs, [primed(n) for n in t_set | {w0}]
+                    )
+                    if max_flow(full) != k:
+                        continue
+                    cut = barred.with_terminals(
+                        srcs, [primed(n) for n in t_set | {v}]
+                    )
+                    if max_flow(cut) >= k:
+                        continue
+                    cert = DetCertificate(
+                        v=v,
+                        w0=w0,
+                        deleted_parents=solved_parents,
+                        s=frozenset(s_combo),
+                        t=t_set,
+                        source_contains_target=v in s_combo,
+                    )
+                    state.solved_edges.add((w0, v))
+                    state.certificates.append(
+                        CertRecord(
+                            edges=((w0, v),),
+                            cert=cert,
+                            depth=len(state.deleted_edges),
+                            deleted=state.deleted_edges,
+                        )
+                    )
+                    done = True
+                    break
+    state.refresh_solved_nodes()
+    return state
 
 
 # -- trek-rule covariance on acyclic graphs --------------------------------

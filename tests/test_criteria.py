@@ -3,10 +3,12 @@
 import hashlib
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from latentid import criteria
 from latentid.catalog import builtin_graph
 from latentid.criteria import (
     DetCertificate,
@@ -22,11 +24,13 @@ from latentid.criteria import (
     det_subprocedure,
     elf_htc_subprocedure,
     verify_certificate,
+    _lex_rank,
 )
 from latentid.enumeration import METHOD_PRESETS, PATTERNS, enumerate_dags
+from latentid.flow import build_det_flow, without_edges
 from latentid.graph import GraphError, LatentFactorGraph
 
-from oracles import random_latent_factor_graph
+from oracles import random_latent_factor_graph, ref_det_subprocedure
 
 LEGACY = SearchConfig(
     legacy_lf_htc_only=True, enable_det=False, enable_recursion=False
@@ -369,12 +373,50 @@ DIGEST_CASES = {
     "fig5b row 3, LF-HTC": ("fig5b", 3, "LF-HTC"),
     "fig5b row 3, eLF-HTC+rec": ("fig5b", 3, "eLF-HTC+rec"),
     "builtins, Det+eLF-HTC+rec": (None, None, "Det+eLF-HTC+rec"),
+    "G7 plus 40 seeded 7-node, one-latent graphs, Det+eLF-HTC+rec": (
+        "dense",
+        None,
+        "Det+eLF-HTC+rec",
+    ),
+    "fig5a row 6, cap10": ("fig5a", 6, "cap10"),
+    "fig5a row 6, cap100": ("fig5a", 6, "cap100"),
+    "fig5a row 6, cap500": ("fig5a", 6, "cap500"),
 }
+
+# A dense graph that sends the edge-deletion recursion through about a
+# thousand subgraphs in vain: 10 of its 11 edges are identified at the top
+# level and no subgraph identifies the last one.
+G7 = LatentFactorGraph(
+    [str(i) for i in range(1, 8)],
+    ["h1"],
+    [
+        ("1", "2"), ("1", "3"), ("1", "4"), ("4", "2"), ("4", "5"),
+        ("4", "6"), ("6", "2"), ("7", "3"), ("7", "4"), ("7", "5"),
+        ("7", "6"),
+    ],
+    [("h1", "1"), ("h1", "6"), ("h1", "7")],
+)
+
+
+def dense_graphs(count, seed):
+    """`count` random graphs with 7 observed nodes and one latent,
+    alternately acyclic and cyclic."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_latent_factor_graph(
+            rng, max_obs=7, max_lat=1, acyclic=len(out) % 2 == 0
+        )
+        if len(g.observed) == 7:
+            out.append(g)
+    return out
 
 
 def certificate_digest(pattern, num_edges, preset):
     if pattern is None:
         graphs = [builtin_graph(name) for name in BUILTINS]
+    elif pattern == "dense":
+        graphs = [G7] + dense_graphs(40, seed=6)
     else:
         graphs = enumerate_dags(PATTERNS[pattern], num_edges)
     runs = []
@@ -397,3 +439,77 @@ class TestPinnedCertificates:
     def test_certificates_match_recorded(self, case):
         digest = certificate_digest(*DIGEST_CASES[case])
         assert digest == CERTIFICATE_DIGESTS[case]
+
+
+class TestDeterminantalPools:
+    def test_lex_rank_matches_combinations(self):
+        for n in range(9):
+            for k in range(n + 1):
+                for rank, combo in enumerate(combinations(range(n), k)):
+                    assert _lex_rank(combo, n) == rank, (n, combo)
+
+    def test_matches_literal_loop(self):
+        """The pool-filtered search gives the literal loop's solved edges
+        and certificates, under every cap, in subgraphs of the deletion
+        recursion."""
+        rng = random.Random(61)
+        caps = (None, 0, 1, 7, 50, 500)
+        solved_any = set()
+        for i in range(200):
+            g = random_latent_factor_graph(
+                rng, max_obs=7, max_lat=2, acyclic=i % 2 == 0
+            )
+            solved = {e for e in sorted(g.edges_obs) if rng.random() < 0.4}
+            deleted = rng.sample(
+                sorted(solved), min(len(solved), rng.randint(0, 2))
+            )
+            allowed = all_cov_pairs(g)
+            for w, v in deleted:
+                allowed = allowed_update(g, allowed, v, {w}, solved)
+            sub = g.without_obs_edges(set(deleted))
+            net = without_edges(build_det_flow(g), deleted)
+
+            def run(subprocedure, cfg):
+                state = IdentificationState(
+                    graph=sub,
+                    solved_edges=solved - set(deleted),
+                    solved_nodes=set(),
+                    allowed_cov=allowed,
+                    deleted_edges=tuple(deleted),
+                    certificates=[],
+                    flow_net=net,
+                )
+                state.refresh_solved_nodes()
+                for v in sorted(sub.observed):
+                    subprocedure(sub, state, v, cfg)
+                return (
+                    sorted(state.solved_edges),
+                    [r.to_dict() for r in state.certificates],
+                )
+
+            for cap in caps:
+                cfg = SearchConfig(cap_det_pairs=cap)
+                got = run(det_subprocedure, cfg)
+                assert got == run(ref_det_subprocedure, cfg), (g, deleted, cap)
+                if got[1]:
+                    solved_any.add(cap)
+        # Every cap but 0 lets some witness through.
+        assert solved_any == set(caps) - {0}
+
+
+class TestLatticePruning:
+    def test_g7_search_calls(self, monkeypatch):
+        """Deletions whose subgraph cannot solve anything are skipped: on
+        G7 the search visits 1,033 subgraphs (5,131 without pruning)."""
+        calls = 0
+        search = criteria._search
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(criteria, "_search", counted)
+        state = combined_algorithm(G7)
+        assert calls == 1033
+        assert len(state.solved_edges) == 10

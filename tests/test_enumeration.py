@@ -137,6 +137,15 @@ class TestBenchmark:
         with pytest.raises(KeyError):
             run_benchmark(SINGLE_FACTOR_SIX, 1, ("nope",))
 
+    def test_negative_max_edges_rejected(self):
+        with pytest.raises(ValueError, match="max_edges"):
+            run_benchmark(SINGLE_FACTOR_SIX, -1, ("LF-HTC",))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_non_positive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_benchmark(SINGLE_FACTOR_SIX, 1, ("LF-HTC",), workers=workers)
+
     def test_counts_bounded_by_rational_reference(self):
         rows = run_benchmark(OVERLAPPING_FACTORS_SIX, 2, DEFAULT_METHODS)
         rational = REFERENCE_COUNTS["fig5b"]["rational"]
