@@ -47,6 +47,15 @@ class CliError(Exception):
     """Input problem that should terminate with exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `CliError` (exit 1, one line) instead of
+    a usage block and exit 2, which means "partially identified"; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 def _resolve_graph(spec: str) -> LatentFactorGraph:
     """A builtin graph name, or a path to a JSON graph file."""
     if spec in BUILTIN_GRAPHS:
@@ -316,7 +325,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latentid",
         description=(
             "Identifiability of direct causal effects in linear models "
@@ -386,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

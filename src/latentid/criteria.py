@@ -14,6 +14,7 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .flow import (
+    ElfNetworks,
     FlowNetwork,
     build_det_flow,
     build_elf_flow,
@@ -24,12 +25,12 @@ from .flow import (
     without_edges,
 )
 from .graph import (
+    CompiledGraph,
     Edge,
     GraphError,
     LatentFactorGraph,
-    children,
+    bits,
     descendants,
-    htr,
     parents_lat,
     parents_obs,
 )
@@ -145,49 +146,97 @@ class IdentificationState:
     """Mutable search state threaded through the subprocedures.
 
     `flow_net` is the determinantal flow network of `graph`; the
-    subprocedures derive every network they solve from it."""
+    subprocedures derive every network they solve from it. They read the
+    graph from `view`, its `CompiledGraph`, and the allowed covariance
+    pairs from `allowed_rows`, one bitmask row per node in `view`'s
+    numbering; both are derived from `graph` and `allowed_cov` when not
+    given. Inside the edge-deletion recursion `graph` is the subgraph's
+    `CompiledGraph` and `allowed_cov` is None: only the rows are kept.
 
-    graph: LatentFactorGraph
+    `solved_mask` holds `solved_nodes` and `solved_pa[i]` the parents of
+    node i whose edges are solved; `refresh_solved_nodes` derives both
+    from `solved_edges`."""
+
+    graph: LatentFactorGraph | CompiledGraph
     solved_edges: set[Edge]
     solved_nodes: set[str]
-    allowed_cov: frozenset[CovPair]
+    allowed_cov: Optional[frozenset[CovPair]]
     deleted_edges: tuple[Edge, ...]
     certificates: list[CertRecord]
     flow_net: FlowNetwork = field(repr=False, compare=False)
+    view: Optional[CompiledGraph] = field(
+        default=None, repr=False, compare=False
+    )
+    allowed_rows: Optional[tuple[int, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+    elf: Optional[ElfNetworks] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.view is None:
+            self.view = CompiledGraph(self.graph)
+        if self.allowed_rows is None:
+            self.allowed_rows = allowed_rows(self.view, self.allowed_cov)
+        index = self.view.index
+        self.solved_mask = sum(1 << index[n] for n in self.solved_nodes)
+        self.solved_pa = self._solved_parents()
+        if self.elf is None:
+            self.elf = ElfNetworks(self.flow_net, self.view)
+        self._elf_base: Optional[bytes] = None
 
     @classmethod
     def fresh(cls, g: LatentFactorGraph) -> "IdentificationState":
-        return cls(
+        view = CompiledGraph(g)
+        state = cls(
             graph=g,
             solved_edges=set(),
-            solved_nodes=cls._derive_solved_nodes(g, set()),
+            solved_nodes=set(),
             allowed_cov=all_cov_pairs(g),
             deleted_edges=(),
             certificates=[],
             flow_net=build_det_flow(g),
+            view=view,
+            allowed_rows=(view.all,) * len(view.names),
         )
+        state.refresh_solved_nodes()
+        return state
 
-    @staticmethod
-    def _derive_solved_nodes(
-        g: LatentFactorGraph, solved_edges: set[Edge]
-    ) -> set[str]:
-        return {
-            v
-            for v in g.observed
-            if all((p, v) in solved_edges for p in parents_obs(g, v))
-        }
+    def _solved_parents(self) -> list[int]:
+        index = self.view.index
+        solved_pa = [0] * len(index)
+        for p, c in self.solved_edges:
+            solved_pa[index[c]] |= 1 << index[p]
+        return solved_pa
 
     def refresh_solved_nodes(self) -> None:
-        self.solved_nodes = self._derive_solved_nodes(
-            self.graph, self.solved_edges
-        )
+        self.solved_pa = solved_pa = self._solved_parents()
+        mask = 0
+        for i, pa in enumerate(self.view.pa):
+            if not pa & ~solved_pa[i]:
+                mask |= 1 << i
+        if mask != self.solved_mask:
+            self.solved_mask = mask
+            self.solved_nodes = set(self.view.nodes(mask))
 
-    def unsolved_parents(self, v: str) -> frozenset[str]:
-        return frozenset(
-            p
-            for p in parents_obs(self.graph, v)
-            if (p, v) not in self.solved_edges
-        )
+    def solve(self, v: int, parents: int) -> tuple[Edge, ...]:
+        """Mark the edges from `parents` into node `v` solved; returns
+        them, by name and in sorted order."""
+        names = self.view.names
+        edges = tuple((names[p], names[v]) for p in bits(parents))
+        self.solved_edges.update(edges)
+        self.solved_pa[v] |= parents
+        return edges
+
+    def unsolved_parents(self, v: int) -> int:
+        """The parents of node `v` whose edges are not solved, as a mask."""
+        return self.view.pa[v] & ~self.solved_pa[v]
+
+    def elf_network(self, sources: int, z: int) -> FlowNetwork:
+        """The eLF-HTC network of this state's graph for the source set
+        `sources` and sink set Z `z`, without sinks."""
+        if self._elf_base is None:
+            self._elf_base = self.elf.base(self.flow_net)
+        return self.elf.network(self._elf_base, sources, z)
 
 
 @dataclass(frozen=True)
@@ -345,65 +394,62 @@ def verify_certificate(
 
 
 def _wz_choices(
-    g: LatentFactorGraph,
-    state: IdentificationState,
-    zz: str,
-    cfg: SearchConfig,
-) -> list[frozenset[str]]:
-    """Candidate conditioning sets W_z for the sink `zz`: its unsolved
-    parents plus subsets of its solved parents, by ascending added size
-    then lexicographic. The legacy criterion conditions on nothing."""
+    state: IdentificationState, zz: int, cfg: SearchConfig
+) -> list[int]:
+    """Candidate conditioning sets W_z for the sink `zz`, as masks: its
+    unsolved parents plus subsets of its solved parents, by ascending
+    added size then lexicographic. The legacy criterion conditions on
+    nothing."""
     if cfg.legacy_lf_htc_only:
-        return [frozenset()]
+        return [0]
     base = state.unsolved_parents(zz)
     if cfg.simplify_wz_loop:
         return [base]
-    extras = sorted(parents_obs(g, zz) - base)
+    extras = list(bits(state.view.pa[zz] & ~base))
     out = []
     for size in range(len(extras) + 1):
         for combo in combinations(extras, size):
-            out.append(base | frozenset(combo))
+            out.append(base | sum(1 << p for p in combo))
     return out
 
 
 def _elf_allowed_sources(
-    g: LatentFactorGraph,
-    state: IdentificationState,
-    v: str,
-    z: frozenset[str],
-    h: frozenset[str],
-) -> frozenset[str]:
-    """The candidate source pool A."""
-    targets = z | {v}
-    reachable = htr(g, targets, h)
-    blocked_lat = parents_lat_of_set(g, targets) - h
+    state: IdentificationState, v: int, z: int, h: int
+) -> int:
+    """The candidate source pool A, as a mask, for the node `v`, the sink
+    set `z` and the latent set `h`."""
+    view, rows = state.view, state.allowed_rows
+    targets = z | 1 << v
+    reachable = view.htr(targets, h)
+    blocked_lat = 0
+    for t in bits(targets):
+        blocked_lat |= view.pa_lat[t]
     pool = (
-        frozenset(g.observed)
-        - targets
-        - children(g, blocked_lat)
-        - (reachable - state.solved_nodes)
+        view.all
+        & ~targets
+        & ~view.lat_children(blocked_lat & ~h)
+        & ~(reachable & ~state.solved_mask)
     )
     # Sources whose formula rows would need covariances that are no
-    # longer computable in the current subgraph are unusable.
-    col_targets = {v} | parents_obs(g, v) | z
-    for zz in z:
-        col_targets |= parents_obs(g, zz)
-    ok = set()
-    for a in pool:
-        needed = {a}
-        if a in reachable:
-            needed |= parents_obs(g, a)
-        if all(
-            cov_pair(x, t) in state.allowed_cov
-            for x in needed
-            for t in col_targets
-        ):
-            ok.add(a)
-    return frozenset(ok)
+    # longer computable in the current subgraph are unusable: a source
+    # needs its own row, and a reachable one its parents' rows, allowed
+    # against every column target.
+    pa = view.pa
+    cols = targets | pa[v]
+    for zz in bits(z):
+        cols |= pa[zz]
+    good = view.all  # nodes allowed against every column target
+    for c in bits(cols):
+        good &= rows[c]
+    ok = 0
+    for a in bits(pool & good):
+        if not (reachable >> a & 1 and pa[a] & ~good):
+            ok |= 1 << a
+    return ok
 
 
 def elf_htc_subprocedure(
-    g: LatentFactorGraph,
+    g: LatentFactorGraph | CompiledGraph,
     state: IdentificationState,
     v: str,
     cfg: SearchConfig,
@@ -413,79 +459,82 @@ def elf_htc_subprocedure(
     Iterates small latent sets H, sink sets Z among the children of H,
     and conditioning sets W_z; each max-flow success solves the edges
     p -> v for p in W_v minus (Z2 union W_Z) and the search continues
-    with the shrunken W_v.
+    with the shrunken W_v. `g` is the graph of `state`, read through
+    `state.view`.
 
     Under `cfg.legacy_lf_htc_only` this is the original node-wise
     criterion: W_v is every observed parent of `v`, the sinks are solved
     non-parents and every W_z is empty, so W_v never shrinks and all
     edges into `v` are solved at once or not at all.
     """
+    view = state.view
+    i = view.index[v]
     if cfg.legacy_lf_htc_only:
-        w_v = parents_obs(g, v)
-        sink_pool = state.solved_nodes - w_v
+        w_v = view.pa[i]
+        sink_pool = state.solved_mask & ~w_v
     else:
-        w_v = state.unsolved_parents(v)
-        sink_pool = frozenset(g.observed)
+        w_v = state.unsolved_parents(i)
+        sink_pool = view.all
     if not w_v:
         return state
 
-    lat_pool = [h for h in sorted(g.latent) if len(children(g, [h])) >= 4]
+    lat_pool = [
+        j for j, kids in enumerate(view.lat_ch) if kids.bit_count() >= 4
+    ]
     max_h = len(lat_pool)
     if cfg.cap_h_size is not None:
         max_h = min(max_h, cfg.cap_h_size)
 
     for h_size in range(max_h + 1):
         for h_combo in combinations(lat_pool, h_size):
-            h = frozenset(h_combo)
-            z_pool = sorted((children(g, h) - {v}) & sink_pool)
+            h = sum(1 << j for j in h_combo)
+            z_pool = list(bits(view.lat_children(h) & ~(1 << i) & sink_pool))
             for z_combo in combinations(z_pool, h_size):
-                z = frozenset(z_combo)
-                sources = _elf_allowed_sources(g, state, v, z, h)
-                options = [_wz_choices(g, state, zz, cfg) for zz in z_combo]
+                z = sum(1 << zz for zz in z_combo)
+                sources = _elf_allowed_sources(state, i, z, h)
+                options = [_wz_choices(state, zz, cfg) for zz in z_combo]
+                net = None
                 for w_choice in product(*options):
-                    w_z_map = dict(zip(z_combo, w_choice))
-                    w_big = frozenset().union(*w_choice) if w_choice else frozenset()
-                    z1 = frozenset(
-                        zz for zz in z if w_z_map[zz] < parents_obs(g, zz)
-                    )
+                    w_big = z1 = 0
+                    for zz, ws in zip(z_combo, w_choice):
+                        w_big |= ws
+                        if ws != view.pa[zz]:
+                            z1 |= 1 << zz
                     if z1 & (w_big | w_v):
                         continue
-                    target = len(w_v | z | w_big)
-                    net = build_elf_flow(
-                        g, v, sources, z, w_big, w_v, det=state.flow_net
+                    if net is None:
+                        net = state.elf_network(sources, z)
+                    sinks = w_v | z | w_big
+                    value, carrying = max_flow_sources(
+                        state.elf.with_sinks(net, sinks)
                     )
-                    value, carrying = max_flow_sources(net)
-                    if value != target:
+                    if value != sinks.bit_count():
                         continue
-                    z2 = z - z1
+                    z2 = z & ~z1
                     # Only the legacy W_v can hold solved parents.
-                    newly = sorted(
-                        p
-                        for p in w_v - (z2 | w_big)
-                        if (p, v) not in state.solved_edges
-                    )
+                    newly = w_v & ~(z2 | w_big) & ~state.solved_pa[i]
                     if not newly:
                         continue
                     cert = HtcCertificate(
                         v=v,
-                        w_v=w_v,
+                        w_v=view.nodes(w_v),
                         y=carrying,
-                        z=z,
+                        z=view.nodes(z),
                         w_z_map=tuple(
-                            sorted((zz, ws) for zz, ws in w_z_map.items())
+                            (view.names[zz], view.nodes(ws))
+                            for zz, ws in zip(z_combo, w_choice)
                         ),
-                        h=h,
+                        h=frozenset(view.latent[j] for j in h_combo),
                     )
-                    state.solved_edges.update((p, v) for p in newly)
                     state.certificates.append(
                         CertRecord(
-                            edges=tuple((p, v) for p in newly),
+                            edges=state.solve(i, newly),
                             cert=cert,
                             depth=len(state.deleted_edges),
                             deleted=state.deleted_edges,
                         )
                     )
-                    w_v = w_v & (z2 | w_big)
+                    w_v &= z2 | w_big
                     if not w_v:
                         state.refresh_solved_nodes()
                         return state
@@ -506,51 +555,55 @@ def _lex_rank(positions: Sequence[int], n: int) -> int:
 
 
 def _det_pairs(
-    obs: list[str],
-    t_literal: list[str],
-    s_pool: list[str],
-    t_pool: list[str],
-    t_allowed: dict[str, frozenset[str]],
+    n: int,
+    t_literal: int,
+    s_pool: list[int],
+    t_pool: list[int],
+    t_allowed: dict[int, int],
     cap: Optional[int],
-) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """The literal (S, T) pairs, S from `obs` and T from `t_literal`, that
-    pass the determinantal filters, in the literal lexicographic order.
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The literal (S, T) pairs, S from the `n` nodes and T from the
+    nodes of the mask `t_literal`, that pass the determinantal filters, in
+    the literal lexicographic order.
 
     S is drawn from `s_pool` and T from the members of `t_pool` allowed
-    against every source in S; both pools are sorted subsequences of the
-    literal ones, so the order is the literal order with the failing
-    pairs left out. A pair's literal index is the number of literal pairs
-    before it; the pairs stop at the first index that reaches `cap`.
+    against every source in S (the masks `t_allowed`); both pools are
+    sorted subsequences of the literal ones, so the order is the literal
+    order with the failing pairs left out. A pair's literal index is the
+    number of literal pairs before it; the pairs stop at the first index
+    that reaches `cap`.
     """
-    s_rank = {n: i for i, n in enumerate(obs)}
-    t_rank = {n: i for i, n in enumerate(t_literal)}
+    t_count = t_literal.bit_count()
     offset = 0  # literal index of the first pair with |S| = k
-    for k in range(1, len(obs) + 1):
+    for k in range(1, n + 1):
         if k > len(s_pool) or k - 1 > len(t_pool):
             return
         if cap is not None and offset >= cap:
             return
-        stride = comb(len(t_literal), k - 1)  # literal T's per S
+        stride = comb(t_count, k - 1)  # literal T's per S
         for s_combo in combinations(s_pool, k):
-            common = frozenset.intersection(*(t_allowed[s] for s in s_combo))
-            candidates = [t for t in t_pool if t in common]
+            common = t_literal
+            for s in s_combo:
+                common &= t_allowed[s]
+            candidates = [t for t in t_pool if common >> t & 1]
             if cap is not None:
-                s_index = offset + stride * _lex_rank(
-                    [s_rank[s] for s in s_combo], len(obs)
-                )
+                s_index = offset + stride * _lex_rank(s_combo, n)
                 if s_index >= cap:
                     return
             for t_combo in combinations(candidates, k - 1):
-                if cap is not None and s_index + _lex_rank(
-                    [t_rank[t] for t in t_combo], len(t_literal)
-                ) >= cap:
-                    return
+                if cap is not None:
+                    # A literal T position counts the literal T nodes below.
+                    t_pos = [
+                        (t_literal & (1 << t) - 1).bit_count() for t in t_combo
+                    ]
+                    if s_index + _lex_rank(t_pos, t_count) >= cap:
+                        return
                 yield s_combo, t_combo
-        offset += comb(len(obs), k) * stride
+        offset += comb(n, k) * stride
 
 
 def det_subprocedure(
-    g: LatentFactorGraph,
+    g: LatentFactorGraph | CompiledGraph,
     state: IdentificationState,
     v: str,
     cfg: SearchConfig,
@@ -564,63 +617,56 @@ def det_subprocedure(
     pair is tried only when T avoids the descendants of v and every
     covariance of S against T, v, w0 and the solved parents is allowed,
     so the pools are filtered once per w0 and only passing pairs are
-    visited.
+    visited. `g` is the graph of `state`, read through `state.view`.
     """
-    pa = parents_obs(g, v)
-    dec_v = descendants(g, [v])
-    if v in dec_v:
+    view, rows = state.view, state.allowed_rows
+    i = view.index[v]
+    dec_v = view.descendants(i)
+    if dec_v >> i & 1:
         return state
-    obs = sorted(g.observed)
-    allowed = state.allowed_cov
+    names = view.names
+    n = len(names)
     base = state.flow_net
 
-    for w0 in sorted(pa):
-        if (w0, v) in state.solved_edges:
+    for w0 in bits(view.pa[i]):
+        if state.solved_pa[i] >> w0 & 1:
             continue
-        solved_parents = frozenset(
-            p for p in pa if (p, v) in state.solved_edges
-        )
-        fixed_targets = solved_parents | {v, w0}
-        s_pool = [
-            s
-            for s in obs
-            if all(cov_pair(s, t) in allowed for t in fixed_targets)
-        ]
-        t_literal = [n for n in obs if n not in (v, w0)]
-        t_pool = [n for n in t_literal if n not in dec_v]
-        t_allowed = {
-            s: frozenset(t for t in t_pool if cov_pair(s, t) in allowed)
-            for s in s_pool
-        }
+        solved_parents = state.solved_pa[i] & view.pa[i]
+        fixed = solved_parents | 1 << i | 1 << w0
+        s_pool = [s for s in range(n) if rows[s] & fixed == fixed]
+        t_literal = view.all & ~(1 << i | 1 << w0)
+        t_pool_mask = t_literal & ~dec_v
+        t_pool = list(bits(t_pool_mask))
+        t_allowed = {s: rows[s] & t_pool_mask for s in s_pool}
         barred = base.without_arcs(
-            {(primed(w), primed(v)) for w in solved_parents | {w0}}
+            (primed(names[w]), primed(v))
+            for w in bits(solved_parents | 1 << w0)
         )
         for s_combo, t_combo in _det_pairs(
-            obs, t_literal, s_pool, t_pool, t_allowed, cfg.cap_det_pairs
+            n, t_literal, s_pool, t_pool, t_allowed, cfg.cap_det_pairs
         ):
             k = len(s_combo)
-            srcs = [orig(n) for n in s_combo]
+            srcs = [orig(names[s]) for s in s_combo]
             full = base.with_terminals(
-                srcs, [primed(n) for n in t_combo + (w0,)]
+                srcs, [primed(names[t]) for t in t_combo + (w0,)]
             )
             if max_flow(full) != k:
                 continue
             cut = barred.with_terminals(
-                srcs, [primed(n) for n in t_combo + (v,)]
+                srcs, [primed(names[t]) for t in t_combo + (i,)]
             )
             if max_flow(cut) >= k:
                 continue
-            state.solved_edges.add((w0, v))
             state.certificates.append(
                 CertRecord(
-                    edges=((w0, v),),
+                    edges=state.solve(i, 1 << w0),
                     cert=DetCertificate(
                         v=v,
-                        w0=w0,
-                        deleted_parents=solved_parents,
-                        s=frozenset(s_combo),
-                        t=frozenset(t_combo),
-                        source_contains_target=v in s_combo,
+                        w0=names[w0],
+                        deleted_parents=view.nodes(solved_parents),
+                        s=frozenset(names[s] for s in s_combo),
+                        t=frozenset(names[t] for t in t_combo),
+                        source_contains_target=i in s_combo,
                     ),
                     depth=len(state.deleted_edges),
                     deleted=state.deleted_edges,
@@ -681,6 +727,45 @@ def allowed_update(
     return frozenset(out)
 
 
+def allowed_rows(
+    view: CompiledGraph, allowed_cov: Iterable[CovPair]
+) -> tuple[int, ...]:
+    """The allowed pairs as one bitmask row per node: bit y of row x is
+    set when the pair (x, y) is allowed."""
+    index = view.index
+    rows = [0] * len(view.names)
+    for x, y in allowed_cov:
+        rows[index[x]] |= 1 << index[y]
+        rows[index[y]] |= 1 << index[x]
+    return tuple(rows)
+
+
+def _rows_update(
+    rows: tuple[int, ...], v: int, removed: int, dec_v: int
+) -> tuple[int, ...]:
+    """`allowed_update` on rows: the allowed rows after deleting the edges
+    from the nodes of `removed` into node `v`, whose descendants (in the
+    root graph) are `dec_v`."""
+    # A pair with v needs its other member allowed against every removed
+    # parent.
+    partners = 0
+    for x, row in enumerate(rows):
+        if row & removed == removed:
+            partners |= 1 << x
+    vbit = 1 << v
+    out = []
+    for x, row in enumerate(rows):
+        if dec_v >> x & 1:
+            out.append(0)
+        elif x == v:
+            out.append(row & ~dec_v & partners & ~vbit)
+        elif partners >> x & 1:
+            out.append(row & ~dec_v)
+        else:
+            out.append(row & ~dec_v & ~vbit)
+    return tuple(out)
+
+
 # -- combined algorithm ----------------------------------------------------
 
 
@@ -692,18 +777,20 @@ def combined_algorithm(
     Returns the top-level state; certificates found inside edge-deleted
     subgraphs are recorded with their recursion depth and deletion
     context, and the edges they solve are lifted into the result. The
-    determinantal flow network of `g` is compiled once; each subgraph of
-    the edge-deletion recursion uses it with its deleted edges' arcs
-    closed.
+    observed nodes of `g` are numbered once (`CompiledGraph`) and its
+    determinantal flow network is compiled once; each subgraph of the
+    edge-deletion recursion is the root with its deleted edges' parent
+    and child bits cleared and their arcs closed.
     """
     state = IdentificationState.fresh(g)
     memo: dict[tuple, frozenset[Edge]] = {}
     solved = _search(
-        g,
-        g,
+        state.view,
+        state.view,
         state.flow_net,
+        state.elf,
         frozenset(state.solved_edges),
-        state.allowed_cov,
+        state.allowed_rows,
         (),
         cfg,
         state.certificates,
@@ -715,17 +802,18 @@ def combined_algorithm(
 
 
 def _search(
-    root: LatentFactorGraph,
-    g: LatentFactorGraph,
+    root: CompiledGraph,
+    g: CompiledGraph,
     net: FlowNetwork,
+    elf: ElfNetworks,
     solved_in: frozenset[Edge],
-    allowed: frozenset[CovPair],
+    allowed: tuple[int, ...],
     deleted: tuple[Edge, ...],
     cfg: SearchConfig,
     records: list[CertRecord],
     memo: dict[tuple, frozenset[Edge]],
 ) -> frozenset[Edge]:
-    key = (g.edges_obs, solved_in)
+    key = (g.pa, solved_in)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -734,27 +822,30 @@ def _search(
         graph=g,
         solved_edges=set(solved_in),
         solved_nodes=set(),
-        allowed_cov=allowed,
+        allowed_cov=None,
         deleted_edges=deleted,
         certificates=records,
         flow_net=net,
+        view=g,
+        allowed_rows=allowed,
+        elf=elf,
     )
     state.refresh_solved_nodes()
-    all_nodes = set(g.observed)
+    all_nodes = g.all
 
     while True:
         before = set(state.solved_edges)
-        for v in sorted(g.observed):
-            if v in state.solved_nodes:
+        for i, v in enumerate(g.names):
+            if state.solved_mask >> i & 1:
                 continue
             if cfg.enable_elf:
                 elf_htc_subprocedure(g, state, v, cfg)
-            if v in state.solved_nodes:
+            if state.solved_mask >> i & 1:
                 continue
             if cfg.enable_det:
                 det_subprocedure(g, state, v, cfg)
         state.refresh_solved_nodes()
-        if state.solved_nodes == all_nodes:
+        if state.solved_mask == all_nodes:
             break
 
         recursion_open = cfg.enable_recursion and (
@@ -762,31 +853,28 @@ def _search(
         )
         if recursion_open:
             for edge in sorted(state.solved_edges):
-                if edge not in g.edges_obs:
+                a, b = g.index[edge[0]], g.index[edge[1]]
+                if not g.pa[b] >> a & 1:
                     continue
-                w, v = edge
                 # Descendants are taken in the root graph so that the
                 # resulting allowed set depends only on the union of all
                 # deleted edges, not on the deletion order.
-                dec_v = descendants(root, [v])
+                dec_v = root.descendants(b)
                 # The subgraph's allowed set drops every pair touching
                 # dec_v, and both subprocedures need a covariance with the
                 # head of the edge they solve: when every unsolved edge
                 # points into dec_v, neither it nor any deeper deletion can
                 # solve anything.
-                if all_nodes - state.solved_nodes <= dec_v:
+                if not all_nodes & ~state.solved_mask & ~dec_v:
                     continue
-                sub_graph = g.without_obs_edges({edge})
-                sub_allowed = allowed_update(
-                    root, state.allowed_cov, v, {w}, state.solved_edges, dec_v
-                )
                 entry = frozenset(state.solved_edges) - {edge}
                 result = _search(
                     root,
-                    sub_graph,
+                    g.without_edge(a, b),
                     without_edges(net, [edge]),
+                    elf,
                     entry,
-                    sub_allowed,
+                    _rows_update(state.allowed_rows, b, 1 << a, dec_v),
                     deleted + (edge,),
                     cfg,
                     records,
@@ -794,9 +882,9 @@ def _search(
                 )
                 state.solved_edges.update(result)
                 state.refresh_solved_nodes()
-                if state.solved_nodes == all_nodes:
+                if state.solved_mask == all_nodes:
                     break
-        if state.solved_nodes == all_nodes:
+        if state.solved_mask == all_nodes:
             break
         if state.solved_edges == before:
             break
@@ -804,4 +892,3 @@ def _search(
     out = frozenset(state.solved_edges)
     memo[key] = out
     return out
-

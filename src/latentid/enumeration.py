@@ -193,6 +193,8 @@ def enumerate_dags(
     """All acyclic observed-edge structures with exactly `num_edges`
     edges over the pattern, one representative per symmetry class."""
     max_pairs = pattern.num_observed * (pattern.num_observed - 1) // 2
+    if num_edges < 0:
+        raise ValueError(f"num_edges must be >= 0, got {num_edges}")
     if num_edges > max_pairs:
         raise ValueError(
             f"num_edges={num_edges} exceeds the acyclic maximum {max_pairs}"

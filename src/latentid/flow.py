@@ -7,19 +7,29 @@ can never collide with an original node name.
 
 A network is compiled once into integer-numbered split nodes with fixed
 adjacency. The networks derived from it (`with_terminals`, `without_arcs`,
-`without_edges`, and `build_elf_flow` given a determinantal network) share
-that compiled form and differ only in which of its arcs are closed, so a
-flow call copies a byte array of arc states instead of building a network.
-The identification search compiles the determinantal network of its root
-graph once and derives every network it solves from it.
+`without_edges`, `ElfNetworks`, and `build_elf_flow` given a determinantal
+network) share that compiled form and differ only in which of its arcs are
+closed, so a flow call copies a byte array of arc states instead of
+building a network. The identification search compiles the determinantal
+network of its root graph once and derives every network it solves from
+it; `ElfNetworks` takes the eLF-HTC node sets as bitmasks over the graph's
+`CompiledGraph` numbering.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import Edge, GraphError, LatentFactorGraph, parents_obs
+from .graph import (
+    CompiledGraph,
+    Edge,
+    GraphError,
+    LatentFactorGraph,
+    bits,
+    parents_obs,
+)
 
 FlowNode = tuple[str, str]
 Arc = tuple[FlowNode, FlowNode]
@@ -36,39 +46,68 @@ def primed(n: str) -> FlowNode:
 class _Compiled:
     """Split nodes and unit arcs of a network, numbered once.
 
-    The j-th flow node in sorted order becomes an entry, split node 2j,
-    and an exit, split node 2j + 1, joined by its split arc, arc j; arc
-    u -> w runs from u's exit to w's entry. That numbering is the sorted
-    order of the split nodes' keys (tag, name, "i"/"x"), and each adjacency
-    tuple is sorted by neighbour number: this fixes the order in which
-    neighbours are visited, and so the paths found and the carrying sources.
+    `nodes` come in sorted order, and an arc is a pair of their positions.
+    Flow node j becomes an entry, split node 2j, and an exit, split node
+    2j + 1, joined by its split arc, arc j; arc u -> w runs from u's exit
+    to w's entry. That numbering is the sorted order of the split nodes'
+    keys (tag, name, "i"/"x"), and each adjacency tuple is sorted by
+    neighbour number: this fixes the order in which neighbours are
+    visited, and so the paths found and the carrying sources.
 
     Arc k has two residual halves: 2k along the arc and 2k + 1 against it.
     """
 
-    def __init__(self, nodes: Iterable[FlowNode], arcs: Iterable[Arc]):
-        arcs = list(arcs)
-        nodes = sorted(set(nodes).union(*arcs))
-        self.index = index = {n: j for j, n in enumerate(nodes)}
-        self.arc = {a: k for k, a in enumerate(arcs, len(nodes))}
+    def __init__(
+        self, nodes: Sequence[FlowNode], arcs: Sequence[tuple[int, int]]
+    ):
+        self.nodes = nodes
+        self.index = {n: j for j, n in enumerate(nodes)}
+        self.arc_ids = dict(
+            zip(arcs, range(len(nodes), len(nodes) + len(arcs)))
+        )
         ends = [(2 * j, 2 * j + 1) for j in range(len(nodes))]
-        ends += [(2 * index[u] + 1, 2 * index[w]) for u, w in arcs]
-        self.into: dict[FlowNode, list[int]] = {n: [] for n in nodes}
-        self.out: dict[FlowNode, list[int]] = {n: [] for n in nodes}
-        for (u, w), k in self.arc.items():
-            self.out[u].append(k)
-            self.into[w].append(k)
+        ends += [(2 * u + 1, 2 * w) for u, w in arcs]
         # With no flow, every arc is open along itself only.
         self.template = b"\x01\x00" * len(ends)
 
-        halves = [(a, b, 2 * k) for k, (a, b) in enumerate(ends)]
-        halves += [(b, a, 2 * k + 1) for k, (a, b) in enumerate(ends)]
-        halves.sort()
         adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes * 2]
-        for a, b, half in halves:
-            adjacency[a].append((b, half))
-        self.adjacency = tuple(map(tuple, adjacency))
-        self.tail = tuple(x for ab in ends for x in ab)
+        for k, (a, b) in enumerate(ends):
+            adjacency[a].append((b, 2 * k))
+            adjacency[b].append((a, 2 * k + 1))
+        self.adjacency = tuple(tuple(sorted(x)) for x in adjacency)
+        self.tail = tuple(chain.from_iterable(ends))
+
+    # The arcs by flow node, built on first use.
+    @cached_property
+    def arc(self) -> dict[Arc, int]:
+        nodes = self.nodes
+        return {(nodes[u], nodes[w]): k for (u, w), k in self.arc_ids.items()}
+
+    @cached_property
+    def into(self) -> dict[FlowNode, list[int]]:
+        out: dict[FlowNode, list[int]] = {n: [] for n in self.nodes}
+        for (u, w), k in self.arc_ids.items():
+            out[self.nodes[w]].append(k)
+        return out
+
+    @cached_property
+    def out(self) -> dict[FlowNode, list[int]]:
+        out: dict[FlowNode, list[int]] = {n: [] for n in self.nodes}
+        for (u, w), k in self.arc_ids.items():
+            out[self.nodes[u]].append(k)
+        return out
+
+
+def _network(
+    compiled: _Compiled,
+    residual: bytes,
+    sources: tuple[FlowNode, ...],
+    sinks: tuple[FlowNode, ...],
+) -> "FlowNetwork":
+    net = object.__new__(FlowNetwork)
+    net._compiled, net._residual = compiled, residual
+    net.sources, net.sinks = sources, sinks
+    return net
 
 
 class FlowNetwork:
@@ -86,11 +125,12 @@ class FlowNetwork:
         sinks: Iterable[FlowNode] = (),
     ) -> None:
         sources, sinks = tuple(sources), tuple(sinks)
-        compiled = _Compiled(
-            list(node_capacity) + list(sources) + list(sinks), arcs
-        )
+        arcs = list(arcs)
+        nodes = sorted(set(node_capacity).union(sources, sinks, *arcs))
+        index = {n: j for j, n in enumerate(nodes)}
+        compiled = _Compiled(nodes, [(index[u], index[w]) for u, w in arcs])
         residual = bytearray(compiled.template)
-        for n, j in compiled.index.items():
+        for n, j in index.items():
             if n not in node_capacity:
                 residual[2 * j] = 0
         self._compiled, self._residual = compiled, bytes(residual)
@@ -104,16 +144,13 @@ class FlowNetwork:
     ) -> "FlowNetwork":
         """A network sharing this one's compiled form, with the arcs
         `closing` closed as well and the given terminals."""
-        net = object.__new__(FlowNetwork)
-        net._compiled = self._compiled
-        net._residual = self._residual
-        net.sources, net.sinks = sources, sinks
+        residual = self._residual
         if closing:
-            residual = bytearray(self._residual)
+            residual = bytearray(residual)
             for k in closing:
                 residual[2 * k] = 0
-            net._residual = bytes(residual)
-        return net
+            residual = bytes(residual)
+        return _network(self._compiled, residual, sources, sinks)
 
     # An arc is in the network when its residual half along itself is open
     # (no flow is ever stored on a network).
@@ -153,15 +190,17 @@ def build_det_flow(g: LatentFactorGraph) -> FlowNetwork:
     graph edge j -> i, an arc i -> i' for every node, and an arc i' -> j'
     for every graph edge i -> j.
     """
-    all_nodes = list(g.observed) + list(g.latent)
-    node_capacity = {}
-    for n in all_nodes:
-        node_capacity[orig(n)] = 1
-        node_capacity[primed(n)] = 1
-    arcs = {(orig(n), primed(n)): 1 for n in all_nodes}
-    for a, b in list(g.edges_obs) + list(g.edges_lat):
-        arcs.update(dict.fromkeys(_edge_arcs(a, b), 1))
-    return FlowNetwork(node_capacity, arcs)
+    # Compiled from integer ids: the sorted flow nodes are the original
+    # copies of the sorted node names, then their primed copies.
+    names = sorted(g.observed + g.latent)
+    rank = {n: r for r, n in enumerate(names)}
+    m = len(names)
+    arcs = [(r, m + r) for r in range(m)]
+    for a, b in chain(g.edges_obs, g.edges_lat):
+        arcs += ((rank[b], rank[a]), (m + rank[a], m + rank[b]))
+    nodes = [orig(n) for n in names] + [primed(n) for n in names]
+    compiled = _Compiled(nodes, arcs)
+    return _network(compiled, compiled.template, (), ())
 
 
 def without_edges(det: FlowNetwork, edges: Iterable[Edge]) -> FlowNetwork:
@@ -219,6 +258,78 @@ def build_elf_flow(
         tuple(sorted(orig(n) for n in allowed)),
         tuple(sorted(primed(n) for n in w_v | z | w_z)),
     )
+
+
+class ElfNetworks:
+    """The networks `build_elf_flow` builds, for a graph and its
+    edge-deleted subgraphs, with node sets given as bitmasks over the
+    graph's `CompiledGraph` numbering.
+
+    `det` is the graph's determinantal network. The arcs each network
+    closes are listed once per node: a subgraph's `base` closes every
+    original-copy arc of an observed edge, and `network` then closes the
+    original copies outside the source set and the primed arcs into Z.
+    """
+
+    def __init__(self, det: FlowNetwork, view: CompiledGraph):
+        c = det._compiled
+        names = view.names
+        self._compiled = c
+        self._all = view.all
+        self._orig = tuple(orig(n) for n in names)
+        self._primed = tuple(primed(n) for n in names)
+        # Flow node number -> observed node number, for original copies.
+        obs = {c.index[node]: i for i, node in enumerate(self._orig)}
+        self._into: list[int] = []
+        self._outside = [[c.index[node]] for node in self._orig]
+        for (u, w), k in c.arc_ids.items():
+            # Every arc into the original copy of an observed node is the
+            # original-copy arc of an observed edge.
+            if w in obs:
+                self._into.append(k)
+            if u in obs:
+                self._outside[obs[u]].append(k)
+        self._z = [
+            [c.arc[(primed(names[u]), primed(n))] for u in bits(view.pa[i])]
+            for i, n in enumerate(names)
+        ]
+
+    def base(self, det: FlowNetwork) -> bytes:
+        """The residual of `det`, a network derived from the one this was
+        built from, with every original-copy arc of an observed edge
+        closed."""
+        residual = bytearray(det._residual)
+        for k in self._into:
+            residual[2 * k] = 0
+        return bytes(residual)
+
+    def network(self, base: bytes, sources: int, z: int) -> FlowNetwork:
+        """The network over the residual `base` with source set `sources`
+        and sink set Z `z`, and no sinks yet."""
+        residual = bytearray(base)
+        for i in bits(self._all & ~sources):
+            for k in self._outside[i]:
+                residual[2 * k] = 0
+        for i in bits(z):
+            for k in self._z[i]:
+                residual[2 * k] = 0
+        orig_nodes = self._orig
+        return _network(
+            self._compiled,
+            bytes(residual),
+            tuple(orig_nodes[i] for i in bits(sources)),
+            (),
+        )
+
+    def with_sinks(self, net: FlowNetwork, sinks: int) -> FlowNetwork:
+        """`net` with the primed copies of `sinks` as its sinks."""
+        primed_nodes = self._primed
+        return _network(
+            net._compiled,
+            net._residual,
+            net.sources,
+            tuple(primed_nodes[i] for i in bits(sinks)),
+        )
 
 
 def _solve(net: FlowNetwork) -> tuple[int, bytearray]:

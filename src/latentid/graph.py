@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator, Optional
 
 NodeSet = frozenset[str]
 Edge = tuple[str, str]
@@ -249,6 +249,139 @@ def htr(
         reach.discard(s)
         out |= reach
     return frozenset(out)
+
+
+# -- compiled form ---------------------------------------------------------
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class CompiledGraph:
+    """A graph whose observed nodes are numbered once, in sorted order,
+    with its queries held as int bitmasks: bit i stands for `names[i]`,
+    and bit j of a latent mask for `latent[j]`, also sorted.
+
+    `pa`/`ch` hold each observed node's observed parents/children,
+    `pa_lat` its latent parents and `lat_ch` each latent node's children.
+    A subgraph with observed edges deleted (`without_edge`) shares the
+    numbering and the latent part and differs only in `pa` and `ch`.
+    Descendant masks (per node) and reach masks (per latent node) are
+    computed on first use.
+    """
+
+    __slots__ = (
+        "names",
+        "index",
+        "latent",
+        "pa",
+        "ch",
+        "pa_lat",
+        "lat_ch",
+        "_desc",
+        "_lat_reach",
+    )
+
+    def __init__(self, g: LatentFactorGraph):
+        self.names = names = tuple(sorted(g.observed))
+        self.index = index = {n: i for i, n in enumerate(names)}
+        self.latent = tuple(sorted(g.latent))
+        lat_index = {h: j for j, h in enumerate(self.latent)}
+        pa, ch, pa_lat = [0] * len(names), [0] * len(names), [0] * len(names)
+        lat_ch = [0] * len(self.latent)
+        for a, b in g.edges_obs:
+            pa[index[b]] |= 1 << index[a]
+            ch[index[a]] |= 1 << index[b]
+        for h, b in g.edges_lat:
+            pa_lat[index[b]] |= 1 << lat_index[h]
+            lat_ch[lat_index[h]] |= 1 << index[b]
+        self.pa, self.ch = tuple(pa), tuple(ch)
+        self.pa_lat, self.lat_ch = tuple(pa_lat), tuple(lat_ch)
+        self._desc: list[Optional[int]] = [None] * len(names)
+        self._lat_reach: list[Optional[int]] = [None] * len(self.latent)
+
+    @property
+    def all(self) -> int:
+        """The mask of every observed node."""
+        return (1 << len(self.names)) - 1
+
+    @property
+    def edges_obs(self) -> frozenset[Edge]:
+        """The observed edges by name, as in `LatentFactorGraph`."""
+        names = self.names
+        return frozenset(
+            (names[a], names[b])
+            for b, parents in enumerate(self.pa)
+            for a in bits(parents)
+        )
+
+    def nodes(self, mask: int) -> frozenset[str]:
+        """The observed node names of `mask`."""
+        return frozenset(self.names[i] for i in bits(mask))
+
+    def without_edge(self, a: int, b: int) -> "CompiledGraph":
+        """The subgraph with the observed edge a -> b deleted."""
+        sub = object.__new__(CompiledGraph)
+        sub.names, sub.index, sub.latent = self.names, self.index, self.latent
+        sub.pa_lat, sub.lat_ch = self.pa_lat, self.lat_ch
+        pa, ch = list(self.pa), list(self.ch)
+        pa[b] &= ~(1 << a)
+        ch[a] &= ~(1 << b)
+        sub.pa, sub.ch = tuple(pa), tuple(ch)
+        sub._desc = [None] * len(pa)
+        sub._lat_reach = [None] * len(self.latent)
+        return sub
+
+    def descendants(self, i: int) -> int:
+        """Nodes reachable from node i by a directed path of length >= 1."""
+        out = self._desc[i]
+        if out is None:
+            ch = self.ch
+            out, frontier = 0, ch[i]
+            while frontier:
+                out |= frontier
+                step = 0
+                for j in bits(frontier):
+                    step |= ch[j]
+                frontier = step & ~out
+            self._desc[i] = out
+        return out
+
+    def lat_children(self, lat_mask: int) -> int:
+        """The children of the latent nodes of `lat_mask`."""
+        out = 0
+        for j in bits(lat_mask):
+            out |= self.lat_ch[j]
+        return out
+
+    def lat_reach(self, j: int) -> int:
+        """The children of latent node j and everything reachable from
+        them."""
+        out = self._lat_reach[j]
+        if out is None:
+            out = self.lat_ch[j]
+            for i in bits(out):
+                out |= self.descendants(i)
+            self._lat_reach[j] = out
+        return out
+
+    def htr(self, sources: int, avoid_lat: int = 0) -> int:
+        """The `htr` query on masks: observed nodes reachable by a
+        non-trivial half-trek from some node of `sources`, each source
+        excluded from its own half-treks, with the latent top nodes of
+        `avoid_lat` avoided."""
+        out = 0
+        for s in bits(sources):
+            reach = self.descendants(s)
+            for j in bits(self.pa_lat[s] & ~avoid_lat):
+                reach |= self.lat_reach(j)
+            out |= reach & ~(1 << s)
+        return out
 
 
 # -- serialization --------------------------------------------------------

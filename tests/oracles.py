@@ -20,7 +20,10 @@ from latentid.flow import max_flow, orig, primed
 from latentid.graph import (
     GraphError,
     LatentFactorGraph,
+    children,
     descendants,
+    htr,
+    parents_lat,
     parents_obs,
 )
 
@@ -352,6 +355,49 @@ def ref_det_subprocedure(g, state, v, cfg):
                     break
     state.refresh_solved_nodes()
     return state
+
+
+# -- set-based search bookkeeping -------------------------------------------
+
+
+def ref_solved_nodes(g, solved_edges):
+    """The observed nodes whose every incoming observed edge is solved,
+    one `parents_obs` query at a time. `IdentificationState.
+    refresh_solved_nodes` must match it."""
+    return {
+        v
+        for v in g.observed
+        if all((p, v) in solved_edges for p in parents_obs(g, v))
+    }
+
+
+def ref_elf_allowed_sources(g, solved_nodes, allowed_cov, v, z, h):
+    """The eLF-HTC candidate source pool on sets of names, testing one
+    covariance pair at a time. `criteria._elf_allowed_sources` must match
+    it."""
+    targets = frozenset(z) | {v}
+    h = frozenset(h)
+    reachable = htr(g, targets, h)
+    blocked_lat = frozenset().union(*(parents_lat(g, t) for t in targets)) - h
+    pool = (
+        frozenset(g.observed)
+        - targets
+        - children(g, blocked_lat)
+        - (reachable - solved_nodes)
+    )
+    col_targets = {v} | parents_obs(g, v) | set(z)
+    for zz in z:
+        col_targets |= parents_obs(g, zz)
+    ok = set()
+    for a in pool:
+        needed = {a}
+        if a in reachable:
+            needed |= parents_obs(g, a)
+        if all(
+            cov_pair(x, t) in allowed_cov for x in needed for t in col_targets
+        ):
+            ok.add(a)
+    return frozenset(ok)
 
 
 # -- trek-rule covariance on acyclic graphs --------------------------------

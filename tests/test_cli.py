@@ -399,3 +399,32 @@ class TestVerify:
         assert out == ""
         assert_one_line_error(err)
         assert "--trials" in err
+
+
+class TestUsageErrors:
+    """A malformed command line is an input error: exit 1 and one
+    `error:` line, not exit 2, which reports a partial identification."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["formula", "--graph", "fig2a", "--format", "xml"],
+            ["check", "--graph", "fig2a", "--cap-h", "abc"],
+            ["check"],
+            ["nonesuch"],
+            [],
+        ],
+        ids=["bad-choice", "bad-int", "missing-option", "bad-command", "none"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: latentid" in capsys.readouterr().out

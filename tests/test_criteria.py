@@ -27,10 +27,28 @@ from latentid.criteria import (
     _lex_rank,
 )
 from latentid.enumeration import METHOD_PRESETS, PATTERNS, enumerate_dags
-from latentid.flow import build_det_flow, without_edges
-from latentid.graph import GraphError, LatentFactorGraph
+from latentid.flow import (
+    build_det_flow,
+    build_elf_flow,
+    max_flow_sources,
+    without_edges,
+)
+from latentid.graph import (
+    CompiledGraph,
+    GraphError,
+    LatentFactorGraph,
+    children,
+    descendants,
+    htr,
+    parents_obs,
+)
 
-from oracles import random_latent_factor_graph, ref_det_subprocedure
+from oracles import (
+    random_latent_factor_graph,
+    ref_det_subprocedure,
+    ref_elf_allowed_sources,
+    ref_solved_nodes,
+)
 
 LEGACY = SearchConfig(
     legacy_lf_htc_only=True, enable_det=False, enable_recursion=False
@@ -372,6 +390,8 @@ DIGEST_CASES = {
     "fig5a row 4, Det+eLF-HTC+rec": ("fig5a", 4, "Det+eLF-HTC+rec"),
     "fig5b row 3, LF-HTC": ("fig5b", 3, "LF-HTC"),
     "fig5b row 3, eLF-HTC+rec": ("fig5b", 3, "eLF-HTC+rec"),
+    "fig5b row 4, LF-HTC": ("fig5b", 4, "LF-HTC"),
+    "fig5b row 4, eLF-HTC+rec": ("fig5b", 4, "eLF-HTC+rec"),
     "builtins, Det+eLF-HTC+rec": (None, None, "Det+eLF-HTC+rec"),
     "G7 plus 40 seeded 7-node, one-latent graphs, Det+eLF-HTC+rec": (
         "dense",
@@ -513,3 +533,140 @@ class TestLatticePruning:
         state = combined_algorithm(G7)
         assert calls == 1033
         assert len(state.solved_edges) == 10
+
+
+
+class TestCompiledQueries:
+    def test_masks_match_set_queries(self):
+        """The compiled graph, allowed rows, source pools, solved nodes and
+        eLF-HTC networks of the search equal the set-based queries,
+        `allowed_update` and `build_elf_flow`, in subgraphs of the
+        deletion recursion."""
+        rng = random.Random(71)
+        pools = networks = 0
+        for i in range(200):
+            g = random_latent_factor_graph(
+                rng, max_obs=7, max_lat=2, acyclic=i % 2 == 0
+            )
+            solved = {e for e in sorted(g.edges_obs) if rng.random() < 0.4}
+            deleted = rng.sample(
+                sorted(solved), min(len(solved), rng.randint(0, 2))
+            )
+            root = CompiledGraph(g)
+            view, idx = root, root.index
+            allowed = all_cov_pairs(g)
+            rows = criteria.allowed_rows(root, allowed)
+            for w, v in deleted:
+                dec_v = descendants(g, [v])
+                allowed = allowed_update(g, allowed, v, {w}, solved, dec_v)
+                rows = criteria._rows_update(
+                    rows, idx[v], 1 << idx[w], root.descendants(idx[v])
+                )
+                view = view.without_edge(idx[w], idx[v])
+            sub = g.without_obs_edges(set(deleted))
+            names = view.names
+
+            assert view.edges_obs == sub.edges_obs
+            assert view.nodes(view.all) == frozenset(sub.observed)
+            for n, j in idx.items():
+                assert view.nodes(view.pa[j]) == parents_obs(sub, n)
+                assert view.nodes(view.ch[j]) == children(sub, [n])
+                assert view.nodes(view.descendants(j)) == descendants(sub, [n])
+            for _ in range(4):
+                mask = rng.getrandbits(len(names))
+                avoid = rng.getrandbits(len(view.latent))
+                assert view.nodes(view.htr(mask, avoid)) == htr(
+                    sub,
+                    view.nodes(mask),
+                    [h for j, h in enumerate(view.latent) if avoid >> j & 1],
+                )
+            assert rows == criteria.allowed_rows(view, allowed)
+            # A thinned allowed set makes the rules that need a pair
+            # against a removed parent, or a parent's row, bind.
+            allowed = frozenset(
+                p for p in sorted(allowed) if rng.random() < 0.85
+            )
+            for v in names:
+                parents = sorted(parents_obs(sub, v))
+                if not parents:
+                    continue
+                removed = set(rng.sample(parents, len(parents) // 2 + 1))
+                dec_v = root.descendants(idx[v])
+                assert criteria._rows_update(
+                    criteria.allowed_rows(view, allowed),
+                    idx[v],
+                    sum(1 << idx[w] for w in removed),
+                    dec_v,
+                ) == criteria.allowed_rows(
+                    view, allowed_update(g, allowed, v, removed)
+                ), (g, deleted, v, removed)
+
+            net = without_edges(build_det_flow(g), deleted)
+            state = IdentificationState(
+                graph=sub,
+                solved_edges=solved - set(deleted),
+                solved_nodes=set(),
+                allowed_cov=allowed,
+                deleted_edges=tuple(deleted),
+                certificates=[],
+                flow_net=net,
+            )
+            state.refresh_solved_nodes()
+            assert state.solved_nodes == ref_solved_nodes(
+                sub, state.solved_edges
+            )
+            assert state.solved_mask == sum(
+                1 << idx[n] for n in state.solved_nodes
+            )
+
+            for v in names:
+                j = idx[v]
+                for h_size in range(len(view.latent) + 1):
+                    for h_combo in combinations(
+                        range(len(view.latent)), h_size
+                    ):
+                        h = sum(1 << k for k in h_combo)
+                        z_pool = view.lat_children(h) & ~(1 << j)
+                        for z_combo in combinations(
+                            [k for k in range(len(names)) if z_pool >> k & 1],
+                            h_size,
+                        ):
+                            z = sum(1 << k for k in z_combo)
+                            sources = criteria._elf_allowed_sources(
+                                state, j, z, h
+                            )
+                            assert view.nodes(
+                                sources
+                            ) == ref_elf_allowed_sources(
+                                sub,
+                                state.solved_nodes,
+                                allowed,
+                                v,
+                                view.nodes(z),
+                                [view.latent[k] for k in h_combo],
+                            ), (g, deleted, v, z_combo, h_combo)
+                            pools += 1
+
+                            w_v = view.pa[j] & rng.getrandbits(len(names))
+                            w_z = rng.getrandbits(len(names))
+                            fast = state.elf.with_sinks(
+                                state.elf_network(sources, z), w_v | z | w_z
+                            )
+                            ref = build_elf_flow(
+                                sub,
+                                v,
+                                view.nodes(sources),
+                                view.nodes(z),
+                                view.nodes(w_z),
+                                view.nodes(w_v),
+                                det=net,
+                            )
+                            assert fast.node_capacity == ref.node_capacity
+                            assert fast.arcs == ref.arcs
+                            assert fast.sources == ref.sources
+                            assert fast.sinks == ref.sinks
+                            assert max_flow_sources(fast) == max_flow_sources(
+                                ref
+                            )
+                            networks += 1
+        assert pools == networks > 1000

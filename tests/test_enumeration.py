@@ -72,6 +72,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_dags(SINGLE_FACTOR_SIX, 16)
 
+    @pytest.mark.parametrize("num_edges", [-1, -3])
+    def test_negative_edges_rejected(self, num_edges):
+        with pytest.raises(ValueError, match="num_edges"):
+            enumerate_dags(SINGLE_FACTOR_SIX, num_edges)
+
     def test_graphs_are_acyclic_and_distinct(self):
         graphs = enumerate_dags(SINGLE_FACTOR_SIX, 4)
         from latentid.graph import descendants
