@@ -9,10 +9,12 @@ fixpoint search tying them together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import rank
 from .flow import (
     ElfNetworks,
     FlowNetwork,
@@ -155,7 +157,8 @@ class IdentificationState:
 
     `solved_mask` holds `solved_nodes` and `solved_pa[i]` the parents of
     node i whose edges are solved; `refresh_solved_nodes` derives both
-    from `solved_edges`."""
+    from `solved_edges`. The eLF-HTC networks and the covariance matrix
+    mod p are built on first use and kept for the state's lifetime."""
 
     graph: LatentFactorGraph | CompiledGraph
     solved_edges: set[Edge]
@@ -183,6 +186,7 @@ class IdentificationState:
         if self.elf is None:
             self.elf = ElfNetworks(self.flow_net, self.view)
         self._elf_base: Optional[bytes] = None
+        self._elf_nets: dict[tuple[int, int], FlowNetwork] = {}
 
     @classmethod
     def fresh(cls, g: LatentFactorGraph) -> "IdentificationState":
@@ -234,9 +238,20 @@ class IdentificationState:
     def elf_network(self, sources: int, z: int) -> FlowNetwork:
         """The eLF-HTC network of this state's graph for the source set
         `sources` and sink set Z `z`, without sinks."""
-        if self._elf_base is None:
-            self._elf_base = self.elf.base(self.flow_net)
-        return self.elf.network(self._elf_base, sources, z)
+        net = self._elf_nets.get((sources, z))
+        if net is None:
+            if self._elf_base is None:
+                self._elf_base = self.elf.base(self.flow_net)
+            net = self._elf_nets[sources, z] = self.elf.network(
+                self._elf_base, sources, z
+            )
+        return net
+
+    @cached_property
+    def covariance(self) -> Optional[rank.Covariance]:
+        """The covariance matrix of this state's graph at `rank`'s fixed
+        parameter point, or None when it is undefined mod p."""
+        return rank.covariance(self.view)
 
 
 @dataclass(frozen=True)
@@ -617,7 +632,11 @@ def det_subprocedure(
     pair is tried only when T avoids the descendants of v and every
     covariance of S against T, v, w0 and the solved parents is allowed,
     so the pools are filtered once per w0 and only passing pairs are
-    visited. `g` is the graph of `state`, read through `state.view`.
+    visited. A pair whose barred minor (rows S; columns T and v with the
+    edges from w0 and the solved parents deleted) is nonzero at the fixed
+    point of `rank` has a barred flow of k and is rejected without a
+    flow; only the two flows accept a pair. `g` is the graph of `state`,
+    read through `state.view`.
     """
     view, rows = state.view, state.allowed_rows
     i = view.index[v]
@@ -632,20 +651,37 @@ def det_subprocedure(
         if state.solved_pa[i] >> w0 & 1:
             continue
         solved_parents = state.solved_pa[i] & view.pa[i]
-        fixed = solved_parents | 1 << i | 1 << w0
+        removed = solved_parents | 1 << w0
+        fixed = removed | 1 << i
         s_pool = [s for s in range(n) if rows[s] & fixed == fixed]
         t_literal = view.all & ~(1 << i | 1 << w0)
         t_pool_mask = t_literal & ~dec_v
         t_pool = list(bits(t_pool_mask))
         t_allowed = {s: rows[s] & t_pool_mask for s in s_pool}
         barred = base.without_arcs(
-            (primed(names[w]), primed(v))
-            for w in bits(solved_parents | 1 << w0)
+            (primed(names[w]), primed(v)) for w in bits(removed)
         )
+        # Σ's rows with the barred column of v appended as column n, from
+        # the first pair on; empty when Σ is undefined mod p.
+        sigma_rows = None
         for s_combo, t_combo in _det_pairs(
             n, t_literal, s_pool, t_pool, t_allowed, cfg.cap_det_pairs
         ):
             k = len(s_combo)
+            if sigma_rows is None:
+                cov = state.covariance
+                sigma_rows = [] if cov is None else [
+                    row + [b]
+                    for row, b in zip(cov.sigma, cov.barred_column(i, removed))
+                ]
+            # T avoids the descendants of v, so its columns are the same in
+            # the barred graph; a nonzero minor there means a barred flow
+            # of k, which no witness has.
+            cols = t_combo + (n,)
+            if sigma_rows and rank.nonsingular(
+                [[sigma_rows[s][c] for c in cols] for s in s_combo]
+            ):
+                continue
             srcs = [orig(names[s]) for s in s_combo]
             full = base.with_terminals(
                 srcs, [primed(names[t]) for t in t_combo + (w0,)]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latentid import criteria
+from latentid import criteria, flow, rank
 from latentid.catalog import builtin_graph
 from latentid.criteria import (
     DetCertificate,
@@ -26,7 +26,12 @@ from latentid.criteria import (
     verify_certificate,
     _lex_rank,
 )
-from latentid.enumeration import METHOD_PRESETS, PATTERNS, enumerate_dags
+from latentid.enumeration import (
+    METHOD_PRESETS,
+    PATTERNS,
+    enumerate_dags,
+    run_benchmark,
+)
 from latentid.flow import (
     build_det_flow,
     build_elf_flow,
@@ -534,6 +539,74 @@ class TestLatticePruning:
         assert calls == 1033
         assert len(state.solved_edges) == 10
 
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace `owner.name` by a wrapper that counts its calls; returns
+    the list the wrapper appends the call arguments to."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestRankFilter:
+    """The determinantal search runs its two max-flows only on (S, T)
+    pairs whose barred minor vanishes mod p."""
+
+    def test_g7_flow_calls(self, monkeypatch):
+        """G7 makes 29,861 determinantal flow solves (78,231 without the
+        filter)."""
+        calls = count_calls(monkeypatch, criteria, "max_flow")
+        state = combined_algorithm(G7)
+        assert len(calls) == 29861
+        assert len(state.solved_edges) == 10
+
+    def test_fig5a_flow_calls(self, monkeypatch):
+        """fig5a rows 0-6 under Det+eLF-HTC+rec make 688 determinantal
+        flow solves (87,882 without the filter), with the same counts."""
+        calls = count_calls(monkeypatch, criteria, "max_flow")
+        rows = run_benchmark(
+            PATTERNS["fig5a"], 6, ("Det+eLF-HTC+rec",), workers=1
+        )
+        assert len(calls) == 688
+        assert [r.counts["Det+eLF-HTC+rec"] for r in rows] == [
+            1, 1, 4, 13, 51, 159, 398,
+        ]
+
+    def test_matches_literal_loop_without_covariance(self, monkeypatch):
+        """When Σ is undefined mod p (I − Λ singular there) the search
+        runs both flows on every pair and still gives the literal loop's
+        solved edges and certificates under every cap."""
+        requested = []
+
+        def undefined(view, point=None):
+            requested.append(view)
+            return None
+
+        monkeypatch.setattr(rank, "covariance", undefined)
+        TestDeterminantalPools().test_matches_literal_loop()
+        assert requested
+
+
+class TestElfNetworkMemo:
+    def test_each_network_built_once_per_state(self, monkeypatch):
+        """A state builds the eLF-HTC network of a (sources, Z) pair once
+        and hands the same network to every later request."""
+        builds = count_calls(monkeypatch, flow.ElfNetworks, "network")
+        requests = count_calls(
+            monkeypatch, IdentificationState, "elf_network"
+        )
+        # `requests` keeps every state alive, so their ids stay distinct.
+        for g in enumerate_dags(PATTERNS["fig5b"], 3):
+            combined_algorithm(g, METHOD_PRESETS["eLF-HTC+rec"])
+        keys = {(id(state), sources, z) for state, sources, z in requests}
+        assert len(builds) == len(keys) < len(requests)
 
 
 class TestCompiledQueries:

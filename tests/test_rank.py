@@ -1,0 +1,218 @@
+"""Covariance minors mod p (`latentid.rank`) against trek-rule covariances
+and against the vertex-disjoint path counts of the determinantal network."""
+
+import random
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from latentid import rank
+from latentid.flow import build_det_flow, max_flow, orig, primed, without_edges
+from latentid.graph import CompiledGraph, bits
+from latentid.numerics import ModelParameters
+
+from oracles import random_latent_factor_graph, trek_rule_covariance
+
+
+def small_point(rng, g, view):
+    """Small integer parameters of `g`, as `ModelParameters` in the order
+    of `g.observed` and as a `rank.Point` in `view`'s numbering."""
+    d, ell = len(g.observed), len(g.latent)
+    obs = {n: i for i, n in enumerate(g.observed)}
+    lat = {n: j for j, n in enumerate(g.latent)}
+    params = ModelParameters(
+        g,
+        np.zeros((d, d)),
+        np.zeros((ell, d)),
+        np.array([float(rng.randint(1, 3)) for _ in range(d)]),
+        np.array([float(rng.randint(1, 3)) for _ in range(ell)]),
+    )
+    for a, b in g.edges_obs:
+        params.lam[obs[a], obs[b]] = rng.choice([-2, -1, 1, 2, 3])
+    for h, b in g.edges_lat:
+        params.gamma[lat[h], obs[b]] = rng.choice([-1, 1, 2])
+    names, latent = view.names, view.latent
+    point = rank.Point(
+        lam=[
+            [int(params.lam[obs[a], obs[b]]) % rank.P for b in names]
+            for a in names
+        ],
+        gamma=[
+            [int(params.gamma[lat[h], obs[b]]) % rank.P for b in names]
+            for h in latent
+        ],
+        omega=[int(params.omega_diag[obs[n]]) for n in names],
+        v_lat=[int(params.v_l[lat[h]]) for h in latent],
+    )
+    return params, point
+
+
+def mod_p(x) -> int:
+    """A rational number as an element of GF(P)."""
+    return int(x.p) * pow(int(x.q), -1, rank.P) % rank.P
+
+
+class TestCovariance:
+    def test_matches_trek_rule(self):
+        """On acyclic graphs Σ mod p is the trek-rule covariance, exact
+        for small integer parameters, reduced mod p."""
+        rng = random.Random(41)
+        for _ in range(60):
+            g = random_latent_factor_graph(rng, max_obs=6, acyclic=True)
+            view = CompiledGraph(g)
+            params, point = small_point(rng, g, view)
+            oracle = trek_rule_covariance(params)
+            sigma = rank.covariance(view, point).sigma
+            pos = [g.observed.index(n) for n in view.names]
+            expected = [
+                [int(round(oracle[x, y])) % rank.P for y in pos] for x in pos
+            ]
+            assert sigma == expected, g
+
+    def test_cyclic_matches_exact_inverse(self):
+        """On cyclic graphs Σ mod p is (I − Λ)⁻ᵀ Ω (I − Λ)⁻¹ over the
+        rationals, reduced mod p; None exactly when I − Λ is singular."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(43)
+        singular = 0
+        for _ in range(40):
+            g = random_latent_factor_graph(rng, max_obs=5, acyclic=False)
+            ell = len(g.latent)
+            view = CompiledGraph(g)
+            params, point = small_point(rng, g, view)
+            pos = [g.observed.index(n) for n in view.names]
+            m = sympy.eye(len(pos)) - sympy.Matrix(
+                [[int(params.lam[a, b]) for b in pos] for a in pos]
+            )
+            got = rank.covariance(view, point)
+            if m.det() == 0:
+                singular += 1
+                assert got is None, g
+                continue
+            gamma = sympy.Matrix(
+                [[int(x) for x in params.gamma[j, pos]] for j in range(ell)]
+            )
+            omega = sympy.diag(*[int(params.omega_diag[b]) for b in pos])
+            omega += gamma.T * sympy.diag(*map(int, params.v_l)) * gamma
+            a = m.inv()
+            sigma = a.T * omega * a
+            assert got.sigma == [
+                [mod_p(sigma[x, y]) for y in range(len(pos))]
+                for x in range(len(pos))
+            ], g
+        assert singular < 40
+
+    def test_acyclic_path_sums_match_inverse(self):
+        """On acyclic graphs the children-first path sums equal the
+        Gauss–Jordan inverse of I − Λ at the search's fixed point."""
+        rng = random.Random(47)
+        for _ in range(40):
+            view = CompiledGraph(
+                random_latent_factor_graph(rng, max_obs=7, acyclic=True)
+            )
+            lam = rank.draw_point(len(view.names), len(view.latent)).lam
+            assert rank._path_sums(view, lam) == rank._inverse(view, lam)
+
+    def test_nonsingular_matches_elimination(self):
+        """The written-out small determinants agree with plain
+        elimination, also on matrices with a dependent row."""
+
+        def reference(matrix):
+            while matrix:
+                piv = next((r for r in matrix if r[0] % rank.P), None)
+                if piv is None:
+                    return False
+                p0, rest = piv[0], piv[1:]
+                matrix = [
+                    [(p0 * x - r[0] * y) % rank.P for x, y in zip(r[1:], rest)]
+                    for r in matrix
+                    if r is not piv
+                ]
+            return True
+
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(3000):
+            k = rng.randint(0, 6)
+            values = [0, 1, 2, rng.randrange(rank.P)]
+            m = [[rng.choice(values) for _ in range(k)] for _ in range(k)]
+            if k >= 2 and rng.random() < 0.5:
+                m[-1] = [(3 * x + y) % rank.P for x, y in zip(m[0], m[1])]
+            want = reference(m)
+            assert rank.nonsingular(m) == want, m
+            seen.add((k, want))
+        assert {(k, True) for k in range(7)} <= seen
+        assert {(k, False) for k in range(1, 7)} <= seen
+
+
+class TestRankVersusFlow:
+    def test_minor_rank_never_exceeds_flow(self):
+        """For every square (S, C) with |S| ≤ 3 the minor mod p is nonzero
+        only when the determinantal network carries |S| vertex-disjoint
+        paths: Σ[S, C] against the sinks C, and the barred form (the
+        column of v with the edges D -> v deleted on the treks' right-hand
+        side) against the network without the arcs w' -> v'. The fixed
+        point is generic enough here that the converse holds too."""
+        rng = random.Random(59)
+        pairs = exceed = deficit = 0
+        for i in range(150):
+            g = random_latent_factor_graph(
+                rng, max_obs=7, max_lat=2, acyclic=i % 2 == 0
+            )
+            deleted = rng.sample(
+                sorted(g.edges_obs), min(len(g.edges_obs), rng.randint(0, 2))
+            )
+            view = CompiledGraph(g)
+            for w, v in deleted:
+                view = view.without_edge(view.index[w], view.index[v])
+            net = without_edges(build_det_flow(g), deleted)
+            cov = rank.covariance(view)
+            assert cov is not None, g
+            names, n = view.names, len(view.names)
+
+            def check(matrix, flow_net, sources, sinks):
+                nonlocal pairs, exceed, deficit
+                flow = max_flow(
+                    flow_net.with_terminals(
+                        [orig(names[s]) for s in sources],
+                        [primed(names[c]) for c in sinks],
+                    )
+                )
+                full = rank.nonsingular(matrix)
+                pairs += 1
+                exceed += full and flow < len(sources)
+                deficit += not full and flow == len(sources)
+
+            for k in range(1, 4):
+                for s in combinations(range(n), k):
+                    for c in combinations(range(n), k):
+                        matrix = [[cov.sigma[x][y] for y in c] for x in s]
+                        check(matrix, net, s, c)
+
+            for v in range(n):
+                dec_v = view.descendants(v)
+                if dec_v >> v & 1 or not view.pa[v]:
+                    continue
+                parents = list(bits(view.pa[v]))
+                d = sum(
+                    1 << w
+                    for w in rng.sample(parents, rng.randint(1, len(parents)))
+                )
+                barred = net.without_arcs(
+                    (primed(names[w]), primed(names[v])) for w in bits(d)
+                )
+                column = cov.barred_column(v, d)
+                t_pool = list(bits(view.all & ~dec_v & ~(1 << v)))
+                for k in range(1, 4):
+                    for s in combinations(range(n), k):
+                        for t in combinations(t_pool, k - 1):
+                            matrix = [
+                                [cov.sigma[x][y] for y in t] + [column[x]]
+                                for x in s
+                            ]
+                            check(matrix, barred, s, t + (v,))
+        print(f"{pairs} pairs, rank above flow {exceed}, below {deficit}")
+        assert pairs > 100_000
+        assert exceed == 0
+        assert deficit == 0
