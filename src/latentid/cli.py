@@ -9,9 +9,11 @@ analysis is only partially achieved, 1 on input errors.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .catalog import BUILTIN_GRAPHS, builtin_graph
@@ -67,7 +69,7 @@ def _resolve_graph(spec: str) -> LatentFactorGraph:
         )
     try:
         return load_graph(spec)
-    except (GraphError, ValueError, KeyError) as exc:
+    except (GraphError, ValueError, KeyError, OSError) as exc:
         raise CliError(f"could not load graph {spec!r}: {exc}") from exc
 
 
@@ -87,9 +89,53 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
     )
 
 
+def to_json(value, indent: str = "\n") -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it,
+    byte for byte. CPython 3.11's `json` runs its pure-Python encoder
+    whenever `indent` is set; this writer keeps string escaping in C and
+    does less work per node. It knows only the JSON types the CLI payloads
+    use: str, None, bool, int, float (subclasses too), list, tuple and
+    dict with str keys; anything else is a TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [to_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = to_json(value[key], inner)
+            items.append(encode_basestring_ascii(key) + ": " + item)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(to_json(payload))
     else:
         raise CliError(f"unsupported output format {fmt!r} for this command")
 
@@ -197,6 +243,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         with open(args.cov) as fh:
             sigma = covariance_from_csv(fh.read())
+    except OSError as exc:
+        raise CliError(f"could not read covariance file: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"could not parse covariance CSV: {exc}") from exc
     if set(sigma.nodes) != set(g.observed):
@@ -324,7 +372,10 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-rec", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: `parse_args` fills a new namespace
+    on every call, so repeated in-process `main()` calls share it."""
     parser = _Parser(
         prog="latentid",
         description=(

@@ -3,6 +3,7 @@ effect estimation, and round-trip verification of derived formulas."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -180,7 +181,11 @@ def verify_identification(
     fmap: Optional[FormulaMap] = None,
 ) -> VerificationReport:
     """Sample parameters, synthesize the covariance, re-estimate each
-    solved coefficient from it, and compare against the truth."""
+    solved coefficient from it, and compare against the truth. A `tol`
+    that is negative or not finite is a ValueError: NaN would pass every
+    trial and a negative one fail every trial."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if fmap is None:
         fmap = formula_map_from_state(g, state)
     unverified = sorted(g.edges_obs - set(fmap.formulas))

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from latentid.catalog import BUILTIN_GRAPHS, builtin_graph
-from latentid.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PARTIAL, main
+from latentid.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    build_parser,
+    main,
+    to_json,
+)
 from latentid.numerics import (
     CovarianceMatrix,
     covariance,
@@ -25,6 +32,10 @@ def run_cli(capsys, *argv):
 def assert_one_line_error(err):
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def stdlib_json(value):
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
 # Recorded `check` and `formula` JSON output and exit code per builtin
@@ -132,6 +143,14 @@ class TestCheck:
         assert_one_line_error(err)
         assert "must hold a JSON object" in err
 
+    def test_unreadable_graph_path(self, capsys, tmp_path):
+        # The path exists but is a directory: no traceback.
+        code, out, err = run_cli(capsys, "check", "--graph", str(tmp_path))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+        assert "could not load graph" in err
+
     def test_repeated_runs_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "check", "--graph", "fig3")
         _, out2, _ = run_cli(capsys, "check", "--graph", "fig3")
@@ -155,6 +174,84 @@ class TestPinnedOutput:
         command, graph, *flags = key.split()
         code, out, _ = run_cli(capsys, command, "--graph", graph, *flags)
         assert {"exit_code": code, "output": json.loads(out)} == PINNED[key]
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_builtin_output_bytes(self, capsys, key):
+        # Whitespace and key order too, not only the parsed value.
+        command, graph, *flags = key.split()
+        code, out, _ = run_cli(capsys, command, "--graph", graph, *flags)
+        assert code == PINNED[key]["exit_code"]
+        assert out == stdlib_json(PINNED[key]["output"]) + "\n"
+
+    def test_parser_reused_across_calls(self, capsys):
+        # One parser serves every in-process call; a usage error in
+        # between leaves nothing behind for the next call.
+        assert build_parser() is build_parser()
+        for argv in (
+            ["check", "--graph", "fig2a", "--legacy-lf-htc"],
+            ["check", "--graph", "fig2a"],
+            ["check", "--graph", "fig2a", "--cap-h", "abc"],
+            ["formula", "--graph", "fig3"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            key = " ".join([argv[0]] + argv[2:])
+            if key in PINNED:
+                assert code == PINNED[key]["exit_code"]
+                assert out == stdlib_json(PINNED[key]["output"]) + "\n"
+                assert err == ""
+            else:
+                assert code == EXIT_INPUT_ERROR
+                assert out == ""
+                assert_one_line_error(err)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: latentid" in capsys.readouterr().out
+
+
+class TestJsonWriter:
+    """`to_json` writes what `json.dumps(indent=2, sort_keys=True)` does."""
+
+    def test_matches_stdlib(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        text = st.text(st.characters(exclude_categories=()), max_size=8)
+        floats = st.floats() | st.sampled_from(
+            [float("nan"), float("inf"), float("-inf"), -0.0, 0.0]
+        )
+        scalars = (
+            text
+            | st.integers()
+            | st.booleans()
+            | st.none()
+            | floats
+            | floats.map(np.float64)
+        )
+        values = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(text, inner, max_size=4),
+            max_leaves=20,
+        )
+
+        @hypothesis.settings(
+            derandomize=True, max_examples=500, database=None, deadline=None
+        )
+        @hypothesis.given(values)
+        def check(value):
+            assert to_json(value) == stdlib_json(value)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1, 2}, np.int64(3), [np.int64(3)], {"a": {1}}, {1: "a"}],
+        ids=["set", "np.int64", "nested-np.int64", "nested-set", "int-key"],
+    )
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)
 
 
 class TestFormula:
@@ -242,6 +339,15 @@ class TestEstimate:
         )
         assert code == EXIT_INPUT_ERROR
         assert "does not exist" in err
+
+    def test_unreadable_cov_path(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "estimate", "--graph", "fig2a", "--cov", str(tmp_path)
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+        assert "could not read covariance file" in err
 
     def test_empty_cov_file(self, capsys, tmp_path):
         path = tmp_path / "sigma.csv"
@@ -399,6 +505,17 @@ class TestVerify:
         assert out == ""
         assert_one_line_error(err)
         assert "--trials" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_rejected(self, capsys, tol):
+        # NaN would pass every trial and -1 fail every one.
+        code, out, err = run_cli(
+            capsys, "verify", "--graph", "fig2a", "--trials", "1", "--tol", tol
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+        assert "tol" in err
 
 
 class TestUsageErrors:

@@ -197,6 +197,14 @@ class TestVerification:
         report = verify_identification(g, state, trials=1, seed=0)
         assert sorted(g.edges_obs) == report.unverified_edges
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # NaN would pass every trial, a negative tolerance fail every one.
+        g = builtin_graph("fig2a")
+        state = combined_algorithm(g)
+        with pytest.raises(ValueError, match="tol"):
+            verify_identification(g, state, trials=1, tol=tol)
+
     def test_report_serializes(self):
         import json
 
