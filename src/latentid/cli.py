@@ -241,7 +241,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not os.path.exists(args.cov):
         raise CliError(f"covariance file {args.cov!r} does not exist")
     try:
-        with open(args.cov) as fh:
+        with open(args.cov, newline="") as fh:
             sigma = covariance_from_csv(fh.read())
     except OSError as exc:
         raise CliError(f"could not read covariance file: {exc}") from exc

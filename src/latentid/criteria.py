@@ -20,7 +20,9 @@ from .flow import (
     FlowNetwork,
     build_det_flow,
     build_elf_flow,
+    flow_numbers,
     max_flow,
+    max_flow_cut,
     max_flow_sources,
     orig,
     primed,
@@ -38,6 +40,9 @@ from .graph import (
 )
 
 CovPair = tuple[str, str]
+# Minimum cuts (c, E, X) of determinantal flows: the flow from a source
+# set S to a sink set T is at most c + |S - E| + |T ∩ X|.
+CutStore = set[tuple[int, int, int]]
 
 
 def cov_pair(x: str, y: str) -> CovPair:
@@ -158,7 +163,12 @@ class IdentificationState:
     `solved_mask` holds `solved_nodes` and `solved_pa[i]` the parents of
     node i whose edges are solved; `refresh_solved_nodes` derives both
     from `solved_edges`. The eLF-HTC networks and the covariance matrix
-    mod p are built on first use and kept for the state's lifetime."""
+    mod p are built on first use and kept for the state's lifetime.
+
+    `cuts` keeps the minimum cut of every full determinantal flow this
+    state rejects; `inherited_cuts` are the cuts of the states whose
+    networks contain this one's (its ancestors in the edge-deletion
+    recursion), which bound its flows too."""
 
     graph: LatentFactorGraph | CompiledGraph
     solved_edges: set[Edge]
@@ -174,6 +184,9 @@ class IdentificationState:
         default=None, repr=False, compare=False
     )
     elf: Optional[ElfNetworks] = field(default=None, repr=False, compare=False)
+    inherited_cuts: tuple[CutStore, ...] = field(
+        default=(), repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.view is None:
@@ -187,6 +200,7 @@ class IdentificationState:
             self.elf = ElfNetworks(self.flow_net, self.view)
         self._elf_base: Optional[bytes] = None
         self._elf_nets: dict[tuple[int, int], FlowNetwork] = {}
+        self.cuts: CutStore = set()
 
     @classmethod
     def fresh(cls, g: LatentFactorGraph) -> "IdentificationState":
@@ -252,6 +266,18 @@ class IdentificationState:
         """The covariance matrix of this state's graph at `rank`'s fixed
         parameter point, or None when it is undefined mod p."""
         return rank.covariance(self.view)
+
+    @cached_property
+    def cut_numbers(self) -> list[tuple[int, int]]:
+        """The flow-node numbers of each node's original and primed copy,
+        for reading `max_flow_cut` masks."""
+        names = self.view.names
+        return list(
+            zip(
+                flow_numbers(self.flow_net, map(orig, names)),
+                flow_numbers(self.flow_net, map(primed, names)),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -632,11 +658,13 @@ def det_subprocedure(
     pair is tried only when T avoids the descendants of v and every
     covariance of S against T, v, w0 and the solved parents is allowed,
     so the pools are filtered once per w0 and only passing pairs are
-    visited. A pair whose barred minor (rows S; columns T and v with the
+    visited. A pair is rejected without a flow when the cut of a full
+    flow rejected before, in this subgraph or one containing it
+    (`state.cuts`, `state.inherited_cuts`), bounds its full flow below k,
+    or when its barred minor (rows S; columns T and v with the
     edges from w0 and the solved parents deleted) is nonzero at the fixed
-    point of `rank` has a barred flow of k and is rejected without a
-    flow; only the two flows accept a pair. `g` is the graph of `state`,
-    read through `state.view`.
+    point of `rank`, which means a barred flow of k; only the two flows
+    accept a pair. `g` is the graph of `state`, read through `state.view`.
     """
     view, rows = state.view, state.allowed_rows
     i = view.index[v]
@@ -646,6 +674,7 @@ def det_subprocedure(
     names = view.names
     n = len(names)
     base = state.flow_net
+    stores = (state.cuts,) + state.inherited_cuts
 
     for w0 in bits(view.pa[i]):
         if state.solved_pa[i] >> w0 & 1:
@@ -664,10 +693,26 @@ def det_subprocedure(
         # Σ's rows with the barred column of v appended as column n, from
         # the first pair on; empty when Σ is undefined mod p.
         sigma_rows = None
+        last_s = None
         for s_combo, t_combo in _det_pairs(
             n, t_literal, s_pool, t_pool, t_allowed, cfg.cap_det_pairs
         ):
             k = len(s_combo)
+            if s_combo != last_s:
+                # Each kept cut (c, E, X) bounds the flow from S to T by
+                # b + |T ∩ X|, b = c + |S - E|: keep those with b < k.
+                last_s = s_combo
+                s_mask = sum(1 << s for s in s_combo)
+                bounds = []
+                for store in stores:
+                    for c, e, x in store:
+                        b = c + (s_mask & ~e).bit_count()
+                        if b < k:
+                            bounds.append((b, x))
+            if bounds:
+                sinks = sum(1 << t for t in t_combo) | 1 << w0
+                if any(b + (x & sinks).bit_count() < k for b, x in bounds):
+                    continue
             if sigma_rows is None:
                 cov = state.covariance
                 sigma_rows = [] if cov is None else [
@@ -686,7 +731,18 @@ def det_subprocedure(
             full = base.with_terminals(
                 srcs, [primed(names[t]) for t in t_combo + (w0,)]
             )
-            if max_flow(full) != k:
+            value, entered, exited = max_flow_cut(full)
+            if value != k:
+                sinks = sum(1 << t for t in t_combo) | 1 << w0
+                # The cut as the nodes whose original copy's entry (E) and
+                # primed copy's exit (X) it holds.
+                e = x = 0
+                for j, (o, p) in enumerate(state.cut_numbers):
+                    e |= (entered >> o & 1) << j
+                    x |= (exited >> p & 1) << j
+                b = value - (x & sinks).bit_count()
+                state.cuts.add((b - (s_mask & ~e).bit_count(), e, x))
+                bounds.append((b, x))
                 continue
             cut = barred.with_terminals(
                 srcs, [primed(names[t]) for t in t_combo + (i,)]
@@ -848,6 +904,7 @@ def _search(
     cfg: SearchConfig,
     records: list[CertRecord],
     memo: dict[tuple, frozenset[Edge]],
+    cuts: tuple[CutStore, ...] = (),
 ) -> frozenset[Edge]:
     key = (g.pa, solved_in)
     hit = memo.get(key)
@@ -865,6 +922,7 @@ def _search(
         view=g,
         allowed_rows=allowed,
         elf=elf,
+        inherited_cuts=cuts,
     )
     state.refresh_solved_nodes()
     all_nodes = g.all
@@ -915,6 +973,7 @@ def _search(
                     cfg,
                     records,
                     memo,
+                    (state.cuts,) + cuts,
                 )
                 state.solved_edges.update(result)
                 state.refresh_solved_nodes()

@@ -332,11 +332,12 @@ class ElfNetworks:
         )
 
 
-def _solve(net: FlowNetwork) -> tuple[int, bytearray]:
+def _solve(net: FlowNetwork) -> tuple[int, bytearray, Optional[list[int]]]:
     """Shortest augmenting paths over unit-capacity split nodes.
 
-    Returns the number of vertex-disjoint paths and the residual arc
-    states they leave.
+    Returns the number of vertex-disjoint paths, the residual arc states
+    they leave, and the reach of the last, failed search (None when every
+    source or sink is used).
     """
     # Every arc carries one unit, so a residual half is open (1) or not
     # (0), and pushing a unit moves each crossed arc's 1 to its other half.
@@ -359,10 +360,9 @@ def _solve(net: FlowNetwork) -> tuple[int, bytearray]:
 
     total = 0
     while entries and total < len(net.sinks):
-        found = _augmenting_path(adjacency, residual, entries, open_exits)
-        if found is None:
-            break
-        via, b = found
+        via, b = _augmenting_path(adjacency, residual, entries, open_exits)
+        if b < 0:
+            return total, residual, via
         open_exits[b] = 0
         while via[b] >= 0:
             half = via[b]
@@ -371,7 +371,7 @@ def _solve(net: FlowNetwork) -> tuple[int, bytearray]:
             b = tail[half]
         entries.remove(b)
         total += 1
-    return total, residual
+    return total, residual, None
 
 
 def _augmenting_path(
@@ -379,10 +379,11 @@ def _augmenting_path(
     residual: bytearray,
     entries: list[int],
     open_exits: bytearray,
-) -> Optional[tuple[list[int], int]]:
+) -> tuple[list[int], int]:
     """Breadth-first search from the source entries `entries`. Returns, for
     each reached node, the residual half it was reached by (-2 for a source
-    entry), and the sink exit reached; None when no sink exit is reached."""
+    entry, -1 when not reached), and the sink exit reached, -1 when none
+    is."""
     via = [-1] * len(adjacency)
     for s in entries:
         via[s] = -2
@@ -395,7 +396,7 @@ def _augmenting_path(
                 if open_exits[b]:
                     return via, b
                 append(b)
-    return None
+    return via, -1
 
 
 def max_flow(net: FlowNetwork) -> int:
@@ -406,10 +407,42 @@ def max_flow(net: FlowNetwork) -> int:
 def max_flow_sources(net: FlowNetwork) -> tuple[int, frozenset[str]]:
     """Max-flow value plus the original-node names of the sources that
     carry a unit of flow."""
-    total, residual = _solve(net)
+    total, residual, _ = _solve(net)
     index = net._compiled.index
     # A source carries a unit when its split arc is open against itself.
     carrying = frozenset(
         s[1] for s in net.sources if s in index and residual[2 * index[s] + 1]
     )
     return total, carrying
+
+
+def max_flow_cut(net: FlowNetwork) -> tuple[int, int, int]:
+    """Max-flow value f plus, when f is below the number of sinks, a
+    minimum cut R: the split nodes the residual reaches from the unused
+    sources. R is given by the flow nodes whose entry, and those whose
+    exit, it holds, as two masks of their numbers (`flow_numbers`); both
+    are 0 when f reaches the number of sinks.
+
+    Any set of split nodes is a cut between any sources and sinks, of
+    capacity: the sources whose entry lies outside it, plus the arcs
+    leaving it, plus the sinks whose exit lies in it. R's capacity with
+    this network's terminals is f. Its capacity with other terminals
+    bounds the flow between them, in this network and in every network
+    derived from it by closing arcs, which can only close arcs leaving R.
+    """
+    total, _, via = _solve(net)
+    entered = exited = 0
+    if via is not None:
+        for j in range(len(via) >> 1):
+            if via[2 * j] != -1:
+                entered |= 1 << j
+            if via[2 * j + 1] != -1:
+                exited |= 1 << j
+    return total, entered, exited
+
+
+def flow_numbers(net: FlowNetwork, nodes: Iterable[FlowNode]) -> tuple[int, ...]:
+    """The numbers `max_flow_cut` gives `nodes` in masks over `net` and
+    the networks derived from it."""
+    index = net._compiled.index
+    return tuple(index[n] for n in nodes)

@@ -4,6 +4,7 @@ effect estimation, and round-trip verification of derived formulas."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -220,17 +221,51 @@ def verify_identification(
     )
 
 
+# The characters `str.splitlines` breaks a line at.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# A header field: a name in double quotes, read verbatim with "" for a
+# quote, or anything up to the next comma or line break, stripped.
+_FIELD = re.compile(rf'[ \t]*"((?:[^"]|"")*)"[ \t]*|([^,{_BREAKS}]*)')
+
+
+def _csv_name(name: str) -> str:
+    """`name` as a header field: quoted when it holds a comma, a quote or
+    a line break or has surrounding whitespace, as is otherwise."""
+    if (
+        "," in name
+        or '"' in name
+        or name != name.strip()
+        or any(c in _BREAKS for c in name)
+    ):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def covariance_to_csv(sigma: CovarianceMatrix) -> str:
-    lines = [",".join(sigma.nodes)]
+    lines = [",".join(map(_csv_name, sigma.nodes))]
     for row in sigma.values:
         lines.append(",".join(format(x, ".17g") for x in row))
     return "\n".join(lines)
 
 
 def covariance_from_csv(text: str) -> CovarianceMatrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
+    text = text.lstrip()
+    if not text:
         raise ValueError("the covariance CSV is empty")
-    nodes = [n.strip() for n in lines[0].split(",")]
-    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+    nodes = []
+    pos = 0
+    while True:
+        match = _FIELD.match(text, pos)
+        quoted, plain = match.groups()
+        nodes.append(
+            plain.strip() if quoted is None else quoted.replace('""', '"')
+        )
+        pos = match.end()
+        if not text.startswith(",", pos):
+            break
+        pos += 1
+    if text[pos:pos + 1] not in ("", *_BREAKS):
+        raise ValueError(f"unexpected text after header field {len(nodes)}")
+    lines = [ln for ln in text[pos:].splitlines() if ln.strip()]
+    rows = [[float(x) for x in ln.split(",")] for ln in lines]
     return CovarianceMatrix(nodes, np.array(rows))

@@ -1,11 +1,15 @@
 """End-to-end exercises of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latentid
 from latentid.catalog import BUILTIN_GRAPHS, builtin_graph
 from latentid.cli import (
     EXIT_INPUT_ERROR,
@@ -15,6 +19,7 @@ from latentid.cli import (
     main,
     to_json,
 )
+from latentid.graph import LatentFactorGraph
 from latentid.numerics import (
     CovarianceMatrix,
     covariance,
@@ -386,6 +391,51 @@ class TestEstimate:
         assert code == EXIT_INPUT_ERROR
         assert "do not match" in err
 
+    def test_relabelled_graph(self, capsys, tmp_path):
+        """Node names holding commas, quotes, line breaks and surrounding
+        whitespace survive the covariance CSV the library writes."""
+        g = builtin_graph("fig2a")
+        names = dict(
+            zip(
+                sorted(g.observed),
+                ["a,b", 'q"t', " lead", "trail\t", "cr\r\nlf", "fs\x1c"],
+            )
+        )
+        relabelled = LatentFactorGraph(
+            [names[n] for n in g.observed],
+            list(g.latent),
+            [(names[a], names[b]) for a, b in sorted(g.edges_obs)],
+            [(h, names[b]) for h, b in sorted(g.edges_lat)],
+        )
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(
+            json.dumps(
+                {
+                    "observed": list(relabelled.observed),
+                    "latent": list(relabelled.latent),
+                    "edges_obs": sorted(relabelled.edges_obs),
+                    "edges_lat": sorted(relabelled.edges_lat),
+                }
+            )
+        )
+        params = sample_parameters(relabelled, seed=7)
+        cov_path = tmp_path / "sigma.csv"
+        cov_path.write_bytes(covariance_to_csv(covariance(params)).encode())
+        code, out, _ = run_cli(
+            capsys,
+            "estimate",
+            "--graph",
+            str(graph_path),
+            "--cov",
+            str(cov_path),
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert len(payload["estimates"]) == len(g.edges_obs)
+        for entry in payload["estimates"]:
+            truth = params.coefficient(tuple(entry["edge"]))
+            assert entry["estimate"] == pytest.approx(truth, rel=1e-8)
+
 
 class TestEnumerate:
     def test_markdown_table(self, capsys):
@@ -545,3 +595,30 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert "usage: latentid" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--graph", "fig2a"],
+            ["formula", "--graph", "fig3", "--format", "latex"],
+            ["check", "--graph", "nope"],
+        ],
+    )
+    def test_matches_main(self, capsys, argv):
+        """`python -m latentid` prints what `cli.main` prints and exits
+        with its code."""
+        src = str(Path(latentid.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "latentid", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -42,6 +42,7 @@ from latentid.graph import (
     CompiledGraph,
     GraphError,
     LatentFactorGraph,
+    bits,
     children,
     descendants,
     htr,
@@ -555,26 +556,35 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def count_flows(monkeypatch):
+    """Count the determinantal search's flow solves: full flows through
+    `max_flow_cut`, barred ones through `max_flow`."""
+    full = count_calls(monkeypatch, criteria, "max_flow_cut")
+    barred = count_calls(monkeypatch, criteria, "max_flow")
+    return lambda: len(full) + len(barred)
+
+
 class TestRankFilter:
     """The determinantal search runs its two max-flows only on (S, T)
-    pairs whose barred minor vanishes mod p."""
+    pairs that no kept cut rejects and whose barred minor vanishes mod p."""
 
     def test_g7_flow_calls(self, monkeypatch):
-        """G7 makes 29,861 determinantal flow solves (78,231 without the
-        filter)."""
-        calls = count_calls(monkeypatch, criteria, "max_flow")
+        """G7 makes 810 determinantal flow solves (29,861 with the rank
+        filter alone, 78,231 without either filter)."""
+        flows = count_flows(monkeypatch)
         state = combined_algorithm(G7)
-        assert len(calls) == 29861
+        assert flows() == 810
         assert len(state.solved_edges) == 10
 
     def test_fig5a_flow_calls(self, monkeypatch):
-        """fig5a rows 0-6 under Det+eLF-HTC+rec make 688 determinantal
-        flow solves (87,882 without the filter), with the same counts."""
-        calls = count_calls(monkeypatch, criteria, "max_flow")
+        """fig5a rows 0-6 under Det+eLF-HTC+rec make 367 determinantal
+        flow solves (688 with the rank filter alone, 87,882 without
+        either filter), with the same counts."""
+        flows = count_flows(monkeypatch)
         rows = run_benchmark(
             PATTERNS["fig5a"], 6, ("Det+eLF-HTC+rec",), workers=1
         )
-        assert len(calls) == 688
+        assert flows() == 367
         assert [r.counts["Det+eLF-HTC+rec"] for r in rows] == [
             1, 1, 4, 13, 51, 159, 398,
         ]
@@ -592,6 +602,86 @@ class TestRankFilter:
         monkeypatch.setattr(rank, "covariance", undefined)
         TestDeterminantalPools().test_matches_literal_loop()
         assert requested
+
+
+DEEP_DET_CASES = (
+    (40, 4, "cap10"),
+    (57, 2, "cap10"),
+    (14, 9, "Det+LF-HTC+rec"),
+    (43, 8, "Det+LF-HTC+rec"),
+    (44, 16, "Det+eLF-HTC+rec"),
+    (56, 30, "Det+eLF-HTC+rec"),
+)
+
+
+class TestInheritedCuts:
+    def test_recursion_matches_literal_loop(self, monkeypatch):
+        """Inside the edge-deletion recursion, where a state also reads
+        the cuts its ancestors kept, every determinantal call solves the
+        literal loop's edges, with its certificates, on the same subgraph,
+        solved set and allowed pairs."""
+        det = criteria.det_subprocedure
+        calls = inheriting = 0
+        root = None
+
+        def checked(g, state, v, cfg):
+            nonlocal calls, inheriting
+            names = state.view.names
+            ref = IdentificationState(
+                graph=root.without_obs_edges(set(state.deleted_edges)),
+                solved_edges=set(state.solved_edges),
+                solved_nodes=set(),
+                allowed_cov=frozenset(
+                    cov_pair(names[x], names[y])
+                    for x, row in enumerate(state.allowed_rows)
+                    for y in bits(row)
+                ),
+                deleted_edges=state.deleted_edges,
+                certificates=[],
+                flow_net=state.flow_net,
+            )
+            ref.refresh_solved_nodes()
+            ref_det_subprocedure(ref.graph, ref, v, cfg)
+            start = len(state.certificates)
+            det(g, state, v, cfg)
+            assert state.solved_edges == ref.solved_edges
+            assert [r.to_dict() for r in state.certificates[start:]] == [
+                r.to_dict() for r in ref.certificates
+            ]
+            calls += 1
+            inheriting += any(state.inherited_cuts)
+            return state
+
+        monkeypatch.setattr(criteria, "det_subprocedure", checked)
+        rng = random.Random(83)
+        cases = [(G7, "Det+eLF-HTC+rec")] + [
+            (
+                random_latent_factor_graph(
+                    rng, max_obs=7, max_lat=2, acyclic=i % 2 == 0
+                ),
+                "Det+eLF-HTC+rec",
+            )
+            for i in range(40)
+        ]
+        # Graphs on which the determinantal search solves edges inside
+        # subgraphs, by (seed, draw, preset); few random graphs do.
+        for seed, draw, preset in DEEP_DET_CASES:
+            rng = random.Random(seed)
+            for i in range(draw + 1):
+                g = random_latent_factor_graph(
+                    rng, max_obs=6, max_lat=3, acyclic=i % 2 == 0,
+                    edge_prob=0.4,
+                )
+            cases.append((g, preset))
+        deep = 0
+        for root, preset in cases:
+            state = combined_algorithm(root, METHOD_PRESETS[preset])
+            deep += sum(
+                r.depth > 0 and isinstance(r.cert, DetCertificate)
+                for r in state.certificates
+            )
+        assert deep >= len(DEEP_DET_CASES)
+        assert inheriting > calls // 2
 
 
 class TestElfNetworkMemo:

@@ -9,10 +9,13 @@ from latentid.flow import (
     FlowNetwork,
     build_det_flow,
     build_elf_flow,
+    flow_numbers,
     max_flow,
+    max_flow_cut,
     max_flow_sources,
     orig,
     primed,
+    without_edges,
 )
 from latentid.graph import GraphError, LatentFactorGraph
 
@@ -187,3 +190,66 @@ class TestMaxFlowSolver:
             [orig(n) for n in carriers], net.sinks
         )
         assert max_flow(restricted) == value
+
+
+class TestMaxFlowCut:
+    def test_cut_bounds_other_terminals(self):
+        """The cut of a flow below its sink count bounds the flow between
+        any other terminals, in the network and in every network with
+        edges deleted from it; it holds every unused source and no unused
+        sink."""
+        rng = random.Random(23)
+        failing = rejected = 0
+        for i in range(300):
+            g = random_latent_factor_graph(
+                rng, max_obs=6, max_lat=2, acyclic=i % 2 == 0
+            )
+            obs = sorted(g.observed)
+            edges = sorted(g.edges_obs | g.edges_lat)
+            det = build_det_flow(g)
+            entry = dict(zip(obs, flow_numbers(det, map(orig, obs))))
+            exit_ = dict(zip(obs, flow_numbers(det, map(primed, obs))))
+            # A chain of networks, each with more edges deleted.
+            chain = [det]
+            for _ in range(2):
+                chain.append(
+                    without_edges(
+                        chain[-1],
+                        rng.sample(edges, rng.randint(0, min(3, len(edges)))),
+                    )
+                )
+            for level, net in enumerate(chain[:-1]):
+                s1 = rng.sample(obs, rng.randint(1, len(obs)))
+                t1 = rng.sample(obs, rng.randint(1, len(obs)))
+                one = net.with_terminals(map(orig, s1), map(primed, t1))
+                value, entered, exited = max_flow_cut(one)
+                assert value == max_flow(one)
+                if value == len(t1):
+                    assert entered == exited == 0
+                    continue
+                failing += 1
+                e = {n for n in obs if entered >> entry[n] & 1}
+                x = {n for n in obs if exited >> exit_[n] & 1}
+                assert set(s1) - max_flow_sources(one)[1] <= e
+                # Dropping a used sink drops the flow by one; dropping an
+                # unused one would not.
+                for t in x & set(t1):
+                    rest = [primed(n) for n in t1 if n != t]
+                    assert max_flow(net.with_terminals(map(orig, s1), rest)) == (
+                        value - 1
+                    )
+                arcs = value - len(set(s1) - e) - len(set(t1) & x)
+                for _ in range(10):
+                    s2 = s1
+                    if rng.random() < 0.5:
+                        s2 = rng.sample(obs, rng.randint(1, len(obs)))
+                    # As in the determinantal search, |T2| = |S2|.
+                    t2 = rng.sample(obs, len(s2))
+                    bound = arcs + len(set(s2) - e) + len(set(t2) & x)
+                    for sub in chain[level:]:
+                        flow = max_flow(
+                            sub.with_terminals(map(orig, s2), map(primed, t2))
+                        )
+                        assert flow <= bound, (g, s1, t1, s2, t2)
+                    rejected += bound < len(s2)
+        assert failing > 100 and rejected > 50

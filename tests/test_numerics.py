@@ -132,6 +132,40 @@ class TestCovarianceMatrix:
         assert back.nodes == sigma.nodes
         assert np.array_equal(back.values, sigma.values)
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            ("1", "a,b"),
+            ('say "hi"', '"'),
+            (" x", "tab\t"),
+            ("line\nbreak", "a\r\nb", "fs\x1csep"),
+            ("", ", "),
+        ],
+    )
+    def test_csv_names_round_trip(self, nodes):
+        """Names holding a comma, a quote, a line break or surrounding
+        whitespace are quoted and read back verbatim."""
+        sigma = CovarianceMatrix(nodes, np.eye(len(nodes)))
+        back = covariance_from_csv(covariance_to_csv(sigma))
+        assert back.nodes == nodes
+        assert np.array_equal(back.values, sigma.values)
+
+    def test_csv_plain_names_unquoted(self):
+        sigma = CovarianceMatrix(("1", "b c", "é"), np.eye(3))
+        assert covariance_to_csv(sigma).splitlines()[0] == "1,b c,é"
+        assert covariance_to_csv(
+            CovarianceMatrix(("1", "a,b"), np.eye(2))
+        ).startswith('1,"a,b"\n')
+
+    def test_csv_spaced_header(self):
+        back = covariance_from_csv("\n 1, 2 \r\n1,0\r\n\n0,1\n")
+        assert back.nodes == ("1", "2")
+        assert np.array_equal(back.values, np.eye(2))
+
+    def test_csv_text_after_quoted_name_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            covariance_from_csv('"a"b,c\n1,0\n0,1')
+
 
 class TestEstimate:
     def test_round_trip(self):
