@@ -3,7 +3,9 @@ estimation, exhaustive benchmarks, and numeric verification.
 
 Every subcommand is a thin wrapper around the library; all logic lives in
 the other modules. Exit codes: 0 on full success, 2 when the requested
-analysis is only partially achieved, 1 on input errors.
+analysis is only partially achieved, 1 on input errors, 141 (128 +
+SIGPIPE, as for a process the signal ends) when the reader of standard
+output closes it early.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_PARTIAL = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -448,7 +451,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # Output still buffered fails here, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point the descriptor at the null device so
+        # that the interpreter's last flush of the unwritten rest does not
+        # fail again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_BROKEN_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

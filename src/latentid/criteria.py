@@ -20,13 +20,10 @@ from .flow import (
     FlowNetwork,
     build_det_flow,
     build_elf_flow,
-    flow_numbers,
     max_flow,
     max_flow_cut,
-    max_flow_sources,
     orig,
     primed,
-    without_edges,
 )
 from .graph import (
     CompiledGraph,
@@ -43,6 +40,10 @@ CovPair = tuple[str, str]
 # Minimum cuts (c, E, X) of determinantal flows: the flow from a source
 # set S to a sink set T is at most c + |S - E| + |T ∩ X|.
 CutStore = set[tuple[int, int, int]]
+# Minimum cuts (c, E, X) of rejected eLF-HTC flows, by their sink set Z:
+# the flow from a source set A to a sink set T in the network of any
+# Z' ⊇ Z is at most c + |A - E| + |T ∩ X|.
+ElfCutStore = dict[int, set[tuple[int, int, int]]]
 
 
 def cov_pair(x: str, y: str) -> CovPair:
@@ -166,8 +167,9 @@ class IdentificationState:
     mod p are built on first use and kept for the state's lifetime.
 
     `cuts` keeps the minimum cut of every full determinantal flow this
-    state rejects; `inherited_cuts` are the cuts of the states whose
-    networks contain this one's (its ancestors in the edge-deletion
+    state rejects and `elf_cuts` that of every eLF-HTC flow it rejects;
+    `inherited_cuts` and `inherited_elf_cuts` are the cuts of the states
+    whose networks contain this one's (its ancestors in the edge-deletion
     recursion), which bound its flows too."""
 
     graph: LatentFactorGraph | CompiledGraph
@@ -187,6 +189,9 @@ class IdentificationState:
     inherited_cuts: tuple[CutStore, ...] = field(
         default=(), repr=False, compare=False
     )
+    inherited_elf_cuts: tuple[ElfCutStore, ...] = field(
+        default=(), repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.view is None:
@@ -201,10 +206,19 @@ class IdentificationState:
         self._elf_base: Optional[bytes] = None
         self._elf_nets: dict[tuple[int, int], FlowNetwork] = {}
         self.cuts: CutStore = set()
+        self.elf_cuts: ElfCutStore = {}
 
     @classmethod
-    def fresh(cls, g: LatentFactorGraph) -> "IdentificationState":
+    def fresh(
+        cls, g: LatentFactorGraph, frame: Optional[ElfNetworks] = None
+    ) -> "IdentificationState":
+        """The root state of `g`, its networks derived from `frame`
+        (`compile_frame`) when given, else compiled from `g`."""
         view = CompiledGraph(g)
+        if frame is None:
+            frame = ElfNetworks(build_det_flow(g), view)
+        elif not frame.fits(view):
+            raise GraphError("the flow frame does not hold the graph")
         state = cls(
             graph=g,
             solved_edges=set(),
@@ -212,9 +226,10 @@ class IdentificationState:
             allowed_cov=all_cov_pairs(g),
             deleted_edges=(),
             certificates=[],
-            flow_net=build_det_flow(g),
+            flow_net=frame.det_network(view),
             view=view,
             allowed_rows=(view.all,) * len(view.names),
+            elf=frame,
         )
         state.refresh_solved_nodes()
         return state
@@ -266,18 +281,6 @@ class IdentificationState:
         """The covariance matrix of this state's graph at `rank`'s fixed
         parameter point, or None when it is undefined mod p."""
         return rank.covariance(self.view)
-
-    @cached_property
-    def cut_numbers(self) -> list[tuple[int, int]]:
-        """The flow-node numbers of each node's original and primed copy,
-        for reading `max_flow_cut` masks."""
-        names = self.view.names
-        return list(
-            zip(
-                flow_numbers(self.flow_net, map(orig, names)),
-                flow_numbers(self.flow_net, map(primed, names)),
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -503,6 +506,15 @@ def elf_htc_subprocedure(
     with the shrunken W_v. `g` is the graph of `state`, read through
     `state.view`.
 
+    A flow is the last resort. A flow never exceeds its source count |A|,
+    so an (H, Z) pair is skipped, before its network is built, when A is
+    smaller than the sinks every W_z choice has (W_v, Z and, but for the
+    legacy criterion, the unsolved parents of Z), and a single choice when
+    A is smaller than its sinks. A choice is also skipped when the cut of
+    an eLF-HTC flow rejected before, in this subgraph or one containing it
+    (`state.elf_cuts`, `state.inherited_elf_cuts`), bounds its flow below
+    its sink count.
+
     Under `cfg.legacy_lf_htc_only` this is the original node-wise
     criterion: W_v is every observed parent of `v`, the sinks are solved
     non-parents and every W_z is empty, so W_v never shrinks and all
@@ -510,7 +522,8 @@ def elf_htc_subprocedure(
     """
     view = state.view
     i = view.index[v]
-    if cfg.legacy_lf_htc_only:
+    legacy = cfg.legacy_lf_htc_only
+    if legacy:
         w_v = view.pa[i]
         sink_pool = state.solved_mask & ~w_v
     else:
@@ -525,6 +538,8 @@ def elf_htc_subprocedure(
     max_h = len(lat_pool)
     if cfg.cap_h_size is not None:
         max_h = min(max_h, cfg.cap_h_size)
+    elf, kept = state.elf, state.elf_cuts
+    stores = (kept,) + state.inherited_elf_cuts
 
     for h_size in range(max_h + 1):
         for h_combo in combinations(lat_pool, h_size):
@@ -532,7 +547,29 @@ def elf_htc_subprocedure(
             z_pool = list(bits(view.lat_children(h) & ~(1 << i) & sink_pool))
             for z_combo in combinations(z_pool, h_size):
                 z = sum(1 << zz for zz in z_combo)
+                # The sinks of every W_z choice, and of the largest one.
+                least = most = w_v | z
+                if not legacy:
+                    for zz in z_combo:
+                        least |= state.unsolved_parents(zz)
+                        most |= view.pa[zz]
                 sources = _elf_allowed_sources(state, i, z, h)
+                size_a = sources.bit_count()
+                if size_a < least.bit_count():
+                    continue
+                # Each kept cut (c, E, X) of a Z inside this one bounds the
+                # flow to sinks T by b + |T ∩ X|, b = c + |A - E|: keep those
+                # with b below some choice's sink count.
+                top = min(size_a, most.bit_count())
+                bounds = []
+                for store in stores:
+                    for z_cut, cuts in store.items():
+                        if z_cut & ~z:
+                            continue
+                        for c, e, x in cuts:
+                            b = c + (sources & ~e).bit_count()
+                            if b < top:
+                                bounds.append((b, x))
                 options = [_wz_choices(state, zz, cfg) for zz in z_combo]
                 net = None
                 for w_choice in product(*options):
@@ -543,13 +580,23 @@ def elf_htc_subprocedure(
                             z1 |= 1 << zz
                     if z1 & (w_big | w_v):
                         continue
+                    sinks = w_v | z | w_big
+                    size = sinks.bit_count()
+                    if size > size_a or any(
+                        b + (x & sinks).bit_count() < size for b, x in bounds
+                    ):
+                        continue
                     if net is None:
                         net = state.elf_network(sources, z)
-                    sinks = w_v | z | w_big
-                    value, carrying = max_flow_sources(
-                        state.elf.with_sinks(net, sinks)
-                    )
-                    if value != sinks.bit_count():
+                    value, carrying, cut = elf.solve(elf.with_sinks(net, sinks))
+                    if value != size:
+                        if cut is not None:
+                            e, x = cut
+                            b = value - (x & sinks).bit_count()
+                            kept.setdefault(z, set()).add(
+                                (b - (sources & ~e).bit_count(), e, x)
+                            )
+                            bounds.append((b, x))
                         continue
                     z2 = z & ~z1
                     # Only the legacy W_v can hold solved parents.
@@ -737,7 +784,7 @@ def det_subprocedure(
                 # The cut as the nodes whose original copy's entry (E) and
                 # primed copy's exit (X) it holds.
                 e = x = 0
-                for j, (o, p) in enumerate(state.cut_numbers):
+                for j, (o, p) in enumerate(state.elf.numbers):
                     e |= (entered >> o & 1) << j
                     x |= (exited >> p & 1) << j
                 b = value - (x & sinks).bit_count()
@@ -861,8 +908,18 @@ def _rows_update(
 # -- combined algorithm ----------------------------------------------------
 
 
+def compile_frame(g: LatentFactorGraph) -> ElfNetworks:
+    """The flow frame of `g` (see `ElfNetworks`): its determinantal network
+    and eLF-HTC tables, compiled once. `combined_algorithm` takes it for
+    any graph over the same nodes and latent edges whose observed edges
+    are among `g`'s."""
+    return ElfNetworks(build_det_flow(g), CompiledGraph(g))
+
+
 def combined_algorithm(
-    g: LatentFactorGraph, cfg: SearchConfig = SearchConfig()
+    g: LatentFactorGraph,
+    cfg: SearchConfig = SearchConfig(),
+    frame: Optional[ElfNetworks] = None,
 ) -> IdentificationState:
     """Run the full identification search to a fixpoint.
 
@@ -870,11 +927,13 @@ def combined_algorithm(
     subgraphs are recorded with their recursion depth and deletion
     context, and the edges they solve are lifted into the result. The
     observed nodes of `g` are numbered once (`CompiledGraph`) and its
-    determinantal flow network is compiled once; each subgraph of the
-    edge-deletion recursion is the root with its deleted edges' parent
-    and child bits cleared and their arcs closed.
+    determinantal flow network is derived from `frame` (`compile_frame`;
+    a GraphError when the frame does not hold `g`), or compiled from `g`
+    when no frame is given; each subgraph of the edge-deletion recursion
+    is the root with its deleted edges' parent and child bits cleared and
+    their arcs closed. A frame changes no result, only the work.
     """
-    state = IdentificationState.fresh(g)
+    state = IdentificationState.fresh(g, frame)
     memo: dict[tuple, frozenset[Edge]] = {}
     solved = _search(
         state.view,
@@ -905,6 +964,7 @@ def _search(
     records: list[CertRecord],
     memo: dict[tuple, frozenset[Edge]],
     cuts: tuple[CutStore, ...] = (),
+    elf_cuts: tuple[ElfCutStore, ...] = (),
 ) -> frozenset[Edge]:
     key = (g.pa, solved_in)
     hit = memo.get(key)
@@ -923,6 +983,7 @@ def _search(
         allowed_rows=allowed,
         elf=elf,
         inherited_cuts=cuts,
+        inherited_elf_cuts=elf_cuts,
     )
     state.refresh_solved_nodes()
     all_nodes = g.all
@@ -965,7 +1026,7 @@ def _search(
                 result = _search(
                     root,
                     g.without_edge(a, b),
-                    without_edges(net, [edge]),
+                    elf.without_edge(net, a, b),
                     elf,
                     entry,
                     _rows_update(state.allowed_rows, b, 1 << a, dec_v),
@@ -974,6 +1035,7 @@ def _search(
                     records,
                     memo,
                     (state.cuts,) + cuts,
+                    (state.elf_cuts,) + elf_cuts,
                 )
                 state.solved_edges.update(result)
                 state.refresh_solved_nodes()

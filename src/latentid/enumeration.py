@@ -17,7 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import SearchConfig, combined_algorithm
+from .criteria import SearchConfig, combined_algorithm, compile_frame
+from .flow import ElfNetworks
 from .graph import LatentFactorGraph
 
 
@@ -251,17 +252,42 @@ class BenchmarkRow:
         }
 
 
+def _pattern_frame(pattern: LatentPattern) -> ElfNetworks:
+    """The flow frame of the pattern's complete graph, which holds every
+    class of the pattern (`criteria.compile_frame`)."""
+    n = pattern.num_observed
+    return compile_frame(
+        _graph_from_edges(
+            pattern, [(a, b) for a in range(n) for b in range(n) if a != b]
+        )
+    )
+
+
+# The frame of a process-pool worker, set once per worker by
+# `_init_worker`.
+_worker_frame: Optional[ElfNetworks] = None
+
+
+def _init_worker(pattern: LatentPattern) -> None:
+    global _worker_frame
+    _worker_frame = _pattern_frame(pattern)
+
+
 def _identify_task(
     args: tuple[LatentPattern, tuple[tuple[int, int], ...], tuple[str, ...]],
+    frame: Optional[ElfNetworks] = None,
 ) -> dict[str, tuple[bool, float]]:
-    """Worker body: run each requested method on one graph. Per method,
+    """Worker body: run each requested method on one graph, with the
+    pattern's flow frame (the worker's when not given). Per method,
     whether it identifies every edge and the wall-clock seconds it took."""
     pattern, edges, methods = args
+    if frame is None:
+        frame = _worker_frame
     g = _graph_from_edges(pattern, edges)
     out = {}
     for m in methods:
         start = time.perf_counter()
-        state = combined_algorithm(g, METHOD_PRESETS[m])
+        state = combined_algorithm(g, METHOD_PRESETS[m], frame)
         out[m] = (
             g.edges_obs <= state.solved_edges,
             time.perf_counter() - start,
@@ -277,7 +303,9 @@ def run_benchmark(
 ) -> list[BenchmarkRow]:
     """Per edge count 0..max_edges, count the symmetry classes each
     method preset fully identifies. Deterministic; optionally fans the
-    graphs of each level out over a process pool."""
+    graphs out over a process pool. The pattern's flow frame is compiled
+    once, or once per pool worker, and every class's networks are derived
+    from it."""
     if max_edges < 0:
         raise ValueError(f"max_edges must be >= 0, got {max_edges}")
     if workers is not None and workers < 1:
@@ -290,21 +318,27 @@ def run_benchmark(
             )
     canon = _Canonicalizer(pattern)
     levels = _canonical_levels(pattern, max_edges)
-    rows: list[BenchmarkRow] = []
     methods = tuple(methods)
-    for num_edges, level in enumerate(levels):
-        row = BenchmarkRow(num_edges=num_edges, total=len(level))
-        tasks = [
-            (pattern, canon.edges_of(mask), methods) for mask in level
-        ]
-        if workers and workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_identify_task, tasks, chunksize=8))
-        else:
-            results = [_identify_task(t) for t in tasks]
+    tasks = [
+        [(pattern, canon.edges_of(mask), methods) for mask in level]
+        for level in levels
+    ]
+    if workers and workers > 1 and any(len(t) > 1 for t in tasks):
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(pattern,)
+        ) as pool:
+            results = [
+                list(pool.map(_identify_task, t, chunksize=8)) for t in tasks
+            ]
+    else:
+        frame = _pattern_frame(pattern)
+        results = [[_identify_task(a, frame) for a in t] for t in tasks]
+    rows: list[BenchmarkRow] = []
+    for num_edges, level_results in enumerate(results):
+        row = BenchmarkRow(num_edges=num_edges, total=len(level_results))
         for m in methods:
-            row.counts[m] = sum(1 for r in results if r[m][0])
-            row.seconds[m] = sum(r[m][1] for r in results)
+            row.counts[m] = sum(1 for r in level_results if r[m][0])
+            row.seconds[m] = sum(r[m][1] for r in level_results)
         rows.append(row)
     return rows
 

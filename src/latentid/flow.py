@@ -10,10 +10,12 @@ adjacency. The networks derived from it (`with_terminals`, `without_arcs`,
 `without_edges`, `ElfNetworks`, and `build_elf_flow` given a determinantal
 network) share that compiled form and differ only in which of its arcs are
 closed, so a flow call copies a byte array of arc states instead of
-building a network. The identification search compiles the determinantal
-network of its root graph once and derives every network it solves from
-it; `ElfNetworks` takes the eLF-HTC node sets as bitmasks over the graph's
-`CompiledGraph` numbering.
+building a network. The identification search derives every network it
+solves from one frame, `ElfNetworks`: the determinantal network of its
+root graph, or of a graph whose observed edges include the root's (the
+complete graph of an enumeration pattern), compiled once. `ElfNetworks`
+takes the eLF-HTC node sets as bitmasks over the graph's `CompiledGraph`
+numbering.
 """
 
 from __future__ import annotations
@@ -261,43 +263,88 @@ def build_elf_flow(
 
 
 class ElfNetworks:
-    """The networks `build_elf_flow` builds, for a graph and its
-    edge-deleted subgraphs, with node sets given as bitmasks over the
-    graph's `CompiledGraph` numbering.
+    """The networks `build_elf_flow` builds, with node sets given as
+    bitmasks over the observed numbering of `CompiledGraph`, for every
+    graph that a frame holds.
 
-    `det` is the graph's determinantal network. The arcs each network
-    closes are listed once per node: a subgraph's `base` closes every
-    original-copy arc of an observed edge, and `network` then closes the
-    original copies outside the source set and the primed arcs into Z.
+    The frame is `det`, the determinantal network of a graph `view`. It
+    holds every graph over the same nodes and latent edges whose observed
+    edges are among `view`'s: that graph's determinantal network is `det`
+    with the arcs of the other observed pairs closed (`det_network`), and
+    an edge deletion closes two more arcs (`without_edge`). Flow nodes keep
+    their numbers, each adjacency list is sorted by neighbour and no two
+    arcs join the same pair of nodes, so a search visits the open arcs in
+    the same order as in a network compiled from the graph itself.
+
+    The arcs each eLF-HTC network closes are listed once per node: `base`
+    closes every arc into the original copy of an observed node, and
+    `network` then closes the original copies outside the source set and
+    the primed arcs from every observed node into Z (closing a closed arc
+    changes nothing).
     """
 
     def __init__(self, det: FlowNetwork, view: CompiledGraph):
         c = det._compiled
         names = view.names
+        self.det, self.view = det, view
         self._compiled = c
         self._all = view.all
         self._orig = tuple(orig(n) for n in names)
         self._primed = tuple(primed(n) for n in names)
-        # Flow node number -> observed node number, for original copies.
-        obs = {c.index[node]: i for i, node in enumerate(self._orig)}
+        # The flow-node numbers of each observed node's original and
+        # primed copy, as `max_flow_cut` masks read them.
+        self.numbers = tuple(
+            zip(flow_numbers(det, self._orig), flow_numbers(det, self._primed))
+        )
+        obs = {o: i for i, (o, _) in enumerate(self.numbers)}
+        obs_primed = {p: i for i, (_, p) in enumerate(self.numbers)}
         self._into: list[int] = []
-        self._outside = [[c.index[node]] for node in self._orig]
+        self._outside = [[o] for o, _ in self.numbers]
+        self._z: list[list[int]] = [[] for _ in names]
+        orig_arc, primed_arc = {}, {}
         for (u, w), k in c.arc_ids.items():
-            # Every arc into the original copy of an observed node is the
-            # original-copy arc of an observed edge.
             if w in obs:
+                # An arc into the original copy of an observed node is the
+                # original-copy arc of an observed edge; `base` closes it.
                 self._into.append(k)
-            if u in obs:
+                orig_arc[obs[w], obs[u]] = k
+            elif u in obs:
                 self._outside[obs[u]].append(k)
-        self._z = [
-            [c.arc[(primed(names[u]), primed(n))] for u in bits(view.pa[i])]
-            for i, n in enumerate(names)
+            elif u in obs_primed and w in obs_primed:
+                self._z[obs_primed[w]].append(k)
+                primed_arc[obs_primed[u], obs_primed[w]] = k
+        # The two arcs of each observed edge a -> b of `view`.
+        self._edge = {e: (orig_arc[e], k) for e, k in primed_arc.items()}
+
+    def fits(self, g: CompiledGraph) -> bool:
+        """Whether the frame holds `g`."""
+        view = self.view
+        return (
+            g.names == view.names
+            and g.latent == view.latent
+            and g.pa_lat == view.pa_lat
+            and all(not pa & ~own for pa, own in zip(g.pa, view.pa))
+        )
+
+    def det_network(self, g: CompiledGraph) -> FlowNetwork:
+        """The determinantal network of `g`, a graph the frame holds."""
+        pa = g.pa
+        closing = [
+            k
+            for (a, b), arcs in self._edge.items()
+            if not pa[b] >> a & 1
+            for k in arcs
         ]
+        return self.det._derive(closing, (), ())
+
+    def without_edge(self, net: FlowNetwork, a: int, b: int) -> FlowNetwork:
+        """`net`, a network derived from `det`, with the observed edge
+        a -> b deleted."""
+        return net._derive(self._edge[a, b], net.sources, net.sinks)
 
     def base(self, det: FlowNetwork) -> bytes:
-        """The residual of `det`, a network derived from the one this was
-        built from, with every original-copy arc of an observed edge
-        closed."""
+        """The residual of `det`, a network derived from the frame, with
+        every original-copy arc of an observed edge closed."""
         residual = bytearray(det._residual)
         for k in self._into:
             residual[2 * k] = 0
@@ -330,6 +377,33 @@ class ElfNetworks:
             net.sources,
             tuple(primed_nodes[i] for i in bits(sinks)),
         )
+
+    def solve(
+        self, net: FlowNetwork
+    ) -> tuple[int, frozenset[str], Optional[tuple[int, int]]]:
+        """Max-flow value f of `net`, a network of `network` with sinks,
+        plus what the search needs of it.
+
+        When f reaches the number of sinks, the names of the sources that
+        carry a unit (as `max_flow_sources` gives them). Otherwise, when
+        some source is unused, the minimum cut R of `max_flow_cut`, as two
+        masks over the observed numbering: E, the nodes whose original
+        copy's entry R holds, and X, those whose primed copy's exit it
+        holds; None when every source is used, where the cut says no more
+        than the source count does.
+        """
+        total, residual, via = _solve(net)
+        if total == len(net.sinks):
+            return total, _carrying(net, residual), None
+        if via is None:
+            return total, frozenset(), None
+        e = x = 0
+        for j, (o, p) in enumerate(self.numbers):
+            if via[2 * o] != -1:
+                e |= 1 << j
+            if via[2 * p + 1] != -1:
+                x |= 1 << j
+        return total, frozenset(), (e, x)
 
 
 def _solve(net: FlowNetwork) -> tuple[int, bytearray, Optional[list[int]]]:
@@ -408,12 +482,17 @@ def max_flow_sources(net: FlowNetwork) -> tuple[int, frozenset[str]]:
     """Max-flow value plus the original-node names of the sources that
     carry a unit of flow."""
     total, residual, _ = _solve(net)
+    return total, _carrying(net, residual)
+
+
+def _carrying(net: FlowNetwork, residual: bytearray) -> frozenset[str]:
+    """The original-node names of the sources of `net` that carry a unit
+    of the flow that left `residual`."""
     index = net._compiled.index
     # A source carries a unit when its split arc is open against itself.
-    carrying = frozenset(
+    return frozenset(
         s[1] for s in net.sources if s in index and residual[2 * index[s] + 1]
     )
-    return total, carrying
 
 
 def max_flow_cut(net: FlowNetwork) -> tuple[int, int, int]:

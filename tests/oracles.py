@@ -11,12 +11,23 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-from latentid.criteria import CertRecord, DetCertificate, cov_pair
-from latentid.flow import max_flow, orig, primed
+from latentid.criteria import (
+    CertRecord,
+    DetCertificate,
+    HtcCertificate,
+    cov_pair,
+)
+from latentid.flow import (
+    build_elf_flow,
+    max_flow,
+    max_flow_sources,
+    orig,
+    primed,
+)
 from latentid.graph import (
     GraphError,
     LatentFactorGraph,
@@ -353,6 +364,102 @@ def ref_det_subprocedure(g, state, v, cfg):
                     )
                     done = True
                     break
+    state.refresh_solved_nodes()
+    return state
+
+
+# -- literal eLF-HTC search ------------------------------------------------
+
+
+def ref_elf_htc_subprocedure(g, state, v, cfg):
+    """The eLF-HTC subprocedure as a literal loop over H, Z and the W_z
+    choices on sets of names, with a `build_elf_flow` network compiled
+    from `g` for every choice that passes the side condition and no other
+    filter. `criteria.elf_htc_subprocedure` must match it. The source
+    pools and the legacy sink pool read the solved nodes as the call
+    found them."""
+    pa = parents_obs(g, v)
+    solved_nodes = frozenset(state.solved_nodes)
+    legacy = cfg.legacy_lf_htc_only
+
+    def solved_parents(n):
+        return frozenset(
+            p for p in parents_obs(g, n) if (p, n) in state.solved_edges
+        )
+
+    if legacy:
+        w_v = pa
+        sink_pool = solved_nodes - w_v
+    else:
+        w_v = pa - solved_parents(v)
+        sink_pool = frozenset(g.observed)
+    if not w_v:
+        return state
+
+    def wz_choices(zz):
+        if legacy:
+            return [frozenset()]
+        unsolved = parents_obs(g, zz) - solved_parents(zz)
+        if cfg.simplify_wz_loop:
+            return [unsolved]
+        extras = sorted(solved_parents(zz))
+        return [
+            unsolved | frozenset(combo)
+            for size in range(len(extras) + 1)
+            for combo in combinations(extras, size)
+        ]
+
+    lat_pool = sorted(h for h in g.latent if len(children(g, [h])) >= 4)
+    max_h = len(lat_pool)
+    if cfg.cap_h_size is not None:
+        max_h = min(max_h, cfg.cap_h_size)
+    for h_size in range(max_h + 1):
+        for h_combo in combinations(lat_pool, h_size):
+            z_pool = sorted((children(g, h_combo) - {v}) & sink_pool)
+            for z_combo in combinations(z_pool, h_size):
+                z = frozenset(z_combo)
+                sources = ref_elf_allowed_sources(
+                    g, solved_nodes, state.allowed_cov, v, z, h_combo
+                )
+                options = [wz_choices(zz) for zz in z_combo]
+                for w_choice in product(*options):
+                    w_big = frozenset().union(*w_choice)
+                    z1 = frozenset(
+                        zz
+                        for zz, ws in zip(z_combo, w_choice)
+                        if ws != parents_obs(g, zz)
+                    )
+                    if z1 & (w_big | w_v):
+                        continue
+                    net = build_elf_flow(g, v, sources, z, w_big, w_v)
+                    value, carrying = max_flow_sources(net)
+                    if value != len(w_v | z | w_big):
+                        continue
+                    z2 = z - z1
+                    newly = w_v - (z2 | w_big) - solved_parents(v)
+                    if not newly:
+                        continue
+                    edges = tuple(sorted((p, v) for p in newly))
+                    state.solved_edges.update(edges)
+                    state.certificates.append(
+                        CertRecord(
+                            edges=edges,
+                            cert=HtcCertificate(
+                                v=v,
+                                w_v=w_v,
+                                y=carrying,
+                                z=z,
+                                w_z_map=tuple(zip(z_combo, w_choice)),
+                                h=frozenset(h_combo),
+                            ),
+                            depth=len(state.deleted_edges),
+                            deleted=state.deleted_edges,
+                        )
+                    )
+                    w_v &= z2 | w_big
+                    if not w_v:
+                        state.refresh_solved_nodes()
+                        return state
     state.refresh_solved_nodes()
     return state
 

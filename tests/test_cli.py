@@ -12,6 +12,7 @@ import pytest
 import latentid
 from latentid.catalog import BUILTIN_GRAPHS, builtin_graph
 from latentid.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_PARTIAL,
@@ -597,6 +598,17 @@ class TestUsageErrors:
         assert "usage: latentid" in capsys.readouterr().out
 
 
+def module_env():
+    """The environment under which `python -m latentid` imports this
+    checkout's package."""
+    src = str(Path(latentid.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "argv",
@@ -609,16 +621,47 @@ class TestModuleEntryPoint:
     def test_matches_main(self, capsys, argv):
         """`python -m latentid` prints what `cli.main` prints and exits
         with its code."""
-        src = str(Path(latentid.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "latentid", *argv],
             capture_output=True,
             text=True,
-            env=env,
+            env=module_env(),
         )
         code, out, err = run_cli(capsys, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closing_early_ends_quietly(self, tmp_path, unbuffered):
+        """When the reader of standard output closes it after one line,
+        the CLI ends without a word on standard error and exits 141. The
+        `check` output of a complete DAG on 30 nodes is about 1 MB, far
+        more than a pipe holds, so the writer meets the closed pipe
+        whether its output is buffered or not."""
+        names = [f"x{i:02d}" for i in range(30)]
+        path = tmp_path / "complete.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "observed": names,
+                    "latent": [],
+                    "edges_obs": [
+                        [a, b]
+                        for i, a in enumerate(names)
+                        for b in names[i + 1:]
+                    ],
+                }
+            )
+        )
+        env = module_env()
+        env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latentid", "check", "--graph", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (EXIT_BROKEN_PIPE, b"")

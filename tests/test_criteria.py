@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latentid import criteria, flow, rank
+from latentid import criteria, enumeration, flow, rank
 from latentid.catalog import builtin_graph
 from latentid.criteria import (
     DetCertificate,
@@ -53,6 +53,7 @@ from oracles import (
     random_latent_factor_graph,
     ref_det_subprocedure,
     ref_elf_allowed_sources,
+    ref_elf_htc_subprocedure,
     ref_solved_nodes,
 )
 
@@ -697,6 +698,167 @@ class TestElfNetworkMemo:
             combined_algorithm(g, METHOD_PRESETS["eLF-HTC+rec"])
         keys = {(id(state), sources, z) for state, sources, z in requests}
         assert len(builds) == len(keys) < len(requests)
+
+
+def count_elf_flows(monkeypatch):
+    """Count the eLF-HTC search's flow solves (`ElfNetworks.solve`)."""
+    calls = count_calls(monkeypatch, flow.ElfNetworks, "solve")
+    return lambda: len(calls)
+
+
+class TestElfFlowBounds:
+    """The eLF-HTC search runs a flow only on the W_z choices that neither
+    the source-count floor nor a kept cut rejects."""
+
+    def test_g7_flow_solves(self, monkeypatch):
+        """G7 makes 14 eLF-HTC flow solves (261 with neither filter)."""
+        flows = count_elf_flows(monkeypatch)
+        state = combined_algorithm(G7)
+        assert flows() == 14
+        assert len(state.solved_edges) == 10
+
+    def test_fig5a_flow_solves(self, monkeypatch):
+        """fig5a rows 0-6 under Det+eLF-HTC+rec make 5,021 eLF-HTC flow
+        solves (10,621 with neither filter), with the same counts."""
+        flows = count_elf_flows(monkeypatch)
+        rows = run_benchmark(
+            PATTERNS["fig5a"], 6, ("Det+eLF-HTC+rec",), workers=1
+        )
+        assert flows() == 5021
+        assert [r.counts["Det+eLF-HTC+rec"] for r in rows] == [
+            1, 1, 4, 13, 51, 159, 398,
+        ]
+
+    def test_fig5b_flow_solves(self, monkeypatch):
+        """fig5b rows 0-4 under LF-HTC and eLF-HTC+rec make 18,991 eLF-HTC
+        flow solves (60,455 with neither filter: 23,951 of the failing
+        ones had fewer sources than sinks), with the same counts."""
+        flows = count_elf_flows(monkeypatch)
+        rows = run_benchmark(
+            PATTERNS["fig5b"], 4, ("LF-HTC", "eLF-HTC+rec"), workers=1
+        )
+        assert flows() == 18991
+        assert [
+            (r.counts["LF-HTC"], r.counts["eLF-HTC+rec"]) for r in rows
+        ] == [(1, 1), (6, 6), (43, 45), (236, 254), (1018, 1146)]
+
+    def test_recursion_matches_literal_loop(self, monkeypatch):
+        """Every eLF-HTC call, at the root and inside the edge-deletion
+        recursion, where a state also reads the cuts its ancestors kept,
+        solves the literal loop's edges, with its certificates, on the
+        same subgraph, solved set and allowed pairs; most calls in
+        subgraphs read a non-empty inherited store."""
+        elf = criteria.elf_htc_subprocedure
+        sub_calls = inheriting = 0
+        root = None
+
+        def checked(g, state, v, cfg):
+            nonlocal sub_calls, inheriting
+            names = state.view.names
+            ref = IdentificationState(
+                graph=root.without_obs_edges(set(state.deleted_edges)),
+                solved_edges=set(state.solved_edges),
+                solved_nodes=set(),
+                allowed_cov=frozenset(
+                    cov_pair(names[x], names[y])
+                    for x, row in enumerate(state.allowed_rows)
+                    for y in bits(row)
+                ),
+                deleted_edges=state.deleted_edges,
+                certificates=[],
+                flow_net=state.flow_net,
+                elf=state.elf,
+            )
+            ref.refresh_solved_nodes()
+            assert ref.solved_nodes == state.solved_nodes
+            ref_elf_htc_subprocedure(ref.graph, ref, v, cfg)
+            start = len(state.certificates)
+            elf(g, state, v, cfg)
+            assert state.solved_edges == ref.solved_edges
+            assert [r.to_dict() for r in state.certificates[start:]] == [
+                r.to_dict() for r in ref.certificates
+            ]
+            if state.deleted_edges:
+                sub_calls += 1
+                inheriting += any(state.inherited_elf_cuts)
+            return state
+
+        monkeypatch.setattr(criteria, "elf_htc_subprocedure", checked)
+        cases = [(G7, "Det+eLF-HTC+rec", None)]
+        frame = enumeration._pattern_frame(PATTERNS["fig5b"])
+        for m in range(4):
+            for g in enumerate_dags(PATTERNS["fig5b"], m):
+                for preset in (
+                    "LF-HTC", "LF-HTC+rec", "eLF-HTC+rec", "no-wz-loop",
+                ):
+                    cases.append((g, preset, frame))
+        rng = random.Random(89)
+        for i in range(40):
+            g = random_latent_factor_graph(
+                rng, max_obs=6, max_lat=3, acyclic=i % 2 == 0, edge_prob=0.4
+            )
+            preset = "LF-HTC+rec" if i % 4 == 3 else "eLF-HTC+rec"
+            cases.append((g, preset, None))
+        certs = 0
+        for root, preset, frame in cases:
+            state = combined_algorithm(root, METHOD_PRESETS[preset], frame)
+            certs += any(
+                r.depth > 0 and isinstance(r.cert, HtcCertificate)
+                for r in state.certificates
+            )
+        # Runs that solve edges with eLF-HTC certificates inside
+        # subgraphs.
+        assert certs >= 40
+        assert sub_calls > 1000 and inheriting > sub_calls // 2
+
+
+class TestPatternFrame:
+    @pytest.mark.parametrize(
+        "pattern, max_edges, presets",
+        [
+            ("fig5a", 5, ("LF-HTC", "Det+eLF-HTC+rec", "cap10")),
+            ("fig5b", 3, ("LF-HTC", "eLF-HTC+rec", "Det+eLF-HTC+rec")),
+        ],
+    )
+    def test_frame_matches_own_networks(self, pattern, max_edges, presets):
+        """Every class of the pattern gets the same certificate records
+        from networks derived from the pattern's frame as from networks
+        compiled from the class itself."""
+        frame = enumeration._pattern_frame(PATTERNS[pattern])
+        for m in range(max_edges + 1):
+            for g in enumerate_dags(PATTERNS[pattern], m):
+                for preset in presets:
+                    cfg = METHOD_PRESETS[preset]
+                    framed = combined_algorithm(g, cfg, frame)
+                    own = combined_algorithm(g, cfg)
+                    assert framed.solved_edges == own.solved_edges
+                    assert [r.to_dict() for r in framed.certificates] == [
+                        r.to_dict() for r in own.certificates
+                    ], (g, preset)
+
+    def test_frame_must_hold_graph(self):
+        """A frame refuses a graph with an observed edge or a latent edge
+        it lacks."""
+        g = builtin_graph("fig2a")
+        frame = criteria.compile_frame(g)
+        combined_algorithm(g, SearchConfig(), frame)
+        extra = LatentFactorGraph(
+            g.observed, g.latent, g.edges_obs | {("6", "1")}, g.edges_lat
+        )
+        fewer_lat = LatentFactorGraph(
+            g.observed, g.latent, g.edges_obs, sorted(g.edges_lat)[1:]
+        )
+        for other in (extra, fewer_lat):
+            with pytest.raises(GraphError, match="frame"):
+                combined_algorithm(other, SearchConfig(), frame)
+
+    def test_pool_matches_serial(self):
+        """Pool workers, each with its own frame, count what the serial
+        run counts."""
+        methods = ("LF-HTC", "eLF-HTC+rec")
+        serial = run_benchmark(PATTERNS["fig5b"], 3, methods)
+        pooled = run_benchmark(PATTERNS["fig5b"], 3, methods, workers=2)
+        assert [r.counts for r in pooled] == [r.counts for r in serial]
 
 
 class TestCompiledQueries:

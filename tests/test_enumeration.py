@@ -172,9 +172,9 @@ class TestBenchmark:
         cost = {METHOD_PRESETS["LF-HTC"]: 1.0, METHOD_PRESETS["Det"]: 10.0}
         decide = enumeration.combined_algorithm
 
-        def timed_decide(g, cfg):
+        def timed_decide(g, cfg, frame):
             now[0] += cost[cfg]
-            return decide(g, cfg)
+            return decide(g, cfg, frame)
 
         monkeypatch.setattr(enumeration, "combined_algorithm", timed_decide)
         monkeypatch.setattr(time, "perf_counter", lambda: now[0])

@@ -6,6 +6,7 @@ import pytest
 
 from latentid.catalog import builtin_graph
 from latentid.flow import (
+    ElfNetworks,
     FlowNetwork,
     build_det_flow,
     build_elf_flow,
@@ -17,7 +18,7 @@ from latentid.flow import (
     primed,
     without_edges,
 )
-from latentid.graph import GraphError, LatentFactorGraph
+from latentid.graph import CompiledGraph, GraphError, LatentFactorGraph
 
 from oracles import disjoint_paths_bruteforce, random_latent_factor_graph
 
@@ -253,3 +254,137 @@ class TestMaxFlowCut:
                         assert flow <= bound, (g, s1, t1, s2, t2)
                     rejected += bound < len(s2)
         assert failing > 100 and rejected > 50
+
+
+def random_mask(rng, n, avoid=0):
+    return rng.getrandbits(n) & ~avoid
+
+
+def complete_graph(g):
+    """`g` with every ordered pair of observed nodes joined."""
+    obs = sorted(g.observed)
+    return LatentFactorGraph(
+        obs,
+        g.latent,
+        [(a, b) for a in obs for b in obs if a != b],
+        g.edges_lat,
+    )
+
+
+class TestElfNetworks:
+    def test_cut_bounds_other_terminals(self):
+        """The cut `ElfNetworks.solve` reads from a failing eLF-HTC flow to
+        sinks T in the network N(A, Z), as (c, E, X) with c = f - |A - E|
+        - |T ∩ X|, bounds the flow to any T' in N(A', Z') by c + |A' - E|
+        + |T' ∩ X|, for any A' and any Z' ⊇ Z: in the network and in
+        every network with edges deleted from it."""
+        rng = random.Random(29)
+        failing = rejected = 0
+        for i in range(300):
+            g = random_latent_factor_graph(
+                rng, max_obs=6, max_lat=2, acyclic=i % 2 == 0
+            )
+            view = CompiledGraph(g)
+            n = len(view.names)
+            det = build_det_flow(g)
+            elf = ElfNetworks(det, view)
+            edges = sorted(g.edges_obs)
+            # A chain of networks, each with more edges deleted.
+            chain = [det]
+            for _ in range(2):
+                chain.append(
+                    without_edges(
+                        chain[-1],
+                        rng.sample(edges, rng.randint(0, min(3, len(edges)))),
+                    )
+                )
+
+            def solve(net, a, z, t):
+                return elf.solve(
+                    elf.with_sinks(elf.network(elf.base(net), a, z), t)
+                )
+
+            for level in (0, 0, 1, 1):
+                net = chain[level]
+                v = 1 << rng.randrange(n)
+                z = random_mask(rng, n, v) & random_mask(rng, n)
+                a = random_mask(rng, n, v | z)
+                t = random_mask(rng, n) or v
+                value, carrying, cut = solve(net, a, z, t)
+                one = elf.with_sinks(elf.network(elf.base(net), a, z), t)
+                value_ref, used = max_flow_sources(one)
+                assert value == value_ref
+                if value == t.bit_count():
+                    assert (carrying, cut) == (used, None)
+                    continue
+                # No cut when every source carries a unit.
+                assert (cut is None) == (value == a.bit_count())
+                if cut is None:
+                    continue
+                failing += 1
+                e, x = cut
+                # The cut holds every unused source.
+                assert not a & ~e & ~sum(1 << view.index[u] for u in used)
+                c = value - (a & ~e).bit_count() - (t & x).bit_count()
+                for _ in range(10):
+                    z2 = z | random_mask(rng, n, v) & random_mask(rng, n)
+                    a2 = a
+                    if rng.random() < 0.5:
+                        a2 = random_mask(rng, n, v | z2)
+                    t2 = random_mask(rng, n) or v
+                    bound = c + (a2 & ~e).bit_count() + (t2 & x).bit_count()
+                    for sub in chain[level:]:
+                        flow = solve(sub, a2, z2, t2)[0]
+                        assert flow <= bound, (g, a, z, t, a2, z2, t2)
+                    rejected += bound < t2.bit_count()
+        assert failing > 100 and rejected > 500
+
+    def test_frame_networks_solve_alike(self):
+        """A graph's networks derived from the frame of the complete graph
+        over its nodes hold the same arcs and give the same flows,
+        carrying sources and cuts as the networks compiled from the graph
+        itself, in subgraphs too."""
+        rng = random.Random(31)
+        for i in range(150):
+            g = random_latent_factor_graph(
+                rng, max_obs=6, max_lat=2, acyclic=i % 2 == 0
+            )
+            view = CompiledGraph(g)
+            n = len(view.names)
+            own = ElfNetworks(build_det_flow(g), view)
+            complete = complete_graph(g)
+            frame = ElfNetworks(
+                build_det_flow(complete), CompiledGraph(complete)
+            )
+            assert frame.fits(view) and own.fits(view)
+            assert not own.fits(CompiledGraph(complete)) or (
+                g.edges_obs == complete.edges_obs
+            )
+            pairs = [(own.det, frame.det_network(view), view)]
+            for edge in sorted(g.edges_obs):
+                if rng.random() < 0.3:
+                    a, b = (view.index[x] for x in edge)
+                    mine, theirs, sub = pairs[-1]
+                    pairs.append(
+                        (
+                            without_edges(mine, [edge]),
+                            frame.without_edge(theirs, a, b),
+                            sub.without_edge(a, b),
+                        )
+                    )
+            for mine, theirs, sub in pairs:
+                assert mine.arcs == theirs.arcs
+                assert mine.node_capacity == theirs.node_capacity
+                assert frame.det_network(sub).arcs == mine.arcs
+                for _ in range(4):
+                    v = 1 << rng.randrange(n)
+                    z = random_mask(rng, n, v) & random_mask(rng, n)
+                    a = random_mask(rng, n, v | z)
+                    t = random_mask(rng, n)
+                    results = [
+                        elf.solve(
+                            elf.with_sinks(elf.network(elf.base(net), a, z), t)
+                        )
+                        for elf, net in ((own, mine), (frame, theirs))
+                    ]
+                    assert results[0] == results[1]
