@@ -28,7 +28,8 @@ from .enumeration import (
     rows_to_markdown,
 )
 from .formulas import (
-    expr_to_dict,
+    RationalExpr,
+    expr_to_json,
     formula_map_from_state,
     render_latex,
 )
@@ -96,9 +97,13 @@ def to_json(value, indent: str = "\n") -> str:
     """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it,
     byte for byte. CPython 3.11's `json` runs its pure-Python encoder
     whenever `indent` is set; this writer keeps string escaping in C and
-    does less work per node. It knows only the JSON types the CLI payloads
+    does less work per node. It accepts the JSON types the CLI payloads
     use: str, None, bool, int, float (subclasses too), list, tuple and
-    dict with str keys; anything else is a TypeError."""
+    dict with str keys, and `formulas.RationalExpr`; anything else is a
+    TypeError. An expression is written straight from its tree by
+    `formulas.expr_to_json`, so a `formula` payload builds no dict trees;
+    the text is what the stdlib writes for `formulas.expr_to_dict`, the
+    expression's dict form and the tests' reference."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -131,6 +136,8 @@ def to_json(value, indent: str = "\n") -> str:
             item = to_json(value[key], inner)
             items.append(encode_basestring_ascii(key) + ": " + item)
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, RationalExpr):
+        return expr_to_json(value, indent)
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable"
     )
@@ -204,7 +211,7 @@ def cmd_formula(args: argparse.Namespace) -> int:
                     "edge": list(edge),
                     "status": "identified",
                     "latex": render_latex(expr),
-                    "expression": expr_to_dict(expr),
+                    "expression": expr,
                 }
             )
         else:

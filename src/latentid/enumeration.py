@@ -188,18 +188,24 @@ def _graph_from_edges(
     )
 
 
+def _check_edge_count(pattern: LatentPattern, count: int, name: str) -> None:
+    """An acyclic graph on the pattern's observed nodes has 0 to n(n-1)/2
+    observed edges; any other count is a ValueError naming `name`."""
+    max_pairs = pattern.num_observed * (pattern.num_observed - 1) // 2
+    if count < 0:
+        raise ValueError(f"{name} must be >= 0, got {count}")
+    if count > max_pairs:
+        raise ValueError(
+            f"{name}={count} exceeds the acyclic maximum {max_pairs}"
+        )
+
+
 def enumerate_dags(
     pattern: LatentPattern, num_edges: int
 ) -> list[LatentFactorGraph]:
     """All acyclic observed-edge structures with exactly `num_edges`
     edges over the pattern, one representative per symmetry class."""
-    max_pairs = pattern.num_observed * (pattern.num_observed - 1) // 2
-    if num_edges < 0:
-        raise ValueError(f"num_edges must be >= 0, got {num_edges}")
-    if num_edges > max_pairs:
-        raise ValueError(
-            f"num_edges={num_edges} exceeds the acyclic maximum {max_pairs}"
-        )
+    _check_edge_count(pattern, num_edges, "num_edges")
     canon = _Canonicalizer(pattern)
     level = _canonical_levels(pattern, num_edges)[num_edges]
     return [_graph_from_edges(pattern, canon.edges_of(m)) for m in level]
@@ -306,8 +312,7 @@ def run_benchmark(
     graphs out over a process pool. The pattern's flow frame is compiled
     once, or once per pool worker, and every class's networks are derived
     from it."""
-    if max_edges < 0:
-        raise ValueError(f"max_edges must be >= 0, got {max_edges}")
+    _check_edge_count(pattern, max_edges, "max_edges")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     for m in methods:

@@ -8,7 +8,9 @@ covariance matrix.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional
 
 import numpy as np
@@ -54,8 +56,7 @@ class Cov(RationalExpr):
 
 
 def cov(x: str, y: str) -> Cov:
-    a, b = cov_pair(x, y)
-    return Cov(a, b)
+    return Cov(x, y) if x <= y else Cov(y, x)
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,8 @@ class FormulaMap:
         return self.formulas[edge]
 
     def add(self, edge: Edge, expr: RationalExpr) -> None:
+        """Record `expr` for `edge`; every coefficient handle in it must
+        already have a formula."""
         for ref in _lam_refs(expr):
             if ref not in self.formulas:
                 raise DependencyError(ref)
@@ -204,26 +207,38 @@ class DeletionContext:
         return cov_pair(x, y) in self.allowed
 
 
-def adjusted_cov(x: str, y: str, ctx: DeletionContext) -> RationalExpr:
+def adjusted_cov(
+    x: str,
+    y: str,
+    ctx: DeletionContext,
+    fmap: Optional[FormulaMap] = None,
+) -> RationalExpr:
     """The subgraph covariance (x, y) as an expression in the base
-    graph's covariances and the deleted edges' coefficients."""
+    graph's covariances and the deleted edges' coefficients.
+
+    With `fmap`, the coefficient handle of each correction the expression
+    holds must already have a formula there (`DependencyError`)."""
     if not ctx.is_allowed(x, y):
         raise GraphError(
             f"covariance ({x}, {y}) is not computable after deleting "
             f"{list(ctx.deleted)}"
         )
-    return _adjusted(x, y, ctx.deleted)
+    return _adjusted(x, y, ctx.deleted, fmap)
 
 
-def _adjusted(x: str, y: str, deleted: tuple[Edge, ...]) -> RationalExpr:
+def _adjusted(
+    x: str, y: str, deleted: tuple[Edge, ...], fmap: Optional[FormulaMap]
+) -> RationalExpr:
     if not deleted:
         return cov(x, y)
     head, (w, v) = deleted[:-1], deleted[-1]
-    base = _adjusted(x, y, head)
+    base = _adjusted(x, y, head, fmap)
     if x != v and y != v:
         return base
+    if fmap is not None and (w, v) not in fmap:
+        raise DependencyError((w, v))
     other = y if x == v else x
-    correction = _lam_times(Lam((w, v)), _adjusted(other, w, head))
+    correction = _lam_times(Lam((w, v)), _adjusted(other, w, head, fmap))
     return _sub_chain(base, [correction])
 
 
@@ -253,7 +268,9 @@ def build_elf_system(
     Rows are indexed by the sorted source set Y; columns by the target
     coefficients first, then the partially-conditioned sinks, then the
     fully-conditioned sinks and remaining conditioning nodes. Covariance
-    entries are drawn through the deletion context.
+    entries are drawn through the deletion context. Every coefficient
+    handle the system holds, its deletion corrections' too, must already
+    have a formula in `fmap` (`DependencyError`).
     """
     if ctx is None:
         ctx = DeletionContext(g)
@@ -277,7 +294,7 @@ def build_elf_system(
         return Lam((p, t))
 
     def sig(a: str, b: str) -> RationalExpr:
-        return adjusted_cov(a, b, ctx)
+        return adjusted_cov(a, b, ctx, fmap)
 
     def corrected(y: str, t: str) -> RationalExpr:
         # [(I - Lambda)^T Sigma]_{yt} with the y-column coefficients
@@ -357,16 +374,18 @@ def build_det_formula(
     fmap: FormulaMap,
     ctx: DeletionContext,
 ) -> RationalExpr:
-    """Determinant-ratio formula determined by a determinantal witness."""
+    """Determinant-ratio formula determined by a determinantal witness.
+    Every coefficient handle it holds must already have a formula in
+    `fmap` (`DependencyError`)."""
     rows = sorted(cert.s)
     t_cols = sorted(cert.t)
 
     def mat(target: str) -> RationalExpr:
         if len(rows) == 1:
-            return adjusted_cov(rows[0], target, ctx)
+            return adjusted_cov(rows[0], target, ctx, fmap)
         return Det(
             tuple(
-                tuple(adjusted_cov(s, t, ctx) for t in t_cols + [target])
+                tuple(adjusted_cov(s, t, ctx, fmap) for t in t_cols + [target])
                 for s in rows
             )
         )
@@ -384,21 +403,32 @@ def formula_map_from_state(
     g: LatentFactorGraph, state: IdentificationState
 ) -> FormulaMap:
     """Formulas for every solved edge, built from the recorded
-    certificates in discovery order (first witness per edge wins)."""
+    certificates in discovery order (first witness per edge wins).
+
+    The builders check each coefficient handle against the map as they
+    make it, so the formulas go into the map without `FormulaMap.add`
+    walking them again. A record's edges are among the α-edges of its
+    system, so a built system always adds a formula, and a missing
+    dependency raises `DependencyError` just as that walk would."""
     fmap = FormulaMap()
+    formulas = fmap.formulas
+    contexts: dict[tuple[Edge, ...], DeletionContext] = {}
     for record in state.certificates:
-        if all(e in fmap for e in record.edges):
+        if all(e in formulas for e in record.edges):
             continue
-        ctx = DeletionContext(g, record.deleted)
+        ctx = contexts.get(record.deleted)
+        if ctx is None:
+            ctx = contexts[record.deleted] = DeletionContext(g, record.deleted)
         if isinstance(record.cert, HtcCertificate):
             system = build_elf_system(g, record.cert, fmap, ctx)
+            wanted = set(record.edges)
             for edge, expr in solve_alpha(system):
-                if edge not in fmap and edge in set(record.edges):
-                    fmap.add(edge, expr)
+                if edge not in formulas and edge in wanted:
+                    formulas[edge] = expr
         else:
             edge = (record.cert.w0, record.cert.v)
-            if edge not in fmap:
-                fmap.add(edge, build_det_formula(record.cert, fmap, ctx))
+            if edge not in formulas:
+                formulas[edge] = build_det_formula(record.cert, fmap, ctx)
     return fmap
 
 
@@ -441,6 +471,71 @@ def expr_to_dict(expr: RationalExpr) -> dict:
             "index": expr.index,
         }
     raise TypeError(f"unknown expression node: {expr!r}")
+
+
+def expr_to_json(expr: RationalExpr, indent: str = "\n") -> str:
+    """`json.dumps(expr_to_dict(expr), indent=2, sort_keys=True)`, byte for
+    byte, written straight from the tree without building the dicts.
+
+    `indent` is a line break plus the indentation of the line the
+    expression starts on, as `cli.to_json` passes it for a nested value.
+    Each branch writes its node's keys already in sorted order; strings go
+    through the stdlib's C escaper."""
+    i = indent + "  "
+    if isinstance(expr, Cov):
+        x, y = _json_str(expr.x), _json_str(expr.y)
+        return f'{{{i}"op": "cov",{i}"x": {x},{i}"y": {y}{indent}}}'
+    if isinstance(expr, Neg):
+        term = expr_to_json(expr.term, i)
+        return f'{{{i}"op": "neg",{i}"term": {term}{indent}}}'
+    if isinstance(expr, Prod):
+        factors = _json_exprs(expr.factors, i)
+        return f'{{{i}"factors": {factors},{i}"op": "prod"{indent}}}'
+    if isinstance(expr, Lam):
+        edge = _json_array([_json_str(n) for n in expr.edge], i)
+        return f'{{{i}"edge": {edge},{i}"op": "coeff"{indent}}}'
+    if isinstance(expr, Sum):
+        terms = _json_exprs(expr.terms, i)
+        return f'{{{i}"op": "sum",{i}"terms": {terms}{indent}}}'
+    if isinstance(expr, Quot):
+        num, den = expr_to_json(expr.num, i), expr_to_json(expr.den, i)
+        return f'{{{i}"den": {den},{i}"num": {num},{i}"op": "quot"{indent}}}'
+    if isinstance(expr, Det):
+        matrix = _json_matrix(expr.matrix, i)
+        return f'{{{i}"matrix": {matrix},{i}"op": "det"{indent}}}'
+    if isinstance(expr, SolveCoord):
+        index = int.__repr__(expr.index)
+        matrix = _json_matrix(expr.matrix, i)
+        rhs = _json_exprs(expr.rhs, i)
+        return (
+            f'{{{i}"index": {index},{i}"matrix": {matrix},'
+            f'{i}"op": "solve-coord",{i}"rhs": {rhs}{indent}}}'
+        )
+    if isinstance(expr, Const):
+        # A scalar's JSON text does not depend on the indentation.
+        value = json.dumps(expr.value)
+        return f'{{{i}"op": "const",{i}"value": {value}{indent}}}'
+    raise TypeError(f"unknown expression node: {expr!r}")
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of already written items, each at `indent` + 2."""
+    if not items:
+        return "[]"
+    i = indent + "  "
+    return "[" + i + ("," + i).join(items) + indent + "]"
+
+
+def _json_exprs(exprs: tuple[RationalExpr, ...], indent: str) -> str:
+    i = indent + "  "
+    return _json_array([expr_to_json(e, i) for e in exprs], indent)
+
+
+def _json_matrix(
+    rows: tuple[tuple[RationalExpr, ...], ...], indent: str
+) -> str:
+    i = indent + "  "
+    return _json_array([_json_exprs(row, i) for row in rows], indent)
 
 
 # -- rendering -------------------------------------------------------------

@@ -158,10 +158,11 @@ class LatentFactorGraph:
 
 def parents_obs(g: LatentFactorGraph, v: str) -> NodeSet:
     """Observed parents of the observed node `v`."""
-    g._check_nodes([v])
-    if not g.is_observed(v):
-        raise UnknownNodeError(f"{v!r} is not an observed node")
-    return g._parents_obs[v]
+    try:
+        return g._parents_obs[v]
+    except KeyError:
+        g._check_nodes([v])
+        raise UnknownNodeError(f"{v!r} is not an observed node") from None
 
 
 def parents_lat(g: LatentFactorGraph, v: str) -> NodeSet:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,13 +21,29 @@ from latentid.cli import (
     main,
     to_json,
 )
-from latentid.graph import LatentFactorGraph
+from latentid.criteria import combined_algorithm
+from latentid.formulas import (
+    Const,
+    Cov,
+    Det,
+    Lam,
+    Neg,
+    Prod,
+    Quot,
+    SolveCoord,
+    Sum,
+    expr_to_dict,
+    formula_map_from_state,
+    render_latex,
+)
+from latentid.graph import LatentFactorGraph, graph_to_dict
 from latentid.numerics import (
     CovarianceMatrix,
     covariance,
     covariance_to_csv,
     sample_parameters,
 )
+from oracles import random_latent_factor_graph
 
 
 def run_cli(capsys, *argv):
@@ -250,6 +267,91 @@ class TestJsonWriter:
 
         check()
 
+    # Node names that need JSON escapes, and float constants that JSON
+    # writes in words or that compare equal to other values.
+    NAMES = [
+        "1", "h1", 'a"b', "c\\d", "e\nf", "\x00", "\u00e9", "\U0001f600", ""
+    ]
+    CONSTS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300]
+
+    @staticmethod
+    def check_expression(expr):
+        assert to_json(expr) == stdlib_json(expr_to_dict(expr))
+        nested = {"formulas": [{"edge": ["1", "2"], "expression": expr}]}
+        reference = {
+            "formulas": [
+                {"edge": ["1", "2"], "expression": expr_to_dict(expr)}
+            ]
+        }
+        assert to_json(nested) == stdlib_json(reference)
+
+    def test_expression_nodes_match_stdlib(self):
+        a, b = Cov("1", "2"), Lam(('a"b', "\u00e9"))
+        cases = [
+            Sum(()),
+            Sum((a,)),
+            Prod((b, a)),
+            Neg(Sum((a, Neg(b)))),
+            Quot(a, Const(-0.0)),
+            Det(()),
+            Det(((a,),)),
+            Det(((a, b), (Const(2.5), Neg(a)))),
+            SolveCoord((), (), 0),
+            SolveCoord(((a, b), (b, a)), (Const(float("nan")), a), 1),
+        ]
+        cases += [Cov(x, y) for x in self.NAMES for y in self.NAMES[:2]]
+        cases += [Lam((x, "2")) for x in self.NAMES]
+        cases += [Const(c) for c in self.CONSTS]
+        for expr in cases:
+            self.check_expression(expr)
+
+    def test_expression_trees_match_stdlib(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        names = st.sampled_from(self.NAMES) | st.text(
+            st.characters(exclude_categories=()), max_size=4
+        )
+        consts = st.sampled_from(self.CONSTS) | st.floats()
+        leaves = (
+            st.builds(Cov, names, names)
+            | st.builds(lambda x, y: Lam((x, y)), names, names)
+            | st.builds(Const, consts)
+        )
+
+        def nodes(inner):
+            terms = st.lists(inner, max_size=3).map(tuple)
+
+            def system(n):
+                row = st.lists(inner, min_size=n, max_size=n).map(tuple)
+                return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+            def solve(n):
+                return st.builds(
+                    SolveCoord,
+                    system(n),
+                    st.lists(inner, min_size=n, max_size=n).map(tuple),
+                    st.integers(0, max(n, 1) - 1),
+                )
+
+            sizes = st.integers(0, 3)
+            return (
+                terms.map(Sum)
+                | terms.map(Prod)
+                | inner.map(Neg)
+                | st.builds(Quot, inner, inner)
+                | sizes.flatmap(system).map(Det)
+                | sizes.flatmap(solve)
+            )
+
+        @hypothesis.settings(
+            derandomize=True, max_examples=300, database=None, deadline=None
+        )
+        @hypothesis.given(st.recursive(leaves, nodes, max_leaves=16))
+        def check(expr):
+            self.check_expression(expr)
+
+        check()
+
     @pytest.mark.parametrize(
         "value",
         [{1, 2}, np.int64(3), [np.int64(3)], {"a": {1}}, {1: "a"}],
@@ -295,6 +397,53 @@ class TestFormula:
         for entry in payload["formulas"]:
             assert entry["status"] == "identified"
             assert entry["expression"]["op"] in {"quot", "solve-coord"}
+
+    def test_random_graphs_match_library(self, capsys, tmp_path):
+        # Acyclic and cyclic graphs; graphs 3 (cyclic), 22 and 34 have
+        # certificates found after edge deletions.
+        rng = random.Random(2)
+        with_deletions = set()
+        for i in range(40):
+            g = random_latent_factor_graph(rng, max_obs=7, acyclic=i % 2 == 0)
+            state = combined_algorithm(g)
+            if any(r.deleted for r in state.certificates):
+                with_deletions.add(i % 2 == 0)
+            fmap = formula_map_from_state(g, state)
+            path = str(tmp_path / f"graph{i}.json")
+            Path(path).write_text(json.dumps(graph_to_dict(g)))
+
+            code, out, _ = run_cli(capsys, "formula", "--graph", path)
+            fully = all(e in fmap for e in g.edges_obs)
+            assert code == (EXIT_OK if fully else EXIT_PARTIAL)
+            entries = []
+            lines = []
+            for edge in sorted(g.edges_obs):
+                name = f"\\lambda_{{{edge[0]}{edge[1]}}}"
+                entry = {"edge": list(edge), "status": "unidentified"}
+                entry["latex"] = entry["expression"] = None
+                if edge in fmap:
+                    expr = fmap.get(edge)
+                    entry["status"] = "identified"
+                    entry["latex"] = render_latex(expr)
+                    entry["expression"] = expr_to_dict(expr)
+                    lines.append(f"{name} = {entry['latex']}\n")
+                else:
+                    lines.append(f"% {name}: unidentified\n")
+                entries.append(entry)
+            payload = {
+                "schema": 1,
+                "command": "formula",
+                "graph": path,
+                "formulas": entries,
+            }
+            assert out == stdlib_json(payload) + "\n"
+
+            code, out, _ = run_cli(
+                capsys, "formula", "--graph", path, "--format", "latex"
+            )
+            assert code == (EXIT_OK if fully else EXIT_PARTIAL)
+            assert out == "".join(lines)
+        assert with_deletions == {True, False}
 
 
 class TestEstimate:
@@ -486,6 +635,15 @@ class TestEnumerate:
         assert not out
         assert_one_line_error(err)
         assert "--max-edges" in err
+
+    def test_max_edges_above_acyclic_maximum_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--pattern", "fig5a", "--max-edges", "99"
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not out
+        assert_one_line_error(err)
+        assert "max_edges=99 exceeds the acyclic maximum 15" in err
 
     @pytest.mark.parametrize("flag", ["--workers", "LATENTID_WORKERS"])
     def test_non_positive_workers_rejected(self, capsys, monkeypatch, flag):

@@ -146,6 +146,13 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="max_edges"):
             run_benchmark(SINGLE_FACTOR_SIX, -1, ("LF-HTC",))
 
+    def test_max_edges_above_acyclic_maximum_rejected(self):
+        pattern = LatentPattern(3, (("h1", frozenset(range(3))),))
+        rows = run_benchmark(pattern, 3, ("LF-HTC",))
+        assert [r.num_edges for r in rows] == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="max_edges=4 exceeds"):
+            run_benchmark(pattern, 4, ("LF-HTC",))
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_non_positive_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):

@@ -1,5 +1,6 @@
 """Symbolic formula construction, rendering, and evaluation."""
 
+import copy
 import json
 
 import numpy as np
@@ -348,6 +349,46 @@ class TestFormulaMap:
             fmap = formula_map_from_state(g, state)
             for edge in state.solved_edges:
                 assert edge in fmap, (name, edge)
+
+    @staticmethod
+    def state_without(g, solved):
+        """The search state of `g` with the record that solved `solved`
+        dropped, so that later records lack that edge's formula."""
+        state = combined_algorithm(g)
+        dropped = copy.copy(state)
+        dropped.certificates = [
+            r for r in state.certificates if solved not in r.edges
+        ]
+        assert len(dropped.certificates) == len(state.certificates) - 1
+        return dropped
+
+    def test_from_state_missing_system_coefficient_raises(self):
+        # The eLF-HTC system of 5 -> 6 holds the handle of 4 -> 5 (made by
+        # `build_elf_system`'s `lam`).
+        g = builtin_graph("fig2a")
+        with pytest.raises(DependencyError) as info:
+            formula_map_from_state(g, self.state_without(g, ("4", "5")))
+        assert info.value.edge == ("4", "5")
+
+    def test_from_state_missing_deletion_coefficient_raises(self):
+        # The records of 2 -> 1 and 2 -> 3 work in the subgraph without
+        # 1 -> 5, and the first of them needs that coefficient only in the
+        # correction terms of its subgraph covariances (made by
+        # `_adjusted`); no system handle refers to it.
+        g = LatentFactorGraph(
+            [str(i) for i in range(1, 7)],
+            ["h1", "h2"],
+            [("1", "5"), ("1", "6"), ("2", "1"), ("2", "3"), ("2", "6"),
+             ("4", "3")],
+            [("h1", str(i)) for i in range(1, 7)] + [("h2", "1"), ("h2", "3")],
+        )
+        state = self.state_without(g, ("1", "5"))
+        assert [r.deleted for r in state.certificates] == [
+            (), (), (("1", "5"),), (("1", "5"),)
+        ]
+        with pytest.raises(DependencyError) as info:
+            formula_map_from_state(g, state)
+        assert info.value.edge == ("1", "5")
 
 
 class TestRendering:
