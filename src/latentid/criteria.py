@@ -162,9 +162,14 @@ class IdentificationState:
     `CompiledGraph` and `allowed_cov` is None: only the rows are kept.
 
     `solved_mask` holds `solved_nodes` and `solved_pa[i]` the parents of
-    node i whose edges are solved; `refresh_solved_nodes` derives both
-    from `solved_edges`. The eLF-HTC networks and the covariance matrix
-    mod p are built on first use and kept for the state's lifetime.
+    node i whose edges are solved. `solve` keeps all three current as it
+    marks edges solved, so the subprocedures never re-derive them;
+    `refresh_solved_nodes` is the full re-derive from `solved_edges`, run
+    on construction and wherever edges are added to `solved_edges`
+    directly (as `_search` does when it lifts a subgraph's result). The
+    eLF-HTC networks (as residuals of `ElfNetworks.network`) and the
+    covariance matrix mod p are built on first use and kept for the
+    state's lifetime.
 
     `cuts` keeps the minimum cut of every full determinantal flow this
     state rejects and `elf_cuts` that of every eLF-HTC flow it rejects;
@@ -200,11 +205,11 @@ class IdentificationState:
             self.allowed_rows = allowed_rows(self.view, self.allowed_cov)
         index = self.view.index
         self.solved_mask = sum(1 << index[n] for n in self.solved_nodes)
-        self.solved_pa = self._solved_parents()
+        self.refresh_solved_nodes()
         if self.elf is None:
             self.elf = ElfNetworks(self.flow_net, self.view)
         self._elf_base: Optional[bytes] = None
-        self._elf_nets: dict[tuple[int, int], FlowNetwork] = {}
+        self._elf_nets: dict[tuple[int, int], bytes] = {}
         self.cuts: CutStore = set()
         self.elf_cuts: ElfCutStore = {}
 
@@ -219,7 +224,7 @@ class IdentificationState:
             frame = ElfNetworks(build_det_flow(g), view)
         elif not frame.fits(view):
             raise GraphError("the flow frame does not hold the graph")
-        state = cls(
+        return cls(
             graph=g,
             solved_edges=set(),
             solved_nodes=set(),
@@ -231,18 +236,14 @@ class IdentificationState:
             allowed_rows=(view.all,) * len(view.names),
             elf=frame,
         )
-        state.refresh_solved_nodes()
-        return state
-
-    def _solved_parents(self) -> list[int]:
-        index = self.view.index
-        solved_pa = [0] * len(index)
-        for p, c in self.solved_edges:
-            solved_pa[index[c]] |= 1 << index[p]
-        return solved_pa
 
     def refresh_solved_nodes(self) -> None:
-        self.solved_pa = solved_pa = self._solved_parents()
+        """Re-derive `solved_pa`, `solved_mask` and `solved_nodes` from
+        `solved_edges`."""
+        index = self.view.index
+        self.solved_pa = solved_pa = [0] * len(index)
+        for p, c in self.solved_edges:
+            solved_pa[index[c]] |= 1 << index[p]
         mask = 0
         for i, pa in enumerate(self.view.pa):
             if not pa & ~solved_pa[i]:
@@ -254,19 +255,24 @@ class IdentificationState:
     def solve(self, v: int, parents: int) -> tuple[Edge, ...]:
         """Mark the edges from `parents` into node `v` solved; returns
         them, by name and in sorted order."""
-        names = self.view.names
+        view = self.view
+        names = view.names
         edges = tuple((names[p], names[v]) for p in bits(parents))
         self.solved_edges.update(edges)
         self.solved_pa[v] |= parents
+        # Only node v's entries change.
+        if not view.pa[v] & ~self.solved_pa[v]:
+            self.solved_mask |= 1 << v
+            self.solved_nodes.add(names[v])
         return edges
 
     def unsolved_parents(self, v: int) -> int:
         """The parents of node `v` whose edges are not solved, as a mask."""
         return self.view.pa[v] & ~self.solved_pa[v]
 
-    def elf_network(self, sources: int, z: int) -> FlowNetwork:
+    def elf_network(self, sources: int, z: int) -> bytes:
         """The eLF-HTC network of this state's graph for the source set
-        `sources` and sink set Z `z`, without sinks."""
+        `sources` and sink set Z `z`, as `ElfNetworks.network` gives it."""
         net = self._elf_nets.get((sources, z))
         if net is None:
             if self._elf_base is None:
@@ -463,32 +469,36 @@ def _elf_allowed_sources(
     """The candidate source pool A, as a mask, for the node `v`, the sink
     set `z` and the latent set `h`."""
     view, rows = state.view, state.allowed_rows
+    pa, pa_lat, lat_ch = view.pa, view.pa_lat, view.lat_ch
     targets = z | 1 << v
-    reachable = view.htr(targets, h)
-    blocked_lat = 0
+    # Per target t: the nodes its half-treks avoiding H reach (`htr`), the
+    # children of its latent parents outside H, and the nodes allowed
+    # against t and its parents.
+    reachable = blocked = 0
+    good = view.all
     for t in bits(targets):
-        blocked_lat |= view.pa_lat[t]
-    pool = (
-        view.all
-        & ~targets
-        & ~view.lat_children(blocked_lat & ~h)
-        & ~(reachable & ~state.solved_mask)
-    )
+        reach = view.descendants(t)
+        for j in bits(pa_lat[t] & ~h):
+            reach |= view.lat_reach(j)
+            blocked |= lat_ch[j]
+        reachable |= reach & ~(1 << t)
+        good &= rows[t]
+        for c in bits(pa[t]):
+            good &= rows[c]
     # Sources whose formula rows would need covariances that are no
     # longer computable in the current subgraph are unusable: a source
     # needs its own row, and a reachable one its parents' rows, allowed
-    # against every column target.
-    pa = view.pa
-    cols = targets | pa[v]
-    for zz in bits(z):
-        cols |= pa[zz]
-    good = view.all  # nodes allowed against every column target
-    for c in bits(cols):
-        good &= rows[c]
-    ok = 0
-    for a in bits(pool & good):
-        if not (reachable >> a & 1 and pa[a] & ~good):
-            ok |= 1 << a
+    # against every column target (the targets and their parents).
+    ok = (
+        view.all
+        & ~targets
+        & ~blocked
+        & ~(reachable & ~state.solved_mask)
+        & good
+    )
+    for a in bits(ok & reachable):
+        if pa[a] & ~good:
+            ok ^= 1 << a
     return ok
 
 
@@ -540,19 +550,26 @@ def elf_htc_subprocedure(
         max_h = min(max_h, cfg.cap_h_size)
     elf, kept = state.elf, state.elf_cuts
     stores = (kept,) + state.inherited_elf_cuts
+    pa, solved_pa = view.pa, state.solved_pa
 
     for h_size in range(max_h + 1):
         for h_combo in combinations(lat_pool, h_size):
-            h = sum(1 << j for j in h_combo)
-            z_pool = list(bits(view.lat_children(h) & ~(1 << i) & sink_pool))
+            h = 0
+            for j in h_combo:
+                h |= 1 << j
+            z_pool = bits(view.lat_children(h) & ~(1 << i) & sink_pool)
             for z_combo in combinations(z_pool, h_size):
-                z = sum(1 << zz for zz in z_combo)
-                # The sinks of every W_z choice, and of the largest one.
-                least = most = w_v | z
-                if not legacy:
-                    for zz in z_combo:
-                        least |= state.unsolved_parents(zz)
-                        most |= view.pa[zz]
+                # Z, and the sinks of every W_z choice and of the largest
+                # one.
+                z = 0
+                least = most = w_v
+                for zz in z_combo:
+                    z |= 1 << zz
+                    if not legacy:
+                        least |= pa[zz] & ~solved_pa[zz]
+                        most |= pa[zz]
+                least |= z
+                most |= z
                 sources = _elf_allowed_sources(state, i, z, h)
                 size_a = sources.bit_count()
                 if size_a < least.bit_count():
@@ -576,19 +593,19 @@ def elf_htc_subprocedure(
                     w_big = z1 = 0
                     for zz, ws in zip(z_combo, w_choice):
                         w_big |= ws
-                        if ws != view.pa[zz]:
+                        if ws != pa[zz]:
                             z1 |= 1 << zz
                     if z1 & (w_big | w_v):
                         continue
                     sinks = w_v | z | w_big
                     size = sinks.bit_count()
-                    if size > size_a or any(
+                    if size > size_a or bounds and any(
                         b + (x & sinks).bit_count() < size for b, x in bounds
                     ):
                         continue
                     if net is None:
                         net = state.elf_network(sources, z)
-                    value, carrying, cut = elf.solve(elf.with_sinks(net, sinks))
+                    value, carrying, cut = elf.solve(net, sources, sinks)
                     if value != size:
                         if cut is not None:
                             e, x = cut
@@ -624,9 +641,7 @@ def elf_htc_subprocedure(
                     )
                     w_v &= z2 | w_big
                     if not w_v:
-                        state.refresh_solved_nodes()
                         return state
-    state.refresh_solved_nodes()
     return state
 
 
@@ -812,7 +827,6 @@ def det_subprocedure(
                 )
             )
             break
-    state.refresh_solved_nodes()
     return state
 
 
@@ -985,11 +999,11 @@ def _search(
         inherited_cuts=cuts,
         inherited_elf_cuts=elf_cuts,
     )
-    state.refresh_solved_nodes()
     all_nodes = g.all
 
     while True:
-        before = set(state.solved_edges)
+        # Edges are only ever added, so the count tells whether any was.
+        before = len(state.solved_edges)
         for i, v in enumerate(g.names):
             if state.solved_mask >> i & 1:
                 continue
@@ -999,7 +1013,6 @@ def _search(
                 continue
             if cfg.enable_det:
                 det_subprocedure(g, state, v, cfg)
-        state.refresh_solved_nodes()
         if state.solved_mask == all_nodes:
             break
 
@@ -1043,7 +1056,7 @@ def _search(
                     break
         if state.solved_mask == all_nodes:
             break
-        if state.solved_edges == before:
+        if len(state.solved_edges) == before:
             break
 
     out = frozenset(state.solved_edges)

@@ -280,7 +280,8 @@ class ElfNetworks:
     closes every arc into the original copy of an observed node, and
     `network` then closes the original copies outside the source set and
     the primed arcs from every observed node into Z (closing a closed arc
-    changes nothing).
+    changes nothing). A network is kept as its residual arc states only,
+    and `solve` takes its source and sink sets as masks.
     """
 
     def __init__(self, det: FlowNetwork, view: CompiledGraph):
@@ -289,13 +290,19 @@ class ElfNetworks:
         self.det, self.view = det, view
         self._compiled = c
         self._all = view.all
-        self._orig = tuple(orig(n) for n in names)
-        self._primed = tuple(primed(n) for n in names)
         # The flow-node numbers of each observed node's original and
-        # primed copy, as `max_flow_cut` masks read them.
+        # primed copy, as `max_flow_cut` masks read them, and the split
+        # nodes `solve` starts from and stops at: the original copy's
+        # entry and the primed copy's exit. Both rise with the observed
+        # number, as the flow nodes are numbered in sorted order.
         self.numbers = tuple(
-            zip(flow_numbers(det, self._orig), flow_numbers(det, self._primed))
+            zip(
+                flow_numbers(det, (orig(n) for n in names)),
+                flow_numbers(det, (primed(n) for n in names)),
+            )
         )
+        self._entry = tuple(2 * o for o, _ in self.numbers)
+        self._exit = tuple(2 * p + 1 for _, p in self.numbers)
         obs = {o: i for i, (o, _) in enumerate(self.numbers)}
         obs_primed = {p: i for i, (_, p) in enumerate(self.numbers)}
         self._into: list[int] = []
@@ -315,6 +322,14 @@ class ElfNetworks:
                 primed_arc[obs_primed[u], obs_primed[w]] = k
         # The two arcs of each observed edge a -> b of `view`.
         self._edge = {e: (orig_arc[e], k) for e, k in primed_arc.items()}
+        # `base` closes the arcs `_into` in every network `solve` takes, and
+        # a closed arc carries no flow, so its residual halves stay closed:
+        # `solve` searches an adjacency without them.
+        dead = {half for k in self._into for half in (2 * k, 2 * k + 1)}
+        self._adjacency = tuple(
+            tuple(pair for pair in pairs if pair[1] not in dead)
+            for pairs in c.adjacency
+        )
 
     def fits(self, g: CompiledGraph) -> bool:
         """Whether the frame holds `g`."""
@@ -350,9 +365,10 @@ class ElfNetworks:
             residual[2 * k] = 0
         return bytes(residual)
 
-    def network(self, base: bytes, sources: int, z: int) -> FlowNetwork:
-        """The network over the residual `base` with source set `sources`
-        and sink set Z `z`, and no sinks yet."""
+    def network(self, base: bytes, sources: int, z: int) -> bytes:
+        """The residual arc states of `build_elf_flow`'s network over the
+        residual `base` for the source set `sources` and sink set Z `z`;
+        `solve` takes its sinks."""
         residual = bytearray(base)
         for i in bits(self._all & ~sources):
             for k in self._outside[i]:
@@ -360,29 +376,14 @@ class ElfNetworks:
         for i in bits(z):
             for k in self._z[i]:
                 residual[2 * k] = 0
-        orig_nodes = self._orig
-        return _network(
-            self._compiled,
-            bytes(residual),
-            tuple(orig_nodes[i] for i in bits(sources)),
-            (),
-        )
-
-    def with_sinks(self, net: FlowNetwork, sinks: int) -> FlowNetwork:
-        """`net` with the primed copies of `sinks` as its sinks."""
-        primed_nodes = self._primed
-        return _network(
-            net._compiled,
-            net._residual,
-            net.sources,
-            tuple(primed_nodes[i] for i in bits(sinks)),
-        )
+        return bytes(residual)
 
     def solve(
-        self, net: FlowNetwork
+        self, residual: bytes, sources: int, sinks: int
     ) -> tuple[int, frozenset[str], Optional[tuple[int, int]]]:
-        """Max-flow value f of `net`, a network of `network` with sinks,
-        plus what the search needs of it.
+        """Max-flow value f from the original copies of `sources` to the
+        primed copies of `sinks` in the network `residual` of `network`
+        for `sources`, plus what the search needs of it.
 
         When f reaches the number of sinks, the names of the sources that
         carry a unit (as `max_flow_sources` gives them). Otherwise, when
@@ -392,22 +393,66 @@ class ElfNetworks:
         holds; None when every source is used, where the cut says no more
         than the source count does.
         """
-        total, residual, via = _solve(net)
-        if total == len(net.sinks):
-            return total, _carrying(net, residual), None
+        entry, exit_ = self._entry, self._exit
+        count = sinks.bit_count()
+        total, flowed, via = _augment(
+            self._adjacency,
+            self._compiled.tail,
+            residual,
+            [entry[i] for i in bits(sources)],
+            [exit_[i] for i in bits(sinks)],
+            count,
+        )
+        if total == count:
+            # A source carries a unit when its split arc is open against
+            # itself: residual half 2j + 1 for flow node j, whose entry is
+            # split node 2j.
+            names = self.view.names
+            carrying = frozenset(
+                names[i] for i in bits(sources) if flowed[entry[i] + 1]
+            )
+            return total, carrying, None
         if via is None:
             return total, frozenset(), None
         e = x = 0
-        for j, (o, p) in enumerate(self.numbers):
-            if via[2 * o] != -1:
+        for j, b in enumerate(entry):
+            if via[b] != -1:
                 e |= 1 << j
-            if via[2 * p + 1] != -1:
+        for j, b in enumerate(exit_):
+            if via[b] != -1:
                 x |= 1 << j
         return total, frozenset(), (e, x)
 
 
 def _solve(net: FlowNetwork) -> tuple[int, bytearray, Optional[list[int]]]:
-    """Shortest augmenting paths over unit-capacity split nodes.
+    """`_augment` on the terminals of `net`; a terminal outside the
+    compiled network touches no arc."""
+    compiled = net._compiled
+    index = compiled.index
+    return _augment(
+        compiled.adjacency,
+        compiled.tail,
+        net._residual,
+        sorted({2 * index[s] for s in net.sources if s in index}),
+        [2 * index[t] + 1 for t in net.sinks if t in index],
+        len(net.sinks),
+    )
+
+
+def _augment(
+    adjacency: tuple[tuple[tuple[int, int], ...], ...],
+    tail: tuple[int, ...],
+    start: bytes,
+    entries: list[int],
+    exits: Iterable[int],
+    sink_count: int,
+) -> tuple[int, bytearray, Optional[list[int]]]:
+    """Shortest augmenting paths over unit-capacity split nodes, from the
+    source entries `entries` (ascending split-node numbers, each once) to
+    the sink exits `exits`, on the arc states `start`; `sink_count` sinks
+    bound the flow. `adjacency` and `tail` are a `_Compiled` network's,
+    the adjacency perhaps without residual halves closed in `start` that
+    no flow can open.
 
     Returns the number of vertex-disjoint paths, the residual arc states
     they leave, and the reach of the last, failed search (None when every
@@ -422,18 +467,14 @@ def _solve(net: FlowNetwork) -> tuple[int, bytearray, Optional[list[int]]]:
     # exit it would take from the queue and so the one a super-sink is
     # reached from. A unit through a terminal is never pushed back, because
     # the search never leaves the super-sink and never re-enters the
-    # super-source. A terminal outside the compiled network touches no arc.
-    index = net._compiled.index
-    residual = bytearray(net._residual)
-    entries = sorted({2 * index[s] for s in net.sources if s in index})
-    open_exits = bytearray(2 * len(index))
-    for t in net.sinks:
-        if t in index:
-            open_exits[2 * index[t] + 1] = 1
-    adjacency, tail = net._compiled.adjacency, net._compiled.tail
+    # super-source.
+    residual = bytearray(start)
+    open_exits = bytearray(len(adjacency))
+    for b in exits:
+        open_exits[b] = 1
 
     total = 0
-    while entries and total < len(net.sinks):
+    while entries and total < sink_count:
         via, b = _augmenting_path(adjacency, residual, entries, open_exits)
         if b < 0:
             return total, residual, via

@@ -255,18 +255,30 @@ def htr(
 # -- compiled form ---------------------------------------------------------
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, in ascending order."""
+def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
+# The set-bit positions of every mask below `_BITS_BOUND`, read by `bits`.
+_BITS_BOUND = 1 << 10
+_BITS_TABLE = tuple(tuple(_bits(mask)) for mask in range(_BITS_BOUND))
+
+
+def bits(mask: int) -> Iterable[int]:
+    """Positions of the set bits of `mask` (>= 0), in ascending order."""
+    if mask < _BITS_BOUND:
+        return _BITS_TABLE[mask]
+    return _bits(mask)
+
+
 class CompiledGraph:
     """A graph whose observed nodes are numbered once, in sorted order,
     with its queries held as int bitmasks: bit i stands for `names[i]`,
-    and bit j of a latent mask for `latent[j]`, also sorted.
+    and bit j of a latent mask for `latent[j]`, also sorted. `all` is the
+    mask of every observed node.
 
     `pa`/`ch` hold each observed node's observed parents/children,
     `pa_lat` its latent parents and `lat_ch` each latent node's children.
@@ -279,6 +291,7 @@ class CompiledGraph:
     __slots__ = (
         "names",
         "index",
+        "all",
         "latent",
         "pa",
         "ch",
@@ -291,6 +304,7 @@ class CompiledGraph:
     def __init__(self, g: LatentFactorGraph):
         self.names = names = tuple(sorted(g.observed))
         self.index = index = {n: i for i, n in enumerate(names)}
+        self.all = (1 << len(names)) - 1
         self.latent = tuple(sorted(g.latent))
         lat_index = {h: j for j, h in enumerate(self.latent)}
         pa, ch, pa_lat = [0] * len(names), [0] * len(names), [0] * len(names)
@@ -305,11 +319,6 @@ class CompiledGraph:
         self.pa_lat, self.lat_ch = tuple(pa_lat), tuple(lat_ch)
         self._desc: list[Optional[int]] = [None] * len(names)
         self._lat_reach: list[Optional[int]] = [None] * len(self.latent)
-
-    @property
-    def all(self) -> int:
-        """The mask of every observed node."""
-        return (1 << len(self.names)) - 1
 
     @property
     def edges_obs(self) -> frozenset[Edge]:
@@ -329,6 +338,7 @@ class CompiledGraph:
         """The subgraph with the observed edge a -> b deleted."""
         sub = object.__new__(CompiledGraph)
         sub.names, sub.index, sub.latent = self.names, self.index, self.latent
+        sub.all = self.all
         sub.pa_lat, sub.lat_ch = self.pa_lat, self.lat_ch
         pa, ch = list(self.pa), list(self.ch)
         pa[b] &= ~(1 << a)
@@ -369,19 +379,6 @@ class CompiledGraph:
             for i in bits(out):
                 out |= self.descendants(i)
             self._lat_reach[j] = out
-        return out
-
-    def htr(self, sources: int, avoid_lat: int = 0) -> int:
-        """The `htr` query on masks: observed nodes reachable by a
-        non-trivial half-trek from some node of `sources`, each source
-        excluded from its own half-treks, with the latent top nodes of
-        `avoid_lat` avoided."""
-        out = 0
-        for s in bits(sources):
-            reach = self.descendants(s)
-            for j in bits(self.pa_lat[s] & ~avoid_lat):
-                reach |= self.lat_reach(j)
-            out |= reach & ~(1 << s)
         return out
 
 

@@ -36,6 +36,8 @@ from latentid.flow import (
     build_det_flow,
     build_elf_flow,
     max_flow_sources,
+    orig,
+    primed,
     without_edges,
 )
 from latentid.graph import (
@@ -812,6 +814,62 @@ class TestElfFlowBounds:
         assert sub_calls > 1000 and inheriting > sub_calls // 2
 
 
+class TestSolvedState:
+    def test_kept_current_around_every_call(self, monkeypatch):
+        """Before and after every subprocedure call, at the root and
+        inside the edge-deletion recursion, `solved_pa`, `solved_mask` and
+        `solved_nodes` equal a full re-derive from `solved_edges`, though
+        the subprocedures never run `refresh_solved_nodes`."""
+        root = None
+        calls = solving = sub_solving = 0
+
+        def assert_current(state):
+            view, edges = state.view, state.solved_edges
+            sub = root.without_obs_edges(set(state.deleted_edges))
+            nodes = ref_solved_nodes(sub, edges)
+            assert state.solved_nodes == nodes
+            assert state.solved_mask == sum(1 << view.index[n] for n in nodes)
+            assert state.solved_pa == [
+                sum(1 << view.index[p] for p, c in edges if c == n)
+                for n in view.names
+            ]
+
+        def checked(subprocedure):
+            def run(g, state, v, cfg):
+                nonlocal calls, solving, sub_solving
+                assert_current(state)
+                before = len(state.solved_edges)
+                subprocedure(g, state, v, cfg)
+                assert_current(state)
+                calls += 1
+                if len(state.solved_edges) > before:
+                    solving += 1
+                    sub_solving += bool(state.deleted_edges)
+                return state
+
+            return run
+
+        for name in ("elf_htc_subprocedure", "det_subprocedure"):
+            monkeypatch.setattr(
+                criteria, name, checked(getattr(criteria, name))
+            )
+        cases = [(G7, SearchConfig())]
+        for m in range(4):
+            for g in enumerate_dags(PATTERNS["fig5b"], m):
+                for preset in ("LF-HTC", "eLF-HTC+rec"):
+                    cases.append((g, METHOD_PRESETS[preset]))
+        rng = random.Random(97)
+        for i in range(30):
+            g = random_latent_factor_graph(
+                rng, max_obs=6, max_lat=3, acyclic=False, edge_prob=0.4
+            )
+            cases.append((g, METHOD_PRESETS["eLF-HTC+rec"]))
+            cases.append((g, SearchConfig()))
+        for root, cfg in cases:
+            combined_algorithm(root, cfg)
+        assert calls > 3000 and solving > 1500 and sub_solving > 10
+
+
 class TestPatternFrame:
     @pytest.mark.parametrize(
         "pattern, max_edges, presets",
@@ -900,7 +958,14 @@ class TestCompiledQueries:
             for _ in range(4):
                 mask = rng.getrandbits(len(names))
                 avoid = rng.getrandbits(len(view.latent))
-                assert view.nodes(view.htr(mask, avoid)) == htr(
+                # Half-trek reach as the source pools build it, per node.
+                reach = 0
+                for s in bits(mask):
+                    one = view.descendants(s)
+                    for k in bits(view.pa_lat[s] & ~avoid):
+                        one |= view.lat_reach(k)
+                    reach |= one & ~(1 << s)
+                assert view.nodes(reach) == htr(
                     sub,
                     view.nodes(mask),
                     [h for j, h in enumerate(view.latent) if avoid >> j & 1],
@@ -974,9 +1039,8 @@ class TestCompiledQueries:
 
                             w_v = view.pa[j] & rng.getrandbits(len(names))
                             w_z = rng.getrandbits(len(names))
-                            fast = state.elf.with_sinks(
-                                state.elf_network(sources, z), w_v | z | w_z
-                            )
+                            sinks = w_v | z | w_z
+                            fast = state.elf_network(sources, z)
                             ref = build_elf_flow(
                                 sub,
                                 v,
@@ -986,12 +1050,21 @@ class TestCompiledQueries:
                                 view.nodes(w_v),
                                 det=net,
                             )
-                            assert fast.node_capacity == ref.node_capacity
-                            assert fast.arcs == ref.arcs
-                            assert fast.sources == ref.sources
-                            assert fast.sinks == ref.sinks
-                            assert max_flow_sources(fast) == max_flow_sources(
-                                ref
+                            # The same arc states, so the same nodes and
+                            # arcs, and the same terminals.
+                            assert fast == ref._residual
+                            assert ref.sources == tuple(
+                                orig(names[k]) for k in bits(sources)
                             )
+                            assert ref.sinks == tuple(
+                                primed(names[k]) for k in bits(sinks)
+                            )
+                            value, carrying, _ = state.elf.solve(
+                                fast, sources, sinks
+                            )
+                            ref_value, used = max_flow_sources(ref)
+                            assert value == ref_value
+                            if value == sinks.bit_count():
+                                assert carrying == used
                             networks += 1
         assert pools == networks > 1000

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from latentid import graph
 from latentid.catalog import builtin_graph
 from latentid.graph import (
     EdgeIntoLatentError,
@@ -11,6 +12,7 @@ from latentid.graph import (
     NamespaceError,
     SelfLoopError,
     UnknownNodeError,
+    bits,
     children,
     descendants,
     graph_from_dict,
@@ -166,6 +168,21 @@ class TestHtr:
             g = random_latent_factor_graph(rng, max_obs=8, acyclic=False)
             for s in g.observed:
                 assert descendants(g, {s}) == reach_by_matrix_power(g, s)
+
+
+class TestBits:
+    def test_matches_reference(self):
+        """`bits` gives the set-bit positions in ascending order for every
+        mask below its table bound, the bound and its neighbours, 0, and
+        random masks up to 2**40."""
+        bound = graph._BITS_BOUND
+        rng = random.Random(41)
+        masks = [*range(bound), bound - 1, bound, bound + 1, 0]
+        masks += [rng.getrandbits(rng.randint(1, 40)) for _ in range(3000)]
+        masks.append((1 << 40) - 1)
+        for mask in masks:
+            want = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            assert list(bits(mask)) == want, mask
 
 
 def test_to_dot_mentions_all_nodes(fig2a):
