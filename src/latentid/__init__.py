@@ -14,12 +14,8 @@ from .criteria import (
     HtcCertificate,
     IdentificationState,
     SearchConfig,
-    all_cov_pairs,
-    allowed_update,
     check_elf_htc,
-    check_lf_htc,
     combined_algorithm,
-    cov_pair,
     det_subprocedure,
     elf_htc_subprocedure,
     verify_certificate,
@@ -54,7 +50,6 @@ from .formulas import (
     Det,
     FormulaMap,
     Lam,
-    LinearSystem,
     Neg,
     Prod,
     Quot,
@@ -89,11 +84,9 @@ from .graph import (
 )
 from .numerics import (
     CovarianceMatrix,
-    EdgeEstimate,
     ModelParameters,
     SamplingError,
     SamplingSpec,
-    VerificationReport,
     covariance,
     covariance_from_csv,
     covariance_to_csv,

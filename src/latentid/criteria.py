@@ -36,7 +36,6 @@ from .graph import (
     parents_obs,
 )
 
-CovPair = tuple[str, str]
 # Minimum cuts (c, E, X) of determinantal flows: the flow from a source
 # set S to a sink set T is at most c + |S - E| + |T ∩ X|.
 CutStore = set[tuple[int, int, int]]
@@ -44,20 +43,6 @@ CutStore = set[tuple[int, int, int]]
 # the flow from a source set A to a sink set T in the network of any
 # Z' ⊇ Z is at most c + |A - E| + |T ∩ X|.
 ElfCutStore = dict[int, set[tuple[int, int, int]]]
-
-
-def cov_pair(x: str, y: str) -> CovPair:
-    """Normalized unordered covariance index (x <= y)."""
-    return (x, y) if x <= y else (y, x)
-
-
-def all_cov_pairs(g: LatentFactorGraph) -> frozenset[CovPair]:
-    obs = sorted(g.observed)
-    return frozenset(
-        (obs[i], obs[j])
-        for i in range(len(obs))
-        for j in range(i, len(obs))
-    )
 
 
 # -- certificates ----------------------------------------------------------
@@ -155,11 +140,12 @@ class IdentificationState:
 
     `flow_net` is the determinantal flow network of `graph`; the
     subprocedures derive every network they solve from it. They read the
-    graph from `view`, its `CompiledGraph`, and the allowed covariance
-    pairs from `allowed_rows`, one bitmask row per node in `view`'s
-    numbering; both are derived from `graph` and `allowed_cov` when not
-    given. Inside the edge-deletion recursion `graph` is the subgraph's
-    `CompiledGraph` and `allowed_cov` is None: only the rows are kept.
+    graph from `view`, its `CompiledGraph` (compiled from `graph` when not
+    given), and the allowed covariance pairs from `allowed_rows`, one
+    bitmask row per node in `view`'s numbering: bit y of row x is set when
+    the pair (x, y) is allowed. Without `allowed_rows` every pair is
+    allowed. Inside the edge-deletion recursion `graph` is the subgraph's
+    `CompiledGraph`.
 
     `solved_mask` holds `solved_nodes` and `solved_pa[i]` the parents of
     node i whose edges are solved. `solve` keeps all three current as it
@@ -180,7 +166,6 @@ class IdentificationState:
     graph: LatentFactorGraph | CompiledGraph
     solved_edges: set[Edge]
     solved_nodes: set[str]
-    allowed_cov: Optional[frozenset[CovPair]]
     deleted_edges: tuple[Edge, ...]
     certificates: list[CertRecord]
     flow_net: FlowNetwork = field(repr=False, compare=False)
@@ -202,7 +187,7 @@ class IdentificationState:
         if self.view is None:
             self.view = CompiledGraph(self.graph)
         if self.allowed_rows is None:
-            self.allowed_rows = allowed_rows(self.view, self.allowed_cov)
+            self.allowed_rows = (self.view.all,) * len(self.view.names)
         index = self.view.index
         self.solved_mask = sum(1 << index[n] for n in self.solved_nodes)
         self.refresh_solved_nodes()
@@ -228,12 +213,10 @@ class IdentificationState:
             graph=g,
             solved_edges=set(),
             solved_nodes=set(),
-            allowed_cov=all_cov_pairs(g),
             deleted_edges=(),
             certificates=[],
             flow_net=frame.det_network(view),
             view=view,
-            allowed_rows=(view.all,) * len(view.names),
             elf=frame,
         )
 
@@ -377,35 +360,6 @@ def check_elf_htc(
         return max_flow(net) == len(w_v | z | w_big)
     except GraphError:
         return False
-
-
-def check_lf_htc(
-    g: LatentFactorGraph,
-    v: str,
-    y: Iterable[str],
-    z: Iterable[str],
-    h: Iterable[str],
-) -> bool:
-    """Direct check of the plain (non-extended) half-trek criterion.
-
-    Equivalent to the extended check with `w_v` equal to all observed
-    parents of `v` and empty conditioning sets, plus the original side
-    conditions on `z`.
-    """
-    y = frozenset(y)
-    z = frozenset(z)
-    h = frozenset(h)
-    try:
-        pa = parents_obs(g, v)
-    except GraphError:
-        return False
-    if z & pa:
-        return False
-    if len(y) != len(pa) + len(h):
-        return False
-    return check_elf_htc(
-        g, v, pa, y, z, {zz: frozenset() for zz in z}, h
-    )
 
 
 def verify_certificate(
@@ -833,74 +787,14 @@ def det_subprocedure(
 # -- allowed-covariance bookkeeping ---------------------------------------
 
 
-def allowed_update(
-    g: LatentFactorGraph,
-    allowed_cov: frozenset[CovPair],
-    v: str,
-    removed_parents: Iterable[str],
-    solved_edges: Optional[set[Edge]] = None,
-    dec_v: Optional[frozenset[str]] = None,
-) -> frozenset[CovPair]:
-    """Allowed covariance pairs after deleting the edges
-    `removed_parents -> v` from `g`.
-
-    A pair stays allowed when both members avoid the descendants of `v`,
-    the pair is not (v, v), and — when one member is `v` itself — the
-    auxiliary pairs against every removed parent were allowed before.
-    A caller that already holds `descendants(g, [v])` passes it as
-    `dec_v`.
-    """
-    removed = frozenset(removed_parents)
-    if not removed:
-        return allowed_cov
-    if not removed <= parents_obs(g, v):
-        raise GraphError(
-            f"removed parents {sorted(removed)} are not parents of {v!r}"
-        )
-    if solved_edges is not None:
-        unsolved = {(w, v) for w in removed} - solved_edges
-        if unsolved:
-            raise GraphError(
-                f"cannot delete unsolved edges: {sorted(unsolved)}"
-            )
-    if dec_v is None:
-        dec_v = descendants(g, [v])
-    out = set()
-    for x, y in allowed_cov:
-        if x in dec_v or y in dec_v:
-            continue
-        if x == v and y == v:
-            continue
-        if x == v or y == v:
-            other = y if x == v else x
-            if all(cov_pair(other, w) in allowed_cov for w in removed):
-                out.add((x, y))
-        else:
-            out.add((x, y))
-    return frozenset(out)
-
-
-def allowed_rows(
-    view: CompiledGraph, allowed_cov: Iterable[CovPair]
-) -> tuple[int, ...]:
-    """The allowed pairs as one bitmask row per node: bit y of row x is
-    set when the pair (x, y) is allowed."""
-    index = view.index
-    rows = [0] * len(view.names)
-    for x, y in allowed_cov:
-        rows[index[x]] |= 1 << index[y]
-        rows[index[y]] |= 1 << index[x]
-    return tuple(rows)
-
-
 def _rows_update(
     rows: tuple[int, ...], v: int, removed: int, dec_v: int
 ) -> tuple[int, ...]:
-    """`allowed_update` on rows: the allowed rows after deleting the edges
-    from the nodes of `removed` into node `v`, whose descendants (in the
-    root graph) are `dec_v`."""
-    # A pair with v needs its other member allowed against every removed
-    # parent.
+    """The allowed rows after deleting the edges from the nodes of
+    `removed` into node `v`, whose descendants (in the root graph) are
+    `dec_v`. A pair stays allowed when both members avoid `dec_v`, the
+    pair is not (v, v), and, when one member is `v` itself, the other
+    was allowed against every removed parent."""
     partners = 0
     for x, row in enumerate(rows):
         if row & removed == removed:
@@ -989,7 +883,6 @@ def _search(
         graph=g,
         solved_edges=set(solved_in),
         solved_nodes=set(),
-        allowed_cov=None,
         deleted_edges=deleted,
         certificates=records,
         flow_net=net,

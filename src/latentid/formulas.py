@@ -20,11 +20,17 @@ from .criteria import (
     DetCertificate,
     HtcCertificate,
     IdentificationState,
-    all_cov_pairs,
-    allowed_update,
-    cov_pair,
+    _rows_update,
 )
-from .graph import Edge, GraphError, LatentFactorGraph, htr, parents_obs
+from .graph import (
+    CompiledGraph,
+    Edge,
+    GraphError,
+    LatentFactorGraph,
+    UnknownNodeError,
+    htr,
+    parents_obs,
+)
 
 SINGULARITY_TOL = 1e-12
 
@@ -191,20 +197,31 @@ def _lam_refs(expr: RationalExpr) -> set[Edge]:
 class DeletionContext:
     """An ordered sequence of single-edge deletions from a base graph,
     with the subgraph it leaves and the covariance pairs still
-    computable there."""
+    computable there: the search's allowed rows (`_rows_update`), one
+    bitmask row per node of the base graph's `CompiledGraph` `view`."""
 
     def __init__(self, graph: LatentFactorGraph, deleted: Iterable[Edge] = ()):
         self.deleted = tuple(tuple(e) for e in deleted)
-        self.subgraph = graph
-        self.allowed = all_cov_pairs(graph)
+        if len(set(self.deleted)) < len(self.deleted):
+            raise UnknownNodeError(f"edges deleted twice: {list(self.deleted)}")
+        self.subgraph = (
+            graph.without_obs_edges(self.deleted) if self.deleted else graph
+        )
+        self.view = view = CompiledGraph(graph)
+        index = view.index
+        rows = (view.all,) * len(view.names)
         for w, v in self.deleted:
-            # Descendants are taken in the base graph so the allowed set
-            # only depends on the union of deleted edges (order-free).
-            self.allowed = allowed_update(graph, self.allowed, v, {w})
-            self.subgraph = self.subgraph.without_obs_edges({(w, v)})
+            # Descendants are taken in the base graph so the allowed rows
+            # only depend on the union of deleted edges (order-free).
+            b = index[v]
+            rows = _rows_update(rows, b, 1 << index[w], view.descendants(b))
+        self.rows = rows
 
     def is_allowed(self, x: str, y: str) -> bool:
-        return cov_pair(x, y) in self.allowed
+        index = self.view.index
+        if x not in index or y not in index:
+            return False
+        return bool(self.rows[index[x]] >> index[y] & 1)
 
 
 def adjusted_cov(

@@ -12,6 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from latentid.criteria import (
     CertRecord,
     DetCertificate,
     HtcCertificate,
-    cov_pair,
+    check_elf_htc,
 )
 from latentid.flow import (
     build_elf_flow,
@@ -29,8 +30,11 @@ from latentid.flow import (
     primed,
 )
 from latentid.graph import (
+    CompiledGraph,
+    Edge,
     GraphError,
     LatentFactorGraph,
+    bits,
     children,
     descendants,
     htr,
@@ -297,6 +301,7 @@ def ref_det_subprocedure(g, state, v, cfg):
         return state
     obs = sorted(g.observed)
     base = state.flow_net
+    allowed_cov = allowed_pairs(state.view, state.allowed_rows)
 
     for w0 in sorted(pa):
         if (w0, v) in state.solved_edges:
@@ -329,7 +334,7 @@ def ref_det_subprocedure(g, state, v, cfg):
                         continue
                     cov_targets = t_set | {v, w0} | solved_parents
                     if not all(
-                        cov_pair(s, t) in state.allowed_cov
+                        cov_pair(s, t) in allowed_cov
                         for s in s_combo
                         for t in cov_targets
                     ):
@@ -380,6 +385,7 @@ def ref_elf_htc_subprocedure(g, state, v, cfg):
     found them."""
     pa = parents_obs(g, v)
     solved_nodes = frozenset(state.solved_nodes)
+    allowed_cov = allowed_pairs(state.view, state.allowed_rows)
     legacy = cfg.legacy_lf_htc_only
 
     def solved_parents(n):
@@ -419,7 +425,7 @@ def ref_elf_htc_subprocedure(g, state, v, cfg):
             for z_combo in combinations(z_pool, h_size):
                 z = frozenset(z_combo)
                 sources = ref_elf_allowed_sources(
-                    g, solved_nodes, state.allowed_cov, v, z, h_combo
+                    g, solved_nodes, allowed_cov, v, z, h_combo
                 )
                 options = [wz_choices(zz) for zz in z_combo]
                 for w_choice in product(*options):
@@ -462,6 +468,130 @@ def ref_elf_htc_subprocedure(g, state, v, cfg):
                         return state
     state.refresh_solved_nodes()
     return state
+
+
+# -- set-based allowed-covariance bookkeeping -------------------------------
+
+CovPair = tuple[str, str]
+
+
+def cov_pair(x: str, y: str) -> CovPair:
+    """Normalized unordered covariance index (x <= y)."""
+    return (x, y) if x <= y else (y, x)
+
+
+def all_cov_pairs(g: LatentFactorGraph) -> frozenset[CovPair]:
+    obs = sorted(g.observed)
+    return frozenset(
+        (obs[i], obs[j])
+        for i in range(len(obs))
+        for j in range(i, len(obs))
+    )
+
+
+def allowed_update(
+    g: LatentFactorGraph,
+    allowed_cov: frozenset[CovPair],
+    v: str,
+    removed_parents: Iterable[str],
+    solved_edges: Optional[set[Edge]] = None,
+    dec_v: Optional[frozenset[str]] = None,
+) -> frozenset[CovPair]:
+    """Allowed covariance pairs after deleting the edges
+    `removed_parents -> v` from `g`.
+
+    A pair stays allowed when both members avoid the descendants of `v`,
+    the pair is not (v, v), and — when one member is `v` itself — the
+    auxiliary pairs against every removed parent were allowed before.
+    A caller that already holds `descendants(g, [v])` passes it as
+    `dec_v`.
+    """
+    removed = frozenset(removed_parents)
+    if not removed:
+        return allowed_cov
+    if not removed <= parents_obs(g, v):
+        raise GraphError(
+            f"removed parents {sorted(removed)} are not parents of {v!r}"
+        )
+    if solved_edges is not None:
+        unsolved = {(w, v) for w in removed} - solved_edges
+        if unsolved:
+            raise GraphError(
+                f"cannot delete unsolved edges: {sorted(unsolved)}"
+            )
+    if dec_v is None:
+        dec_v = descendants(g, [v])
+    out = set()
+    for x, y in allowed_cov:
+        if x in dec_v or y in dec_v:
+            continue
+        if x == v and y == v:
+            continue
+        if x == v or y == v:
+            other = y if x == v else x
+            if all(cov_pair(other, w) in allowed_cov for w in removed):
+                out.add((x, y))
+        else:
+            out.add((x, y))
+    return frozenset(out)
+
+
+def allowed_rows(
+    view: CompiledGraph, allowed_cov: Iterable[CovPair]
+) -> tuple[int, ...]:
+    """The allowed pairs as one bitmask row per node: bit y of row x is
+    set when the pair (x, y) is allowed."""
+    index = view.index
+    rows = [0] * len(view.names)
+    for x, y in allowed_cov:
+        rows[index[x]] |= 1 << index[y]
+        rows[index[y]] |= 1 << index[x]
+    return tuple(rows)
+
+
+def allowed_pairs(
+    view: CompiledGraph, rows: tuple[int, ...]
+) -> frozenset[CovPair]:
+    """The allowed pairs of one bitmask row per node of `view`; the
+    inverse of `allowed_rows`."""
+    names = view.names
+    return frozenset(
+        cov_pair(names[x], names[y])
+        for x, row in enumerate(rows)
+        for y in bits(row)
+    )
+
+
+# -- the plain half-trek criterion -----------------------------------------
+
+
+def check_lf_htc(
+    g: LatentFactorGraph,
+    v: str,
+    y: Iterable[str],
+    z: Iterable[str],
+    h: Iterable[str],
+) -> bool:
+    """Direct check of the plain (non-extended) half-trek criterion.
+
+    Equivalent to the extended check with `w_v` equal to all observed
+    parents of `v` and empty conditioning sets, plus the original side
+    conditions on `z`.
+    """
+    y = frozenset(y)
+    z = frozenset(z)
+    h = frozenset(h)
+    try:
+        pa = parents_obs(g, v)
+    except GraphError:
+        return False
+    if z & pa:
+        return False
+    if len(y) != len(pa) + len(h):
+        return False
+    return check_elf_htc(
+        g, v, pa, y, z, {zz: frozenset() for zz in z}, h
+    )
 
 
 # -- set-based search bookkeeping -------------------------------------------

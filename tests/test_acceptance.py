@@ -17,8 +17,6 @@ from latentid.criteria import (
     DetCertificate,
     HtcCertificate,
     SearchConfig,
-    all_cov_pairs,
-    allowed_update,
     check_elf_htc,
     combined_algorithm,
 )
@@ -29,6 +27,7 @@ from latentid.enumeration import (
 )
 from latentid.flow import build_det_flow, max_flow, orig, primed
 from latentid.formulas import (
+    DeletionContext,
     FormulaMap,
     build_elf_system,
     formula_map_from_state,
@@ -411,10 +410,7 @@ class TestOracleEquivalences:
                 seq = edges[: min(4, len(edges))]
 
                 def apply_seq(order):
-                    allowed = all_cov_pairs(g)
-                    for w, v in order:
-                        allowed = allowed_update(g, allowed, v, {w})
-                    return allowed
+                    return DeletionContext(g, order).rows
 
                 reference = apply_seq(seq)
                 for _ in range(50):

@@ -823,3 +823,14 @@ class TestModuleEntryPoint:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(), err) == (EXIT_BROKEN_PIPE, b"")
+
+
+class TestPackaging:
+    def test_distribution_matches_package(self):
+        """`pyproject.toml` names the distribution after the package and
+        gives the package's `__version__`."""
+        tomllib = pytest.importorskip("tomllib")
+        path = Path(__file__).parents[1] / "pyproject.toml"
+        project = tomllib.loads(path.read_text())["project"]
+        assert project["name"] == "latentid"
+        assert project["version"] == latentid.__version__

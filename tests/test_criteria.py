@@ -15,12 +15,8 @@ from latentid.criteria import (
     HtcCertificate,
     IdentificationState,
     SearchConfig,
-    all_cov_pairs,
-    allowed_update,
     check_elf_htc,
-    check_lf_htc,
     combined_algorithm,
-    cov_pair,
     det_subprocedure,
     elf_htc_subprocedure,
     verify_certificate,
@@ -40,10 +36,12 @@ from latentid.flow import (
     primed,
     without_edges,
 )
+from latentid.formulas import DeletionContext
 from latentid.graph import (
     CompiledGraph,
     GraphError,
     LatentFactorGraph,
+    UnknownNodeError,
     bits,
     children,
     descendants,
@@ -52,6 +50,12 @@ from latentid.graph import (
 )
 
 from oracles import (
+    all_cov_pairs,
+    allowed_pairs,
+    allowed_rows,
+    allowed_update,
+    check_lf_htc,
+    cov_pair,
     random_latent_factor_graph,
     ref_det_subprocedure,
     ref_elf_allowed_sources,
@@ -233,18 +237,21 @@ class TestCertificateVerification:
 
 
 class TestAllowedUpdate:
+    """The allowed-covariance rule as the search and `DeletionContext`
+    apply it, on bitmask rows (`criteria._rows_update`), against the
+    set-based reference `oracles.allowed_update`."""
+
     def test_empty_removal_is_identity(self):
         g = builtin_graph("fig4a")
-        allowed = all_cov_pairs(g)
-        assert allowed_update(g, allowed, "5", set()) == allowed
+        ctx = DeletionContext(g)
+        assert allowed_pairs(ctx.view, ctx.rows) == all_cov_pairs(g)
 
     def test_chain_fork_after_deleting_edge_into_5(self):
         g = builtin_graph("fig4a")
-        allowed = all_cov_pairs(g)
-        out = allowed_update(g, allowed, "5", {"4"})
-        assert cov_pair("1", "5") in out
-        assert cov_pair("5", "5") not in out
-        assert cov_pair("1", "2") in out
+        ctx = DeletionContext(g, [("4", "5")])
+        assert ctx.is_allowed("1", "5")
+        assert not ctx.is_allowed("5", "5")
+        assert ctx.is_allowed("1", "2")
 
     def test_unsolved_edge_deletion_rejected(self):
         g = builtin_graph("fig4a")
@@ -252,13 +259,17 @@ class TestAllowedUpdate:
             allowed_update(g, all_cov_pairs(g), "5", {"4"}, solved_edges=set())
 
     def test_non_parent_rejected(self):
+        # A deleted edge must be an edge of the base graph, once.
         g = builtin_graph("fig4a")
-        with pytest.raises(GraphError):
-            allowed_update(g, all_cov_pairs(g), "5", {"6"})
+        for deleted in ([("6", "5")], [("x", "5")]):
+            with pytest.raises(GraphError):
+                DeletionContext(g, deleted)
+        with pytest.raises(UnknownNodeError):
+            DeletionContext(g, [("4", "5"), ("4", "5")])
 
     def test_deletion_order_invariance(self):
         # Deletion sequences with the same edge union must yield the same
-        # allowed set; descendants are always taken in the graph the
+        # allowed rows; descendants are always taken in the graph the
         # sequence started from.
         rng = random.Random(17)
         for _ in range(50):
@@ -270,10 +281,7 @@ class TestAllowedUpdate:
             seq = edges[:3]
 
             def apply_seq(order):
-                allowed = all_cov_pairs(g)
-                for w, v in order:
-                    allowed = allowed_update(g, allowed, v, {w})
-                return allowed
+                return DeletionContext(g, order).rows
 
             forward = apply_seq(seq)
             backward = apply_seq(list(reversed(seq)))
@@ -291,11 +299,65 @@ class TestAllowedUpdate:
             v, parents = max(by_target.items(), key=lambda kv: len(kv[1]))
             if len(parents) < 2:
                 continue
-            batch = allowed_update(g, all_cov_pairs(g), v, parents)
-            stepwise = all_cov_pairs(g)
+            view = CompiledGraph(g)
+            idx = view.index
+            b, full = idx[v], (view.all,) * len(view.names)
+            dec_v = view.descendants(b)
+            removed = sum(1 << idx[w] for w in parents)
+            batch = criteria._rows_update(full, b, removed, dec_v)
+            stepwise = full
             for w in parents:
-                stepwise = allowed_update(g, stepwise, v, {w})
+                stepwise = criteria._rows_update(
+                    stepwise, b, 1 << idx[w], dec_v
+                )
             assert batch == stepwise, (g, v, parents)
+
+    def test_context_matches_set_reference(self):
+        """`DeletionContext` allows exactly the pairs the set-based
+        reference keeps, after 0-3 deletions in shuffled order, on acyclic
+        and cyclic graphs. From the all-ones rows the partner rule never
+        binds: a pair (x, w) against a removed parent w of v is dropped
+        only when x or w lies in an earlier deletion's descendants, or
+        x = w heads that deletion. Then x's pairs are gone already, or v,
+        a child of w, lies in those descendants and its pairs are gone.
+        So `_rows_update` is also checked on thinned rows, where the rule
+        binds."""
+        rng = random.Random(29)
+        thinned_differs = 0
+        for i in range(200):
+            g = random_latent_factor_graph(
+                rng, max_obs=6, max_lat=2, acyclic=i % 2 == 0
+            )
+            edges = sorted(g.edges_obs)
+            rng.shuffle(edges)
+            deleted = edges[: rng.randint(0, 3)]
+            ctx = DeletionContext(g, deleted)
+            allowed = all_cov_pairs(g)
+            for w, v in deleted:
+                allowed = allowed_update(g, allowed, v, {w})
+            for x in g.observed:
+                for y in g.observed:
+                    assert ctx.is_allowed(x, y) == (
+                        cov_pair(x, y) in allowed
+                    ), (g, deleted, x, y)
+
+            view, idx = ctx.view, ctx.view.index
+            thinned = frozenset(
+                p for p in sorted(allowed) if rng.random() < 0.85
+            )
+            for w, v in edges:
+                dec_v = view.descendants(idx[v])
+                want = allowed_update(g, thinned, v, {w})
+                assert criteria._rows_update(
+                    allowed_rows(view, thinned), idx[v], 1 << idx[w], dec_v
+                ) == allowed_rows(view, want), (g, thinned, w, v)
+                thinned_differs += want != frozenset(
+                    p
+                    for p in thinned
+                    if not set(p) & view.nodes(dec_v) and p != (v, v)
+                )
+        # The partner rule dropped some pair of the thinned sets.
+        assert thinned_differs
 
 
 class TestCombinedAlgorithm:
@@ -496,6 +558,7 @@ class TestDeterminantalPools:
             for w, v in deleted:
                 allowed = allowed_update(g, allowed, v, {w}, solved)
             sub = g.without_obs_edges(set(deleted))
+            rows = allowed_rows(CompiledGraph(sub), allowed)
             net = without_edges(build_det_flow(g), deleted)
 
             def run(subprocedure, cfg):
@@ -503,7 +566,7 @@ class TestDeterminantalPools:
                     graph=sub,
                     solved_edges=solved - set(deleted),
                     solved_nodes=set(),
-                    allowed_cov=allowed,
+                    allowed_rows=rows,
                     deleted_edges=tuple(deleted),
                     certificates=[],
                     flow_net=net,
@@ -629,16 +692,11 @@ class TestInheritedCuts:
 
         def checked(g, state, v, cfg):
             nonlocal calls, inheriting
-            names = state.view.names
             ref = IdentificationState(
                 graph=root.without_obs_edges(set(state.deleted_edges)),
                 solved_edges=set(state.solved_edges),
                 solved_nodes=set(),
-                allowed_cov=frozenset(
-                    cov_pair(names[x], names[y])
-                    for x, row in enumerate(state.allowed_rows)
-                    for y in bits(row)
-                ),
+                allowed_rows=state.allowed_rows,
                 deleted_edges=state.deleted_edges,
                 certificates=[],
                 flow_net=state.flow_net,
@@ -756,16 +814,11 @@ class TestElfFlowBounds:
 
         def checked(g, state, v, cfg):
             nonlocal sub_calls, inheriting
-            names = state.view.names
             ref = IdentificationState(
                 graph=root.without_obs_edges(set(state.deleted_edges)),
                 solved_edges=set(state.solved_edges),
                 solved_nodes=set(),
-                allowed_cov=frozenset(
-                    cov_pair(names[x], names[y])
-                    for x, row in enumerate(state.allowed_rows)
-                    for y in bits(row)
-                ),
+                allowed_rows=state.allowed_rows,
                 deleted_edges=state.deleted_edges,
                 certificates=[],
                 flow_net=state.flow_net,
@@ -923,7 +976,7 @@ class TestCompiledQueries:
     def test_masks_match_set_queries(self):
         """The compiled graph, allowed rows, source pools, solved nodes and
         eLF-HTC networks of the search equal the set-based queries,
-        `allowed_update` and `build_elf_flow`, in subgraphs of the
+        `oracles.allowed_update` and `build_elf_flow`, in subgraphs of the
         deletion recursion."""
         rng = random.Random(71)
         pools = networks = 0
@@ -938,7 +991,7 @@ class TestCompiledQueries:
             root = CompiledGraph(g)
             view, idx = root, root.index
             allowed = all_cov_pairs(g)
-            rows = criteria.allowed_rows(root, allowed)
+            rows = allowed_rows(root, allowed)
             for w, v in deleted:
                 dec_v = descendants(g, [v])
                 allowed = allowed_update(g, allowed, v, {w}, solved, dec_v)
@@ -970,7 +1023,7 @@ class TestCompiledQueries:
                     view.nodes(mask),
                     [h for j, h in enumerate(view.latent) if avoid >> j & 1],
                 )
-            assert rows == criteria.allowed_rows(view, allowed)
+            assert rows == allowed_rows(view, allowed)
             # A thinned allowed set makes the rules that need a pair
             # against a removed parent, or a parent's row, bind.
             allowed = frozenset(
@@ -983,11 +1036,11 @@ class TestCompiledQueries:
                 removed = set(rng.sample(parents, len(parents) // 2 + 1))
                 dec_v = root.descendants(idx[v])
                 assert criteria._rows_update(
-                    criteria.allowed_rows(view, allowed),
+                    allowed_rows(view, allowed),
                     idx[v],
                     sum(1 << idx[w] for w in removed),
                     dec_v,
-                ) == criteria.allowed_rows(
+                ) == allowed_rows(
                     view, allowed_update(g, allowed, v, removed)
                 ), (g, deleted, v, removed)
 
@@ -996,7 +1049,7 @@ class TestCompiledQueries:
                 graph=sub,
                 solved_edges=solved - set(deleted),
                 solved_nodes=set(),
-                allowed_cov=allowed,
+                allowed_rows=allowed_rows(view, allowed),
                 deleted_edges=tuple(deleted),
                 certificates=[],
                 flow_net=net,
