@@ -16,12 +16,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import rank
 from .flow import (
-    ElfNetworks,
-    FlowNetwork,
+    FlowFrame,
     build_det_flow,
     build_elf_flow,
     max_flow,
-    max_flow_cut,
     orig,
     primed,
 )
@@ -36,13 +34,11 @@ from .graph import (
     parents_obs,
 )
 
-# Minimum cuts (c, E, X) of determinantal flows: the flow from a source
-# set S to a sink set T is at most c + |S - E| + |T ∩ X|.
-CutStore = set[tuple[int, int, int]]
-# Minimum cuts (c, E, X) of rejected eLF-HTC flows, by their sink set Z:
-# the flow from a source set A to a sink set T in the network of any
-# Z' ⊇ Z is at most c + |A - E| + |T ∩ X|.
-ElfCutStore = dict[int, set[tuple[int, int, int]]]
+# Minimum cuts (c, E, X) of rejected flows, by the sink set Z of the
+# eLF-HTC network they were solved in (0 for a determinantal network): the
+# flow from a source set A to a sink set T in the network of any Z' ⊇ Z
+# is at most c + |A - E| + |T ∩ X|.
+CutStore = dict[int, set[tuple[int, int, int]]]
 
 
 # -- certificates ----------------------------------------------------------
@@ -138,22 +134,21 @@ class CertRecord:
 class IdentificationState:
     """Mutable search state threaded through the subprocedures.
 
-    `flow_net` is the determinantal flow network of `graph`; the
-    subprocedures derive every network they solve from it. They read the
-    graph from `view`, its `CompiledGraph` (compiled from `graph` when not
-    given), and the allowed covariance pairs from `allowed_rows`, one
-    bitmask row per node in `view`'s numbering: bit y of row x is set when
-    the pair (x, y) is allowed. Without `allowed_rows` every pair is
-    allowed. Inside the edge-deletion recursion `graph` is the subgraph's
-    `CompiledGraph`.
+    `view` is the state's graph, compiled, and `flow_net` the residual of
+    its determinantal network in `frame`; the subprocedures derive every
+    network they solve from it. The allowed covariance pairs are
+    `allowed_rows`, one bitmask row per node in `view`'s numbering: bit y
+    of row x is set when the pair (x, y) is allowed. Without
+    `allowed_rows` every pair is allowed. Inside the edge-deletion
+    recursion `view` is a subgraph's (`without_edge`).
 
-    `solved_mask` holds `solved_nodes` and `solved_pa[i]` the parents of
-    node i whose edges are solved. `solve` keeps all three current as it
-    marks edges solved, so the subprocedures never re-derive them;
+    `solved_mask` holds the solved nodes and `solved_pa[i]` the parents of
+    node i whose edges are solved. `solve` keeps both current as it marks
+    edges solved, so the subprocedures never re-derive them;
     `refresh_solved_nodes` is the full re-derive from `solved_edges`, run
     on construction and wherever edges are added to `solved_edges`
     directly (as `_search` does when it lifts a subgraph's result). The
-    eLF-HTC networks (as residuals of `ElfNetworks.network`) and the
+    eLF-HTC networks (as residuals of `FlowFrame.network`) and the
     covariance matrix mod p are built on first use and kept for the
     state's lifetime.
 
@@ -163,66 +158,80 @@ class IdentificationState:
     whose networks contain this one's (its ancestors in the edge-deletion
     recursion), which bound its flows too."""
 
-    graph: LatentFactorGraph | CompiledGraph
+    view: CompiledGraph
     solved_edges: set[Edge]
-    solved_nodes: set[str]
     deleted_edges: tuple[Edge, ...]
     certificates: list[CertRecord]
-    flow_net: FlowNetwork = field(repr=False, compare=False)
-    view: Optional[CompiledGraph] = field(
-        default=None, repr=False, compare=False
-    )
+    frame: FlowFrame = field(repr=False, compare=False)
+    flow_net: bytes = field(repr=False, compare=False)
     allowed_rows: Optional[tuple[int, ...]] = field(
         default=None, repr=False, compare=False
     )
-    elf: Optional[ElfNetworks] = field(default=None, repr=False, compare=False)
     inherited_cuts: tuple[CutStore, ...] = field(
         default=(), repr=False, compare=False
     )
-    inherited_elf_cuts: tuple[ElfCutStore, ...] = field(
+    inherited_elf_cuts: tuple[CutStore, ...] = field(
         default=(), repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if self.view is None:
-            self.view = CompiledGraph(self.graph)
         if self.allowed_rows is None:
             self.allowed_rows = (self.view.all,) * len(self.view.names)
-        index = self.view.index
-        self.solved_mask = sum(1 << index[n] for n in self.solved_nodes)
         self.refresh_solved_nodes()
-        if self.elf is None:
-            self.elf = ElfNetworks(self.flow_net, self.view)
         self._elf_base: Optional[bytes] = None
         self._elf_nets: dict[tuple[int, int], bytes] = {}
-        self.cuts: CutStore = set()
-        self.elf_cuts: ElfCutStore = {}
+        self.cuts: CutStore = {}
+        self.elf_cuts: CutStore = {}
 
     @classmethod
     def fresh(
-        cls, g: LatentFactorGraph, frame: Optional[ElfNetworks] = None
+        cls, g: LatentFactorGraph, frame: Optional[FlowFrame] = None
     ) -> "IdentificationState":
         """The root state of `g`, its networks derived from `frame`
         (`compile_frame`) when given, else compiled from `g`."""
         view = CompiledGraph(g)
         if frame is None:
-            frame = ElfNetworks(build_det_flow(g), view)
+            frame = FlowFrame(build_det_flow(g), view)
         elif not frame.fits(view):
             raise GraphError("the flow frame does not hold the graph")
         return cls(
-            graph=g,
+            view=view,
             solved_edges=set(),
-            solved_nodes=set(),
             deleted_edges=(),
             certificates=[],
+            frame=frame,
             flow_net=frame.det_network(view),
-            view=view,
-            elf=frame,
         )
 
+    def without_edge(
+        self, a: int, b: int, dec_v: int
+    ) -> "IdentificationState":
+        """The state of the subgraph with the solved edge a -> b deleted,
+        whose head's descendants in the root graph are `dec_v`: its edges
+        solved but that one, its allowed rows after `_rows_update`, the
+        same certificate list, and this state's cuts among its inherited
+        ones."""
+        view = self.view
+        edge = (view.names[a], view.names[b])
+        return IdentificationState(
+            view=view.without_edge(a, b),
+            solved_edges=self.solved_edges - {edge},
+            deleted_edges=self.deleted_edges + (edge,),
+            certificates=self.certificates,
+            frame=self.frame,
+            flow_net=self.frame.without_edge(self.flow_net, a, b),
+            allowed_rows=_rows_update(self.allowed_rows, b, 1 << a, dec_v),
+            inherited_cuts=(self.cuts,) + self.inherited_cuts,
+            inherited_elf_cuts=(self.elf_cuts,) + self.inherited_elf_cuts,
+        )
+
+    @property
+    def solved_nodes(self) -> frozenset[str]:
+        """The nodes all of whose parent edges are solved."""
+        return self.view.nodes(self.solved_mask)
+
     def refresh_solved_nodes(self) -> None:
-        """Re-derive `solved_pa`, `solved_mask` and `solved_nodes` from
-        `solved_edges`."""
+        """Re-derive `solved_pa` and `solved_mask` from `solved_edges`."""
         index = self.view.index
         self.solved_pa = solved_pa = [0] * len(index)
         for p, c in self.solved_edges:
@@ -231,9 +240,7 @@ class IdentificationState:
         for i, pa in enumerate(self.view.pa):
             if not pa & ~solved_pa[i]:
                 mask |= 1 << i
-        if mask != self.solved_mask:
-            self.solved_mask = mask
-            self.solved_nodes = set(self.view.nodes(mask))
+        self.solved_mask = mask
 
     def solve(self, v: int, parents: int) -> tuple[Edge, ...]:
         """Mark the edges from `parents` into node `v` solved; returns
@@ -246,7 +253,6 @@ class IdentificationState:
         # Only node v's entries change.
         if not view.pa[v] & ~self.solved_pa[v]:
             self.solved_mask |= 1 << v
-            self.solved_nodes.add(names[v])
         return edges
 
     def unsolved_parents(self, v: int) -> int:
@@ -255,12 +261,12 @@ class IdentificationState:
 
     def elf_network(self, sources: int, z: int) -> bytes:
         """The eLF-HTC network of this state's graph for the source set
-        `sources` and sink set Z `z`, as `ElfNetworks.network` gives it."""
+        `sources` and sink set Z `z`, as `FlowFrame.network` gives it."""
         net = self._elf_nets.get((sources, z))
         if net is None:
             if self._elf_base is None:
-                self._elf_base = self.elf.base(self.flow_net)
-            net = self._elf_nets[sources, z] = self.elf.network(
+                self._elf_base = self.frame.base(self.flow_net)
+            net = self._elf_nets[sources, z] = self.frame.network(
                 self._elf_base, sources, z
             )
         return net
@@ -370,7 +376,13 @@ def verify_certificate(
         return check_elf_htc(
             g, cert.v, cert.w_v, cert.y, cert.z, cert.w_z(), cert.h
         )
-    dec_v = descendants(g, [cert.v])
+    try:
+        pa = parents_obs(g, cert.v)
+        dec_v = descendants(g, [cert.v])
+    except GraphError:
+        return False
+    if cert.w0 not in pa or not cert.deleted_parents <= pa - {cert.w0}:
+        return False
     if dec_v & (cert.t | {cert.v}):
         return False
     if len(cert.s) != len(cert.t) + 1:
@@ -392,6 +404,45 @@ def verify_certificate(
         }
     ).with_terminals(srcs, [primed(n) for n in cert.t | {cert.v}])
     return max_flow(barred) < k
+
+
+# -- kept minimum cuts ----------------------------------------------------
+
+
+def _cut_bounds(
+    stores: Iterable[CutStore], z: int, sources: int, top: int
+) -> list[tuple[int, int]]:
+    """The kept cuts (c, E, X) of `stores` whose Z lies inside `z`, as
+    bounds (b, X) for the source set `sources`, b = c + |A - E|: each
+    bounds the flow to sinks T by b + |T ∩ X|. Only bounds with b below
+    `top` are kept."""
+    bounds = []
+    for store in stores:
+        for z_cut, cuts in store.items():
+            if z_cut & ~z:
+                continue
+            for c, e, x in cuts:
+                b = c + (sources & ~e).bit_count()
+                if b < top:
+                    bounds.append((b, x))
+    return bounds
+
+
+def _keep_cut(
+    store: CutStore,
+    z: int,
+    sources: int,
+    sinks: int,
+    value: int,
+    cut: tuple[int, int],
+) -> tuple[int, int]:
+    """Keep in `store`, under `z`, the cut (E, X) that `FlowFrame.solve`
+    read from a flow of `value` from `sources` to `sinks`, as (c, E, X)
+    with c = value - |A - E| - |T ∩ X|; returns its bound for `sources`."""
+    e, x = cut
+    b = value - (x & sinks).bit_count()
+    store.setdefault(z, set()).add((b - (sources & ~e).bit_count(), e, x))
+    return b, x
 
 
 # -- half-trek subprocedure (extended, or legacy as a mode) ---------------
@@ -502,7 +553,7 @@ def elf_htc_subprocedure(
     max_h = len(lat_pool)
     if cfg.cap_h_size is not None:
         max_h = min(max_h, cfg.cap_h_size)
-    elf, kept = state.elf, state.elf_cuts
+    frame, kept = state.frame, state.elf_cuts
     stores = (kept,) + state.inherited_elf_cuts
     pa, solved_pa = view.pa, state.solved_pa
 
@@ -528,19 +579,11 @@ def elf_htc_subprocedure(
                 size_a = sources.bit_count()
                 if size_a < least.bit_count():
                     continue
-                # Each kept cut (c, E, X) of a Z inside this one bounds the
-                # flow to sinks T by b + |T ∩ X|, b = c + |A - E|: keep those
-                # with b below some choice's sink count.
-                top = min(size_a, most.bit_count())
-                bounds = []
-                for store in stores:
-                    for z_cut, cuts in store.items():
-                        if z_cut & ~z:
-                            continue
-                        for c, e, x in cuts:
-                            b = c + (sources & ~e).bit_count()
-                            if b < top:
-                                bounds.append((b, x))
+                # The kept cuts that bound the flow below some choice's
+                # sink count.
+                bounds = _cut_bounds(
+                    stores, z, sources, min(size_a, most.bit_count())
+                )
                 options = [_wz_choices(state, zz, cfg) for zz in z_combo]
                 net = None
                 for w_choice in product(*options):
@@ -559,15 +602,12 @@ def elf_htc_subprocedure(
                         continue
                     if net is None:
                         net = state.elf_network(sources, z)
-                    value, carrying, cut = elf.solve(net, sources, sinks)
+                    value, carrying, cut = frame.solve(net, sources, sinks)
                     if value != size:
                         if cut is not None:
-                            e, x = cut
-                            b = value - (x & sinks).bit_count()
-                            kept.setdefault(z, set()).add(
-                                (b - (sources & ~e).bit_count(), e, x)
+                            bounds.append(
+                                _keep_cut(kept, z, sources, sinks, value, cut)
                             )
-                            bounds.append((b, x))
                         continue
                     z2 = z & ~z1
                     # Only the legacy W_v can hold solved parents.
@@ -689,7 +729,7 @@ def det_subprocedure(
         return state
     names = view.names
     n = len(names)
-    base = state.flow_net
+    frame, base = state.frame, state.flow_net
     stores = (state.cuts,) + state.inherited_cuts
 
     for w0 in bits(view.pa[i]):
@@ -703,9 +743,7 @@ def det_subprocedure(
         t_pool_mask = t_literal & ~dec_v
         t_pool = list(bits(t_pool_mask))
         t_allowed = {s: rows[s] & t_pool_mask for s in s_pool}
-        barred = base.without_arcs(
-            (primed(names[w]), primed(v)) for w in bits(removed)
-        )
+        barred = frame.barred(base, i, removed)
         # Σ's rows with the barred column of v appended as column n, from
         # the first pair on; empty when Σ is undefined mod p.
         sigma_rows = None
@@ -715,16 +753,9 @@ def det_subprocedure(
         ):
             k = len(s_combo)
             if s_combo != last_s:
-                # Each kept cut (c, E, X) bounds the flow from S to T by
-                # b + |T ∩ X|, b = c + |S - E|: keep those with b < k.
                 last_s = s_combo
                 s_mask = sum(1 << s for s in s_combo)
-                bounds = []
-                for store in stores:
-                    for c, e, x in store:
-                        b = c + (s_mask & ~e).bit_count()
-                        if b < k:
-                            bounds.append((b, x))
+                bounds = _cut_bounds(stores, 0, s_mask, k)
             if bounds:
                 sinks = sum(1 << t for t in t_combo) | 1 << w0
                 if any(b + (x & sinks).bit_count() < k for b, x in bounds):
@@ -743,27 +774,17 @@ def det_subprocedure(
                 [[sigma_rows[s][c] for c in cols] for s in s_combo]
             ):
                 continue
-            srcs = [orig(names[s]) for s in s_combo]
-            full = base.with_terminals(
-                srcs, [primed(names[t]) for t in t_combo + (w0,)]
-            )
-            value, entered, exited = max_flow_cut(full)
+            t_mask = sum(1 << t for t in t_combo)
+            sinks = t_mask | 1 << w0
+            value, _, cut = frame.solve(base, s_mask, sinks)
             if value != k:
-                sinks = sum(1 << t for t in t_combo) | 1 << w0
-                # The cut as the nodes whose original copy's entry (E) and
-                # primed copy's exit (X) it holds.
-                e = x = 0
-                for j, (o, p) in enumerate(state.elf.numbers):
-                    e |= (entered >> o & 1) << j
-                    x |= (exited >> p & 1) << j
-                b = value - (x & sinks).bit_count()
-                state.cuts.add((b - (s_mask & ~e).bit_count(), e, x))
-                bounds.append((b, x))
+                # With k sources and k sinks a failing flow leaves a source
+                # unused, so it has a cut.
+                bounds.append(
+                    _keep_cut(state.cuts, 0, s_mask, sinks, value, cut)
+                )
                 continue
-            cut = barred.with_terminals(
-                srcs, [primed(names[t]) for t in t_combo + (i,)]
-            )
-            if max_flow(cut) >= k:
+            if frame.solve(barred, s_mask, t_mask | 1 << i)[0] >= k:
                 continue
             state.certificates.append(
                 CertRecord(
@@ -792,42 +813,42 @@ def _rows_update(
 ) -> tuple[int, ...]:
     """The allowed rows after deleting the edges from the nodes of
     `removed` into node `v`, whose descendants (in the root graph) are
-    `dec_v`. A pair stays allowed when both members avoid `dec_v`, the
-    pair is not (v, v), and, when one member is `v` itself, the other
-    was allowed against every removed parent."""
-    partners = 0
-    for x, row in enumerate(rows):
-        if row & removed == removed:
-            partners |= 1 << x
+    `dec_v`: a pair stays allowed when both members avoid `dec_v` and the
+    pair is not (v, v).
+
+    `rows` must be reachable from the all-ones rows by such deletions.
+    There the rule that a pair with `v` also needs its other member
+    allowed against every removed parent never drops a pair: a pair
+    (x, w) against a removed parent w is gone only when x or w lies in an
+    earlier deletion's descendants, or x = w heads it, and then x's pairs,
+    or those of v (a child of w), are gone already."""
     vbit = 1 << v
     out = []
     for x, row in enumerate(rows):
         if dec_v >> x & 1:
             out.append(0)
         elif x == v:
-            out.append(row & ~dec_v & partners & ~vbit)
-        elif partners >> x & 1:
-            out.append(row & ~dec_v)
-        else:
             out.append(row & ~dec_v & ~vbit)
+        else:
+            out.append(row & ~dec_v)
     return tuple(out)
 
 
 # -- combined algorithm ----------------------------------------------------
 
 
-def compile_frame(g: LatentFactorGraph) -> ElfNetworks:
-    """The flow frame of `g` (see `ElfNetworks`): its determinantal network
+def compile_frame(g: LatentFactorGraph) -> FlowFrame:
+    """The flow frame of `g` (see `FlowFrame`): its determinantal network
     and eLF-HTC tables, compiled once. `combined_algorithm` takes it for
     any graph over the same nodes and latent edges whose observed edges
     are among `g`'s."""
-    return ElfNetworks(build_det_flow(g), CompiledGraph(g))
+    return FlowFrame(build_det_flow(g), CompiledGraph(g))
 
 
 def combined_algorithm(
     g: LatentFactorGraph,
     cfg: SearchConfig = SearchConfig(),
-    frame: Optional[ElfNetworks] = None,
+    frame: Optional[FlowFrame] = None,
 ) -> IdentificationState:
     """Run the full identification search to a fixpoint.
 
@@ -842,56 +863,25 @@ def combined_algorithm(
     their arcs closed. A frame changes no result, only the work.
     """
     state = IdentificationState.fresh(g, frame)
-    memo: dict[tuple, frozenset[Edge]] = {}
-    solved = _search(
-        state.view,
-        state.view,
-        state.flow_net,
-        state.elf,
-        frozenset(state.solved_edges),
-        state.allowed_rows,
-        (),
-        cfg,
-        state.certificates,
-        memo,
-    )
-    state.solved_edges = set(solved)
-    state.refresh_solved_nodes()
+    _search(state, state.view, cfg, {})
     return state
 
 
 def _search(
+    state: IdentificationState,
     root: CompiledGraph,
-    g: CompiledGraph,
-    net: FlowNetwork,
-    elf: ElfNetworks,
-    solved_in: frozenset[Edge],
-    allowed: tuple[int, ...],
-    deleted: tuple[Edge, ...],
     cfg: SearchConfig,
-    records: list[CertRecord],
     memo: dict[tuple, frozenset[Edge]],
-    cuts: tuple[CutStore, ...] = (),
-    elf_cuts: tuple[ElfCutStore, ...] = (),
 ) -> frozenset[Edge]:
-    key = (g.pa, solved_in)
+    """Solve edges in `state` to a fixpoint, recursing into the subgraphs
+    with one solved edge deleted; returns the solved edges. `root` is the
+    root graph and `memo` holds the result of every (subgraph, solved
+    edges) searched before."""
+    g = state.view
+    key = (g.pa, frozenset(state.solved_edges))
     hit = memo.get(key)
     if hit is not None:
         return hit
-
-    state = IdentificationState(
-        graph=g,
-        solved_edges=set(solved_in),
-        solved_nodes=set(),
-        deleted_edges=deleted,
-        certificates=records,
-        flow_net=net,
-        view=g,
-        allowed_rows=allowed,
-        elf=elf,
-        inherited_cuts=cuts,
-        inherited_elf_cuts=elf_cuts,
-    )
     all_nodes = g.all
 
     while True:
@@ -910,7 +900,8 @@ def _search(
             break
 
         recursion_open = cfg.enable_recursion and (
-            cfg.cap_recursion is None or len(deleted) < cfg.cap_recursion
+            cfg.cap_recursion is None
+            or len(state.deleted_edges) < cfg.cap_recursion
         )
         if recursion_open:
             for edge in sorted(state.solved_edges):
@@ -928,20 +919,8 @@ def _search(
                 # solve anything.
                 if not all_nodes & ~state.solved_mask & ~dec_v:
                     continue
-                entry = frozenset(state.solved_edges) - {edge}
                 result = _search(
-                    root,
-                    g.without_edge(a, b),
-                    elf.without_edge(net, a, b),
-                    elf,
-                    entry,
-                    _rows_update(state.allowed_rows, b, 1 << a, dec_v),
-                    deleted + (edge,),
-                    cfg,
-                    records,
-                    memo,
-                    (state.cuts,) + cuts,
-                    (state.elf_cuts,) + elf_cuts,
+                    state.without_edge(a, b, dec_v), root, cfg, memo
                 )
                 state.solved_edges.update(result)
                 state.refresh_solved_nodes()

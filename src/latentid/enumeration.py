@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .criteria import SearchConfig, combined_algorithm, compile_frame
-from .flow import ElfNetworks
+from .flow import FlowFrame
 from .graph import LatentFactorGraph
 
 
@@ -258,7 +258,7 @@ class BenchmarkRow:
         }
 
 
-def _pattern_frame(pattern: LatentPattern) -> ElfNetworks:
+def _pattern_frame(pattern: LatentPattern) -> FlowFrame:
     """The flow frame of the pattern's complete graph, which holds every
     class of the pattern (`criteria.compile_frame`)."""
     n = pattern.num_observed
@@ -271,7 +271,7 @@ def _pattern_frame(pattern: LatentPattern) -> ElfNetworks:
 
 # The frame of a process-pool worker, set once per worker by
 # `_init_worker`.
-_worker_frame: Optional[ElfNetworks] = None
+_worker_frame: Optional[FlowFrame] = None
 
 
 def _init_worker(pattern: LatentPattern) -> None:
@@ -281,7 +281,7 @@ def _init_worker(pattern: LatentPattern) -> None:
 
 def _identify_task(
     args: tuple[LatentPattern, tuple[tuple[int, int], ...], tuple[str, ...]],
-    frame: Optional[ElfNetworks] = None,
+    frame: Optional[FlowFrame] = None,
 ) -> dict[str, tuple[bool, float]]:
     """Worker body: run each requested method on one graph, with the
     pattern's flow frame (the worker's when not given). Per method,

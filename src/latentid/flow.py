@@ -7,15 +7,16 @@ can never collide with an original node name.
 
 A network is compiled once into integer-numbered split nodes with fixed
 adjacency. The networks derived from it (`with_terminals`, `without_arcs`,
-`without_edges`, `ElfNetworks`, and `build_elf_flow` given a determinantal
+`without_edges`, `FlowFrame`, and `build_elf_flow` given a determinantal
 network) share that compiled form and differ only in which of its arcs are
 closed, so a flow call copies a byte array of arc states instead of
 building a network. The identification search derives every network it
-solves from one frame, `ElfNetworks`: the determinantal network of its
-root graph, or of a graph whose observed edges include the root's (the
-complete graph of an enumeration pattern), compiled once. `ElfNetworks`
-takes the eLF-HTC node sets as bitmasks over the graph's `CompiledGraph`
-numbering.
+solves, determinantal and eLF-HTC, from one `FlowFrame`: the
+determinantal network of its root graph, or of a graph whose observed
+edges include the root's (the complete graph of an enumeration pattern),
+compiled once, with node sets as bitmasks over the graph's
+`CompiledGraph` numbering. The name-keyed networks and `max_flow*`
+functions serve the independent certificate check and the tests.
 """
 
 from __future__ import annotations
@@ -148,10 +149,7 @@ class FlowNetwork:
         `closing` closed as well and the given terminals."""
         residual = self._residual
         if closing:
-            residual = bytearray(residual)
-            for k in closing:
-                residual[2 * k] = 0
-            residual = bytes(residual)
+            residual = _closed(residual, closing)
         return _network(self._compiled, residual, sources, sinks)
 
     # An arc is in the network when its residual half along itself is open
@@ -262,26 +260,36 @@ def build_elf_flow(
     )
 
 
-class ElfNetworks:
-    """The networks `build_elf_flow` builds, with node sets given as
-    bitmasks over the observed numbering of `CompiledGraph`, for every
-    graph that a frame holds.
+class _ElfResidual(bytes):
+    """Residual arc states with every original-copy arc of an observed
+    edge closed, as `FlowFrame.base` leaves them and every eLF-HTC network
+    has them. A closed arc carries no flow, so its residual halves stay
+    closed: `FlowFrame.solve` searches these states in an adjacency
+    without those arcs."""
+
+
+class FlowFrame:
+    """The networks the identification search solves, kept as residual arc
+    states over one compiled determinantal network, with node sets given
+    as bitmasks over the observed numbering of `CompiledGraph`.
 
     The frame is `det`, the determinantal network of a graph `view`. It
     holds every graph over the same nodes and latent edges whose observed
     edges are among `view`'s: that graph's determinantal network is `det`
-    with the arcs of the other observed pairs closed (`det_network`), and
-    an edge deletion closes two more arcs (`without_edge`). Flow nodes keep
-    their numbers, each adjacency list is sorted by neighbour and no two
-    arcs join the same pair of nodes, so a search visits the open arcs in
-    the same order as in a network compiled from the graph itself.
+    with the arcs of the other observed pairs closed (`det_network`), an
+    edge deletion closes two more arcs (`without_edge`), and the barred
+    network of a determinantal step closes the primed arcs into its target
+    (`barred`). Flow nodes keep their numbers, each adjacency list is
+    sorted by neighbour and no two arcs join the same pair of nodes, so a
+    search visits the open arcs in the same order as in a network compiled
+    from the graph itself.
 
     The arcs each eLF-HTC network closes are listed once per node: `base`
     closes every arc into the original copy of an observed node, and
     `network` then closes the original copies outside the source set and
     the primed arcs from every observed node into Z (closing a closed arc
-    changes nothing). A network is kept as its residual arc states only,
-    and `solve` takes its source and sink sets as masks.
+    changes nothing), as `build_elf_flow` builds it. `solve` takes a
+    network's residual with its source and sink sets as masks.
     """
 
     def __init__(self, det: FlowNetwork, view: CompiledGraph):
@@ -320,13 +328,12 @@ class ElfNetworks:
             elif u in obs_primed and w in obs_primed:
                 self._z[obs_primed[w]].append(k)
                 primed_arc[obs_primed[u], obs_primed[w]] = k
-        # The two arcs of each observed edge a -> b of `view`.
+        # The primed arc and the two arcs of each observed edge a -> b of
+        # `view`.
+        self._primed = primed_arc
         self._edge = {e: (orig_arc[e], k) for e, k in primed_arc.items()}
-        # `base` closes the arcs `_into` in every network `solve` takes, and
-        # a closed arc carries no flow, so its residual halves stay closed:
-        # `solve` searches an adjacency without them.
         dead = {half for k in self._into for half in (2 * k, 2 * k + 1)}
-        self._adjacency = tuple(
+        self._elf_adjacency = tuple(
             tuple(pair for pair in pairs if pair[1] not in dead)
             for pairs in c.adjacency
         )
@@ -341,29 +348,36 @@ class ElfNetworks:
             and all(not pa & ~own for pa, own in zip(g.pa, view.pa))
         )
 
-    def det_network(self, g: CompiledGraph) -> FlowNetwork:
-        """The determinantal network of `g`, a graph the frame holds."""
+    def det_network(self, g: CompiledGraph) -> bytes:
+        """The residual of the determinantal network of `g`, a graph the
+        frame holds."""
         pa = g.pa
-        closing = [
-            k
-            for (a, b), arcs in self._edge.items()
-            if not pa[b] >> a & 1
-            for k in arcs
-        ]
-        return self.det._derive(closing, (), ())
+        return _closed(
+            self.det._residual,
+            (
+                k
+                for (a, b), arcs in self._edge.items()
+                if not pa[b] >> a & 1
+                for k in arcs
+            ),
+        )
 
-    def without_edge(self, net: FlowNetwork, a: int, b: int) -> FlowNetwork:
-        """`net`, a network derived from `det`, with the observed edge
-        a -> b deleted."""
-        return net._derive(self._edge[a, b], net.sources, net.sinks)
+    def without_edge(self, residual: bytes, a: int, b: int) -> bytes:
+        """`residual`, a determinantal network of the frame, with the
+        observed edge a -> b deleted."""
+        return _closed(residual, self._edge[a, b])
 
-    def base(self, det: FlowNetwork) -> bytes:
-        """The residual of `det`, a network derived from the frame, with
-        every original-copy arc of an observed edge closed."""
-        residual = bytearray(det._residual)
-        for k in self._into:
-            residual[2 * k] = 0
-        return bytes(residual)
+    def barred(self, residual: bytes, v: int, removed: int) -> bytes:
+        """`residual`, a determinantal network of the frame, without the
+        primed arcs w' -> v' from the nodes w of the mask `removed`, all
+        parents of node `v`."""
+        primed_arc = self._primed
+        return _closed(residual, (primed_arc[w, v] for w in bits(removed)))
+
+    def base(self, residual: bytes) -> _ElfResidual:
+        """`residual`, a determinantal network of the frame, with every
+        original-copy arc of an observed edge closed."""
+        return _ElfResidual(_closed(residual, self._into))
 
     def network(self, base: bytes, sources: int, z: int) -> bytes:
         """The residual arc states of `build_elf_flow`'s network over the
@@ -376,14 +390,14 @@ class ElfNetworks:
         for i in bits(z):
             for k in self._z[i]:
                 residual[2 * k] = 0
-        return bytes(residual)
+        return type(base)(residual)
 
     def solve(
         self, residual: bytes, sources: int, sinks: int
     ) -> tuple[int, frozenset[str], Optional[tuple[int, int]]]:
         """Max-flow value f from the original copies of `sources` to the
-        primed copies of `sinks` in the network `residual` of `network`
-        for `sources`, plus what the search needs of it.
+        primed copies of `sinks` in the network `residual` (of `network`
+        or a determinantal one), plus what the search needs of it.
 
         When f reaches the number of sinks, the names of the sources that
         carry a unit (as `max_flow_sources` gives them). Otherwise, when
@@ -396,7 +410,9 @@ class ElfNetworks:
         entry, exit_ = self._entry, self._exit
         count = sinks.bit_count()
         total, flowed, via = _augment(
-            self._adjacency,
+            self._elf_adjacency
+            if type(residual) is _ElfResidual
+            else self._compiled.adjacency,
             self._compiled.tail,
             residual,
             [entry[i] for i in bits(sources)],
@@ -422,6 +438,14 @@ class ElfNetworks:
             if via[b] != -1:
                 x |= 1 << j
         return total, frozenset(), (e, x)
+
+
+def _closed(residual: bytes, arcs: Iterable[int]) -> bytes:
+    """`residual` with the arcs `arcs` closed along themselves."""
+    out = bytearray(residual)
+    for k in arcs:
+        out[2 * k] = 0
+    return bytes(out)
 
 
 def _solve(net: FlowNetwork) -> tuple[int, bytearray, Optional[list[int]]]:

@@ -425,17 +425,3 @@ def load_graph(path: str) -> LatentFactorGraph:
         raise GraphError(f"{path} must hold a JSON object")
     return graph_from_dict(data)
 
-
-def to_dot(g: LatentFactorGraph) -> str:
-    """Render the graph in DOT format, latent nodes drawn dashed."""
-    lines = ["digraph G {"]
-    for n in g.observed:
-        lines.append(f'  "{n}";')
-    for n in g.latent:
-        lines.append(f'  "{n}" [shape=ellipse, style=dashed];')
-    for a, b in sorted(g.edges_obs):
-        lines.append(f'  "{a}" -> "{b}";')
-    for a, b in sorted(g.edges_lat):
-        lines.append(f'  "{a}" -> "{b}" [style=dashed];')
-    lines.append("}")
-    return "\n".join(lines)

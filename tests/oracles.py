@@ -23,6 +23,7 @@ from latentid.criteria import (
     check_elf_htc,
 )
 from latentid.flow import (
+    build_det_flow,
     build_elf_flow,
     max_flow,
     max_flow_sources,
@@ -293,14 +294,15 @@ def ref_solve(net) -> tuple[int, frozenset]:
 def ref_det_subprocedure(g, state, v, cfg):
     """The determinantal subprocedure as a literal loop: every (S, T)
     pair in lexicographic order, each counted against
-    `cfg.cap_det_pairs` and then filtered one covariance pair at a time.
+    `cfg.cap_det_pairs` and then filtered one covariance pair at a time,
+    with its flows on the name-keyed network `build_det_flow(g)`.
     `criteria.det_subprocedure` must match it."""
     pa = parents_obs(g, v)
     dec_v = descendants(g, [v])
     if v in dec_v:
         return state
     obs = sorted(g.observed)
-    base = state.flow_net
+    base = build_det_flow(g)
     allowed_cov = allowed_pairs(state.view, state.allowed_rows)
 
     for w0 in sorted(pa):

@@ -29,7 +29,6 @@ from latentid.enumeration import (
     run_benchmark,
 )
 from latentid.flow import (
-    build_det_flow,
     build_elf_flow,
     max_flow_sources,
     orig,
@@ -66,6 +65,24 @@ from oracles import (
 LEGACY = SearchConfig(
     legacy_lf_htc_only=True, enable_det=False, enable_recursion=False
 )
+
+
+def scratch_state(root, deleted, solved, rows, frame):
+    """The state of the subgraph of `root` with the edges `deleted`
+    deleted, the edges `solved` but those solved and the allowed rows
+    `rows`, built from scratch: the subgraph's own `CompiledGraph`, and
+    its determinantal network derived from `frame`, a frame that holds
+    `root`."""
+    view = CompiledGraph(root.without_obs_edges(set(deleted)))
+    return IdentificationState(
+        view=view,
+        solved_edges=set(solved) - set(deleted),
+        deleted_edges=tuple(deleted),
+        certificates=[],
+        frame=frame,
+        flow_net=frame.det_network(view),
+        allowed_rows=rows,
+    )
 
 
 class TestDirectChecks:
@@ -210,6 +227,95 @@ class TestCertificateVerification:
         )
         assert not verify_certificate(g, cert)
 
+    def test_det_w0_must_be_a_parent(self):
+        """No determinantal certificate for a non-edge w0 -> v of fig4a
+        verifies, whatever its (S, T)."""
+        g = builtin_graph("fig4a")
+        obs = sorted(g.observed)
+        tried = 0
+        for v in obs:
+            for w0 in obs:
+                if w0 == v or (w0, v) in g.edges_obs:
+                    continue
+                t_pool = [n for n in obs if n not in (v, w0)]
+                for k in range(1, len(obs) + 1):
+                    for s in combinations(obs, k):
+                        for t in combinations(t_pool, k - 1):
+                            cert = DetCertificate(
+                                v=v,
+                                w0=w0,
+                                deleted_parents=frozenset(),
+                                s=frozenset(s),
+                                t=frozenset(t),
+                            )
+                            assert not verify_certificate(g, cert), cert
+                            tried += 1
+        assert tried == 6300
+
+    def test_det_deleted_parents_must_be_other_parents(self):
+        """The 4 -> 5 witness of fig4a fails with a deleted parent that is
+        not a parent of 5, or that is w0 itself."""
+        g = builtin_graph("fig4a")
+        witness = dict(
+            v="5", w0="4", s=frozenset({"2", "3", "4"}), t=frozenset({"1", "2"})
+        )
+        assert verify_certificate(
+            g, DetCertificate(deleted_parents=frozenset(), **witness)
+        )
+        for deleted in ({"6"}, {"4"}, {"x"}):
+            cert = DetCertificate(deleted_parents=frozenset(deleted), **witness)
+            assert not verify_certificate(g, cert), deleted
+
+    def test_unknown_node_rejected(self):
+        """A certificate naming a node the graph lacks is rejected, not
+        raised on."""
+        g = builtin_graph("fig4a")
+        cert = DetCertificate(
+            v="x",
+            w0="4",
+            deleted_parents=frozenset(),
+            s=frozenset({"2", "3", "4"}),
+            t=frozenset({"1", "2"}),
+        )
+        assert not verify_certificate(g, cert)
+        htc = HtcCertificate(
+            v="x",
+            w_v=frozenset(),
+            y=frozenset(),
+            z=frozenset(),
+            w_z_map=(),
+            h=frozenset(),
+        )
+        assert not verify_certificate(g, htc)
+
+    def test_search_certificates_reverify(self):
+        """Every certificate the search records re-verifies in its
+        subgraph: fig5a rows 0-6 and G7 under Det+eLF-HTC+rec, and a
+        seeded cyclic corpus under every preset that runs the
+        determinantal search."""
+        cases = [
+            (g, "Det+eLF-HTC+rec")
+            for m in range(7)
+            for g in enumerate_dags(PATTERNS["fig5a"], m)
+        ]
+        cases.append((G7, "Det+eLF-HTC+rec"))
+        cases += [
+            (deep_det_graph(seed, draw), preset)
+            for seed, draw, preset in DEEP_DET_CASES
+        ]
+        rng = random.Random(5)
+        for i in range(60):
+            g = random_latent_factor_graph(rng, max_obs=6, acyclic=False)
+            for preset in ("Det+eLF-HTC+rec", "Det+LF-HTC+rec", "cap10"):
+                cases.append((g, preset))
+        kinds = set()
+        for g, preset in cases:
+            for rec in combined_algorithm(g, METHOD_PRESETS[preset]).certificates:
+                sub = g.without_obs_edges(set(rec.deleted))
+                assert verify_certificate(sub, rec.cert), (g, preset, rec)
+                kinds.add((type(rec.cert), rec.depth > 0))
+        assert len(kinds) == 4
+
     @pytest.mark.parametrize(
         "preset",
         ["Det+eLF-HTC+rec", "LF-HTC", "Det+LF-HTC+rec", "eLF-HTC+rec"],
@@ -312,52 +418,54 @@ class TestAllowedUpdate:
                 )
             assert batch == stepwise, (g, v, parents)
 
-    def test_context_matches_set_reference(self):
+    def test_context_matches_set_reference(self, monkeypatch):
         """`DeletionContext` allows exactly the pairs the set-based
-        reference keeps, after 0-3 deletions in shuffled order, on acyclic
-        and cyclic graphs. From the all-ones rows the partner rule never
-        binds: a pair (x, w) against a removed parent w of v is dropped
-        only when x or w lies in an earlier deletion's descendants, or
-        x = w heads that deletion. Then x's pairs are gone already, or v,
-        a child of w, lies in those descendants and its pairs are gone.
-        So `_rows_update` is also checked on thinned rows, where the rule
-        binds."""
+        reference keeps, after 0-4 deletions in shuffled order, on acyclic
+        and cyclic graphs, and every subgraph state the search visits on
+        G7 holds the reference's rows for its deletions. These are the
+        rows `_rows_update` ever sees: the all-ones rows and the rows of
+        deletions from them, with descendants in the root graph. On them
+        the reference's partner rule (a pair with v needs its other member
+        allowed against every removed parent) never binds, and
+        `_rows_update` leaves it out."""
+
+        def reference(g, deleted):
+            allowed = all_cov_pairs(g)
+            for w, v in deleted:
+                allowed = allowed_update(g, allowed, v, {w})
+            return allowed
+
         rng = random.Random(29)
-        thinned_differs = 0
-        for i in range(200):
+        for i in range(3000):
             g = random_latent_factor_graph(
                 rng, max_obs=6, max_lat=2, acyclic=i % 2 == 0
             )
             edges = sorted(g.edges_obs)
             rng.shuffle(edges)
-            deleted = edges[: rng.randint(0, 3)]
+            deleted = edges[: rng.randint(0, 4)]
             ctx = DeletionContext(g, deleted)
-            allowed = all_cov_pairs(g)
-            for w, v in deleted:
-                allowed = allowed_update(g, allowed, v, {w})
+            allowed = reference(g, deleted)
+            assert ctx.rows == allowed_rows(ctx.view, allowed), (g, deleted)
             for x in g.observed:
                 for y in g.observed:
                     assert ctx.is_allowed(x, y) == (
                         cov_pair(x, y) in allowed
                     ), (g, deleted, x, y)
 
-            view, idx = ctx.view, ctx.view.index
-            thinned = frozenset(
-                p for p in sorted(allowed) if rng.random() < 0.85
-            )
-            for w, v in edges:
-                dec_v = view.descendants(idx[v])
-                want = allowed_update(g, thinned, v, {w})
-                assert criteria._rows_update(
-                    allowed_rows(view, thinned), idx[v], 1 << idx[w], dec_v
-                ) == allowed_rows(view, want), (g, thinned, w, v)
-                thinned_differs += want != frozenset(
-                    p
-                    for p in thinned
-                    if not set(p) & view.nodes(dec_v) and p != (v, v)
-                )
-        # The partner rule dropped some pair of the thinned sets.
-        assert thinned_differs
+        search = criteria._search
+        visits = 0
+
+        def checked(state, *args):
+            nonlocal visits
+            visits += 1
+            assert state.allowed_rows == allowed_rows(
+                state.view, reference(G7, state.deleted_edges)
+            ), state.deleted_edges
+            return search(state, *args)
+
+        monkeypatch.setattr(criteria, "_search", checked)
+        combined_algorithm(G7)
+        assert visits == 1033
 
 
 class TestCombinedAlgorithm:
@@ -559,19 +667,10 @@ class TestDeterminantalPools:
                 allowed = allowed_update(g, allowed, v, {w}, solved)
             sub = g.without_obs_edges(set(deleted))
             rows = allowed_rows(CompiledGraph(sub), allowed)
-            net = without_edges(build_det_flow(g), deleted)
+            frame = criteria.compile_frame(g)
 
             def run(subprocedure, cfg):
-                state = IdentificationState(
-                    graph=sub,
-                    solved_edges=solved - set(deleted),
-                    solved_nodes=set(),
-                    allowed_rows=rows,
-                    deleted_edges=tuple(deleted),
-                    certificates=[],
-                    flow_net=net,
-                )
-                state.refresh_solved_nodes()
+                state = scratch_state(g, deleted, solved, rows, frame)
                 for v in sorted(sub.observed):
                     subprocedure(sub, state, v, cfg)
                 return (
@@ -610,24 +709,36 @@ class TestLatticePruning:
 
 def count_calls(monkeypatch, owner, name):
     """Replace `owner.name` by a wrapper that counts its calls; returns
-    the list the wrapper appends the call arguments to."""
+    the list the wrapper appends the positional call arguments to."""
     calls = []
     original = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def count_flows(monkeypatch):
-    """Count the determinantal search's flow solves: full flows through
-    `max_flow_cut`, barred ones through `max_flow`."""
-    full = count_calls(monkeypatch, criteria, "max_flow_cut")
-    barred = count_calls(monkeypatch, criteria, "max_flow")
-    return lambda: len(full) + len(barred)
+    """Count the search's flow solves (`FlowFrame.solve`); returns a
+    function giving the determinantal search's count (full and barred
+    flows) and the eLF-HTC search's count so far."""
+    solves = count_calls(monkeypatch, flow.FlowFrame, "solve")
+    det = criteria.det_subprocedure
+    det_solves = 0
+
+    def counted(*args, **kwargs):
+        nonlocal det_solves
+        before = len(solves)
+        try:
+            return det(*args, **kwargs)
+        finally:
+            det_solves += len(solves) - before
+
+    monkeypatch.setattr(criteria, "det_subprocedure", counted)
+    return lambda: (det_solves, len(solves) - det_solves)
 
 
 class TestRankFilter:
@@ -639,7 +750,7 @@ class TestRankFilter:
         filter alone, 78,231 without either filter)."""
         flows = count_flows(monkeypatch)
         state = combined_algorithm(G7)
-        assert flows() == 810
+        assert flows()[0] == 810
         assert len(state.solved_edges) == 10
 
     def test_fig5a_flow_calls(self, monkeypatch):
@@ -650,7 +761,7 @@ class TestRankFilter:
         rows = run_benchmark(
             PATTERNS["fig5a"], 6, ("Det+eLF-HTC+rec",), workers=1
         )
-        assert flows() == 367
+        assert flows()[0] == 367
         assert [r.counts["Det+eLF-HTC+rec"] for r in rows] == [
             1, 1, 4, 13, 51, 159, 398,
         ]
@@ -670,6 +781,8 @@ class TestRankFilter:
         assert requested
 
 
+# Graphs on which the determinantal search solves edges inside
+# subgraphs, by (seed, draw, preset); few random graphs do.
 DEEP_DET_CASES = (
     (40, 4, "cap10"),
     (57, 2, "cap10"),
@@ -678,6 +791,16 @@ DEEP_DET_CASES = (
     (44, 16, "Det+eLF-HTC+rec"),
     (56, 30, "Det+eLF-HTC+rec"),
 )
+
+
+def deep_det_graph(seed, draw):
+    """Draw `draw` of a `DEEP_DET_CASES` seed."""
+    rng = random.Random(seed)
+    for i in range(draw + 1):
+        g = random_latent_factor_graph(
+            rng, max_obs=6, max_lat=3, acyclic=i % 2 == 0, edge_prob=0.4
+        )
+    return g
 
 
 class TestInheritedCuts:
@@ -692,17 +815,16 @@ class TestInheritedCuts:
 
         def checked(g, state, v, cfg):
             nonlocal calls, inheriting
-            ref = IdentificationState(
-                graph=root.without_obs_edges(set(state.deleted_edges)),
-                solved_edges=set(state.solved_edges),
-                solved_nodes=set(),
-                allowed_rows=state.allowed_rows,
-                deleted_edges=state.deleted_edges,
-                certificates=[],
-                flow_net=state.flow_net,
+            deleted = state.deleted_edges
+            ref = scratch_state(
+                root,
+                deleted,
+                state.solved_edges,
+                state.allowed_rows,
+                state.frame,
             )
-            ref.refresh_solved_nodes()
-            ref_det_subprocedure(ref.graph, ref, v, cfg)
+            sub = root.without_obs_edges(set(deleted))
+            ref_det_subprocedure(sub, ref, v, cfg)
             start = len(state.certificates)
             det(g, state, v, cfg)
             assert state.solved_edges == ref.solved_edges
@@ -724,16 +846,10 @@ class TestInheritedCuts:
             )
             for i in range(40)
         ]
-        # Graphs on which the determinantal search solves edges inside
-        # subgraphs, by (seed, draw, preset); few random graphs do.
-        for seed, draw, preset in DEEP_DET_CASES:
-            rng = random.Random(seed)
-            for i in range(draw + 1):
-                g = random_latent_factor_graph(
-                    rng, max_obs=6, max_lat=3, acyclic=i % 2 == 0,
-                    edge_prob=0.4,
-                )
-            cases.append((g, preset))
+        cases += [
+            (deep_det_graph(seed, draw), preset)
+            for seed, draw, preset in DEEP_DET_CASES
+        ]
         deep = 0
         for root, preset in cases:
             state = combined_algorithm(root, METHOD_PRESETS[preset])
@@ -749,7 +865,7 @@ class TestElfNetworkMemo:
     def test_each_network_built_once_per_state(self, monkeypatch):
         """A state builds the eLF-HTC network of a (sources, Z) pair once
         and hands the same network to every later request."""
-        builds = count_calls(monkeypatch, flow.ElfNetworks, "network")
+        builds = count_calls(monkeypatch, flow.FlowFrame, "network")
         requests = count_calls(
             monkeypatch, IdentificationState, "elf_network"
         )
@@ -760,31 +876,25 @@ class TestElfNetworkMemo:
         assert len(builds) == len(keys) < len(requests)
 
 
-def count_elf_flows(monkeypatch):
-    """Count the eLF-HTC search's flow solves (`ElfNetworks.solve`)."""
-    calls = count_calls(monkeypatch, flow.ElfNetworks, "solve")
-    return lambda: len(calls)
-
-
 class TestElfFlowBounds:
     """The eLF-HTC search runs a flow only on the W_z choices that neither
     the source-count floor nor a kept cut rejects."""
 
     def test_g7_flow_solves(self, monkeypatch):
         """G7 makes 14 eLF-HTC flow solves (261 with neither filter)."""
-        flows = count_elf_flows(monkeypatch)
+        flows = count_flows(monkeypatch)
         state = combined_algorithm(G7)
-        assert flows() == 14
+        assert flows()[1] == 14
         assert len(state.solved_edges) == 10
 
     def test_fig5a_flow_solves(self, monkeypatch):
         """fig5a rows 0-6 under Det+eLF-HTC+rec make 5,021 eLF-HTC flow
         solves (10,621 with neither filter), with the same counts."""
-        flows = count_elf_flows(monkeypatch)
+        flows = count_flows(monkeypatch)
         rows = run_benchmark(
             PATTERNS["fig5a"], 6, ("Det+eLF-HTC+rec",), workers=1
         )
-        assert flows() == 5021
+        assert flows()[1] == 5021
         assert [r.counts["Det+eLF-HTC+rec"] for r in rows] == [
             1, 1, 4, 13, 51, 159, 398,
         ]
@@ -793,11 +903,11 @@ class TestElfFlowBounds:
         """fig5b rows 0-4 under LF-HTC and eLF-HTC+rec make 18,991 eLF-HTC
         flow solves (60,455 with neither filter: 23,951 of the failing
         ones had fewer sources than sinks), with the same counts."""
-        flows = count_elf_flows(monkeypatch)
+        flows = count_flows(monkeypatch)
         rows = run_benchmark(
             PATTERNS["fig5b"], 4, ("LF-HTC", "eLF-HTC+rec"), workers=1
         )
-        assert flows() == 18991
+        assert flows() == (0, 18991)
         assert [
             (r.counts["LF-HTC"], r.counts["eLF-HTC+rec"]) for r in rows
         ] == [(1, 1), (6, 6), (43, 45), (236, 254), (1018, 1146)]
@@ -814,19 +924,17 @@ class TestElfFlowBounds:
 
         def checked(g, state, v, cfg):
             nonlocal sub_calls, inheriting
-            ref = IdentificationState(
-                graph=root.without_obs_edges(set(state.deleted_edges)),
-                solved_edges=set(state.solved_edges),
-                solved_nodes=set(),
-                allowed_rows=state.allowed_rows,
-                deleted_edges=state.deleted_edges,
-                certificates=[],
-                flow_net=state.flow_net,
-                elf=state.elf,
+            deleted = state.deleted_edges
+            ref = scratch_state(
+                root,
+                deleted,
+                state.solved_edges,
+                state.allowed_rows,
+                state.frame,
             )
-            ref.refresh_solved_nodes()
             assert ref.solved_nodes == state.solved_nodes
-            ref_elf_htc_subprocedure(ref.graph, ref, v, cfg)
+            sub = root.without_obs_edges(set(deleted))
+            ref_elf_htc_subprocedure(sub, ref, v, cfg)
             start = len(state.certificates)
             elf(g, state, v, cfg)
             assert state.solved_edges == ref.solved_edges
@@ -921,6 +1029,60 @@ class TestSolvedState:
         for root, cfg in cases:
             combined_algorithm(root, cfg)
         assert calls > 3000 and solving > 1500 and sub_solving > 10
+
+
+class TestStateDerivation:
+    def test_without_edge_matches_scratch_state(self):
+        """A state derived by `without_edge`, 0-3 deletions deep, equals
+        the state built from scratch for its subgraph: the same parents
+        and children, allowed rows (`DeletionContext`), determinantal
+        residual, solved edges and masks; it shares the root's
+        certificate list and inherits its ancestors' cut stores, nearest
+        first."""
+        rng = random.Random(43)
+        depths = set()
+        for i in range(300):
+            g = random_latent_factor_graph(
+                rng, max_obs=7, max_lat=2, acyclic=i % 2 == 0
+            )
+            frame = criteria.compile_frame(g)
+            root = IdentificationState.fresh(g, frame)
+            root.solved_edges.update(
+                e for e in sorted(g.edges_obs) if rng.random() < 0.6
+            )
+            root.refresh_solved_nodes()
+            chain = [root]
+            for _ in range(rng.randint(0, 3)):
+                if not chain[-1].solved_edges:
+                    break
+                w, v = rng.choice(sorted(chain[-1].solved_edges))
+                a, b = root.view.index[w], root.view.index[v]
+                chain.append(
+                    chain[-1].without_edge(a, b, root.view.descendants(b))
+                )
+            state, deleted = chain[-1], chain[-1].deleted_edges
+            depths.add(len(deleted))
+            view = CompiledGraph(g.without_obs_edges(set(deleted)))
+            ref = scratch_state(
+                g,
+                deleted,
+                root.solved_edges,
+                DeletionContext(g, deleted).rows,
+                frame,
+            )
+            assert (state.view.pa, state.view.ch) == (view.pa, view.ch)
+            assert state.allowed_rows == ref.allowed_rows
+            assert state.flow_net == frame.det_network(view)
+            assert state.solved_edges == ref.solved_edges
+            assert state.solved_pa == ref.solved_pa
+            assert state.solved_mask == ref.solved_mask
+            assert state.certificates is root.certificates
+            for stores, own in (
+                (state.inherited_cuts, [s.cuts for s in chain]),
+                (state.inherited_elf_cuts, [s.elf_cuts for s in chain]),
+            ):
+                assert list(map(id, stores)) == list(map(id, own[-2::-1]))
+        assert depths == {0, 1, 2, 3}
 
 
 class TestPatternFrame:
@@ -1024,37 +1186,18 @@ class TestCompiledQueries:
                     [h for j, h in enumerate(view.latent) if avoid >> j & 1],
                 )
             assert rows == allowed_rows(view, allowed)
-            # A thinned allowed set makes the rules that need a pair
-            # against a removed parent, or a parent's row, bind.
+            # A thinned allowed set makes the source-pool rules that need a
+            # parent's row bind.
             allowed = frozenset(
                 p for p in sorted(allowed) if rng.random() < 0.85
             )
-            for v in names:
-                parents = sorted(parents_obs(sub, v))
-                if not parents:
-                    continue
-                removed = set(rng.sample(parents, len(parents) // 2 + 1))
-                dec_v = root.descendants(idx[v])
-                assert criteria._rows_update(
-                    allowed_rows(view, allowed),
-                    idx[v],
-                    sum(1 << idx[w] for w in removed),
-                    dec_v,
-                ) == allowed_rows(
-                    view, allowed_update(g, allowed, v, removed)
-                ), (g, deleted, v, removed)
 
-            net = without_edges(build_det_flow(g), deleted)
-            state = IdentificationState(
-                graph=sub,
-                solved_edges=solved - set(deleted),
-                solved_nodes=set(),
-                allowed_rows=allowed_rows(view, allowed),
-                deleted_edges=tuple(deleted),
-                certificates=[],
-                flow_net=net,
+            frame = criteria.compile_frame(g)
+            net = without_edges(frame.det, deleted)
+            state = scratch_state(
+                g, deleted, solved, allowed_rows(view, allowed), frame
             )
-            state.refresh_solved_nodes()
+            assert state.flow_net == net._residual
             assert state.solved_nodes == ref_solved_nodes(
                 sub, state.solved_edges
             )
@@ -1112,7 +1255,7 @@ class TestCompiledQueries:
                             assert ref.sinks == tuple(
                                 primed(names[k]) for k in bits(sinks)
                             )
-                            value, carrying, _ = state.elf.solve(
+                            value, carrying, _ = state.frame.solve(
                                 fast, sources, sinks
                             )
                             ref_value, used = max_flow_sources(ref)

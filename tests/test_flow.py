@@ -5,8 +5,9 @@ import random
 import pytest
 
 from latentid.catalog import builtin_graph
+from latentid import flow
 from latentid.flow import (
-    ElfNetworks,
+    FlowFrame,
     FlowNetwork,
     build_det_flow,
     build_elf_flow,
@@ -274,7 +275,7 @@ def complete_graph(g):
 def elf_reference(g, det, view, v, a, z, t):
     """`build_elf_flow`'s network of `g`, derived from `det`, for node v,
     sources `a` and sink set Z `z`, with the primed copies of `t` as its
-    sinks: the network `ElfNetworks.solve` solves for (a, z, t), built by
+    sinks: the network `FlowFrame.solve` solves for (a, z, t), built by
     name."""
     net = build_elf_flow(
         g, view.names[v], view.nodes(a), view.nodes(z), (), (), det
@@ -292,16 +293,46 @@ def random_graph_of_size(rng, low, high, acyclic):
             return g
 
 
-class TestElfNetworks:
+def solve_outcome(frame, residual, a, t, ref):
+    """Check `frame.solve(residual, a, t)` against the name-keyed solvers
+    on `ref`, the same network built by name: the flow value; when the
+    flow reaches the sinks, the carrying sources; when it falls short with
+    a source unused, `max_flow_cut`'s cut read through `frame.numbers`,
+    and no cut when every source is used. Returns which of the three
+    happened."""
+    value, carrying, cut = frame.solve(residual, a, t)
+    ref_value, used = max_flow_sources(ref)
+    assert value == ref_value
+    if value == t.bit_count():
+        assert (carrying, cut) == (used, None)
+        return "succeeded"
+    assert carrying == frozenset()
+    if value == a.bit_count():
+        assert cut is None
+        return "saturated"
+    _, entered, exited = max_flow_cut(ref)
+    assert cut == (
+        sum(1 << j for j, (o, _) in enumerate(frame.numbers) if entered >> o & 1),
+        sum(1 << j for j, (_, p) in enumerate(frame.numbers) if exited >> p & 1),
+    )
+    return "cut"
+
+
+def as_network(frame, residual):
+    """`residual`, a network of `frame`, as a name-keyed `FlowNetwork`."""
+    return flow._network(frame.det._compiled, residual, (), ())
+
+
+class TestFlowFrame:
     def test_solve_matches_name_keyed_flows(self):
         """`solve` on masks gives what the name-keyed solvers give on the
-        same `build_elf_flow` network: the flow value; when the flow
-        reaches the sinks, the carrying sources; when it falls short with
-        a source unused, `max_flow_cut`'s cut read through `numbers`, and
-        no cut when every source is used. Graphs of 13 and 14 observed
-        nodes give masks past the `bits` table."""
+        same network (`solve_outcome`): on `build_elf_flow`'s networks,
+        and on determinantal networks, full, barred (`barred`) and with an
+        edge deleted (`without_edge`). Graphs of 13 and 14 observed nodes
+        give masks past the `bits` table."""
         rng = random.Random(37)
-        succeeded = cuts = saturated = wide = 0
+        outcomes = {"elf": [], "det": []}
+        wide = 0
         for i in range(240):
             acyclic = i % 2 == 0
             if i % 4 < 2:
@@ -313,8 +344,10 @@ class TestElfNetworks:
             view = CompiledGraph(g)
             n = len(view.names)
             det = build_det_flow(g)
-            elf = ElfNetworks(det, view)
-            base = elf.base(det)
+            frame = FlowFrame(det, view)
+            full = frame.det_network(view)
+            assert full == det._residual
+            base = frame.base(full)
             for _ in range(6):
                 v = rng.randrange(n)
                 z = random_mask(rng, n, 1 << v) & random_mask(rng, n)
@@ -331,38 +364,57 @@ class TestElfNetworks:
                     view.nodes(w_v),
                     det,
                 )
-                value, carrying, cut = elf.solve(elf.network(base, a, z), a, t)
+                outcomes["elf"].append(
+                    solve_outcome(frame, frame.network(base, a, z), a, t, ref)
+                )
                 wide += max(a, t) >= 1 << 10
-                ref_value, used = max_flow_sources(ref)
-                assert value == ref_value
-                if value == t.bit_count():
-                    assert (carrying, cut) == (used, None)
-                    succeeded += 1
-                    continue
-                assert carrying == frozenset()
-                if value == a.bit_count():
-                    assert cut is None
-                    saturated += 1
-                    continue
-                _, entered, exited = max_flow_cut(ref)
-                assert cut == (
-                    sum(
-                        1 << j
-                        for j, (o, _) in enumerate(elf.numbers)
-                        if entered >> o & 1
+
+                # Determinantal flows from S to T, |T| = |S| as in the
+                # determinantal search, in the full network, the barred
+                # one of v and the one with an edge deleted.
+                s = random_mask(rng, n) or 1 << v
+                t = 0
+                for j in rng.sample(range(n), s.bit_count()):
+                    t |= 1 << j
+                removed = view.pa[v] & random_mask(rng, n)
+                nets = [
+                    (full, det),
+                    (
+                        frame.barred(full, v, removed),
+                        det.without_arcs(
+                            (primed(w), primed(view.names[v]))
+                            for w in view.nodes(removed)
+                        ),
                     ),
-                    sum(
-                        1 << j
-                        for j, (_, p) in enumerate(elf.numbers)
-                        if exited >> p & 1
-                    ),
-                ), (g, v, a, z, t)
-                cuts += 1
-        assert succeeded > 200 and cuts > 400 and saturated > 500
+                ]
+                if g.edges_obs:
+                    edge = rng.choice(sorted(g.edges_obs))
+                    a_, b_ = (view.index[x] for x in edge)
+                    nets.append(
+                        (
+                            frame.without_edge(full, a_, b_),
+                            without_edges(det, [edge]),
+                        )
+                    )
+                for residual, net in nets:
+                    ref = net.with_terminals(
+                        map(orig, view.nodes(s)), map(primed, view.nodes(t))
+                    )
+                    outcomes["det"].append(
+                        solve_outcome(frame, residual, s, t, ref)
+                    )
+        # With |T| = |S| a determinantal flow that uses every source
+        # succeeds, so it never falls short saturated.
+        for kind, low in (("elf", (200, 400, 500)), ("det", (3000, 300, 0))):
+            counts = [
+                outcomes[kind].count(o)
+                for o in ("succeeded", "cut", "saturated")
+            ]
+            assert all(c >= m for c, m in zip(counts, low)), (kind, counts)
         assert wide > 500
 
     def test_cut_bounds_other_terminals(self):
-        """The cut `ElfNetworks.solve` reads from a failing eLF-HTC flow to
+        """The cut `FlowFrame.solve` reads from a failing eLF-HTC flow to
         sinks T in the network N(A, Z), as (c, E, X) with c = f - |A - E|
         - |T ∩ X|, bounds the flow to any T' in N(A', Z') by c + |A' - E|
         + |T' ∩ X|, for any A' and any Z' ⊇ Z: in the network and in
@@ -376,7 +428,7 @@ class TestElfNetworks:
             view = CompiledGraph(g)
             n = len(view.names)
             det = build_det_flow(g)
-            elf = ElfNetworks(det, view)
+            elf = FlowFrame(det, view)
             edges = sorted(g.edges_obs)
             # A chain of networks, each with more edges deleted.
             chain = [det]
@@ -389,7 +441,9 @@ class TestElfNetworks:
                 )
 
             def solve(net, a, z, t):
-                return elf.solve(elf.network(elf.base(net), a, z), a, t)
+                return elf.solve(
+                    elf.network(elf.base(net._residual), a, z), a, t
+                )
 
             for level in (0, 0, 1, 1):
                 net = chain[level]
@@ -428,9 +482,9 @@ class TestElfNetworks:
 
     def test_frame_networks_solve_alike(self):
         """A graph's networks derived from the frame of the complete graph
-        over its nodes hold the same arcs and give the same flows,
-        carrying sources and cuts as the networks compiled from the graph
-        itself, in subgraphs too."""
+        over its nodes hold the same arcs and give the same eLF-HTC and
+        determinantal flows, carrying sources and cuts as the networks
+        compiled from the graph itself, in subgraphs too."""
         rng = random.Random(31)
         for i in range(150):
             g = random_latent_factor_graph(
@@ -438,38 +492,43 @@ class TestElfNetworks:
             )
             view = CompiledGraph(g)
             n = len(view.names)
-            own = ElfNetworks(build_det_flow(g), view)
+            own = FlowFrame(build_det_flow(g), view)
             complete = complete_graph(g)
-            frame = ElfNetworks(
+            frame = FlowFrame(
                 build_det_flow(complete), CompiledGraph(complete)
             )
             assert frame.fits(view) and own.fits(view)
             assert not own.fits(CompiledGraph(complete)) or (
                 g.edges_obs == complete.edges_obs
             )
-            pairs = [(own.det, frame.det_network(view), view)]
+            pairs = [(own.det_network(view), frame.det_network(view), view)]
             for edge in sorted(g.edges_obs):
                 if rng.random() < 0.3:
                     a, b = (view.index[x] for x in edge)
                     mine, theirs, sub = pairs[-1]
                     pairs.append(
                         (
-                            without_edges(mine, [edge]),
+                            own.without_edge(mine, a, b),
                             frame.without_edge(theirs, a, b),
                             sub.without_edge(a, b),
                         )
                     )
             for mine, theirs, sub in pairs:
-                assert mine.arcs == theirs.arcs
-                assert mine.node_capacity == theirs.node_capacity
-                assert frame.det_network(sub).arcs == mine.arcs
+                ours, others = as_network(own, mine), as_network(frame, theirs)
+                assert ours.arcs == others.arcs
+                assert ours.node_capacity == others.node_capacity
+                assert frame.det_network(sub) == theirs
+                assert own.det_network(sub) == mine
                 for _ in range(4):
                     v = 1 << rng.randrange(n)
                     z = random_mask(rng, n, v) & random_mask(rng, n)
                     a = random_mask(rng, n, v | z)
                     t = random_mask(rng, n)
                     results = [
-                        elf.solve(elf.network(elf.base(net), a, z), a, t)
+                        (
+                            elf.solve(elf.network(elf.base(net), a, z), a, t),
+                            elf.solve(net, a, t),
+                        )
                         for elf, net in ((own, mine), (frame, theirs))
                     ]
                     assert results[0] == results[1]

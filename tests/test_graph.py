@@ -20,7 +20,6 @@ from latentid.graph import (
     htr,
     parents_lat,
     parents_obs,
-    to_dot,
 )
 
 from oracles import htr_bruteforce, random_latent_factor_graph, reach_by_matrix_power
@@ -183,9 +182,3 @@ class TestBits:
         for mask in masks:
             want = [i for i in range(mask.bit_length()) if mask >> i & 1]
             assert list(bits(mask)) == want, mask
-
-
-def test_to_dot_mentions_all_nodes(fig2a):
-    dot = to_dot(fig2a)
-    for n in list(fig2a.observed) + list(fig2a.latent):
-        assert n in dot
