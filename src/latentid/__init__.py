@@ -34,13 +34,6 @@ from .enumeration import (
     rows_to_markdown,
     run_benchmark,
 )
-from .flow import (
-    FlowNetwork,
-    build_det_flow,
-    build_elf_flow,
-    max_flow,
-    max_flow_sources,
-)
 from .formulas import (
     Const,
     Cov,

@@ -15,23 +15,13 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import rank
-from .flow import (
-    FlowFrame,
-    build_det_flow,
-    build_elf_flow,
-    max_flow,
-    orig,
-    primed,
-)
+from .flow import FlowFrame
 from .graph import (
     CompiledGraph,
     Edge,
     GraphError,
     LatentFactorGraph,
     bits,
-    descendants,
-    parents_lat,
-    parents_obs,
 )
 
 # Minimum cuts (c, E, X) of rejected flows, by the sink set Z of the
@@ -187,11 +177,11 @@ class IdentificationState:
     def fresh(
         cls, g: LatentFactorGraph, frame: Optional[FlowFrame] = None
     ) -> "IdentificationState":
-        """The root state of `g`, its networks derived from `frame`
-        (`compile_frame`) when given, else compiled from `g`."""
+        """The root state of `g`, its networks derived from `frame` when
+        given, else from a frame compiled from `g`."""
         view = CompiledGraph(g)
         if frame is None:
-            frame = FlowFrame(build_det_flow(g), view)
+            frame = FlowFrame(view)
         elif not frame.fits(view):
             raise GraphError("the flow frame does not hold the graph")
         return cls(
@@ -300,44 +290,15 @@ class SearchConfig:
 # -- direct criterion checks ----------------------------------------------
 
 
-def _elf_side_conditions(
-    g: LatentFactorGraph,
-    v: str,
-    w_v: frozenset[str],
-    y: frozenset[str],
-    z: frozenset[str],
-    w_z: dict[str, frozenset[str]],
-    h: frozenset[str],
-) -> bool:
-    """Set-theoretic conditions of the extended criterion, sans the flow."""
-    if not w_v <= parents_obs(g, v):
-        return False
-    if set(w_z) != set(z):
-        return False
-    for zz, ws in w_z.items():
-        if not ws <= parents_obs(g, zz):
-            return False
-    w_big = frozenset().union(*w_z.values()) if w_z else frozenset()
-    z1 = frozenset(zz for zz in z if w_z[zz] < parents_obs(g, zz))
-    # condition (i)
-    if len(z) != len(h) or len(y) != len(w_v | z | w_big):
-        return False
-    if v in z or (z1 & (w_big | w_v)):
-        return False
-    # condition (ii)
-    if y & (z | {v}):
-        return False
-    shared = parents_lat_of_set(g, y) & parents_lat_of_set(g, z | {v})
-    if not shared <= h:
-        return False
-    return True
-
-
-def parents_lat_of_set(g: LatentFactorGraph, s: Iterable[str]) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for n in s:
-        out |= parents_lat(g, n)
-    return out
+def _observed_mask(view: CompiledGraph, nodes: Iterable[str]) -> Optional[int]:
+    """The mask of `nodes`, or None when one is not an observed node."""
+    mask = 0
+    for n in nodes:
+        i = view.index.get(n)
+        if i is None:
+            return None
+        mask |= 1 << i
+    return mask
 
 
 def check_elf_htc(
@@ -350,60 +311,81 @@ def check_elf_htc(
     h: Iterable[str],
 ) -> bool:
     """Direct check of the extended half-trek criterion for a given
-    witness tuple; returns False on malformed inputs."""
-    w_v = frozenset(w_v)
-    y = frozenset(y)
-    z = frozenset(z)
-    h = frozenset(h)
-    w_z_sets = {zz: frozenset(ws) for zz, ws in w_z.items()}
-    try:
-        if not _elf_side_conditions(g, v, w_v, y, z, w_z_sets, h):
-            return False
-        w_big = (
-            frozenset().union(*w_z_sets.values()) if w_z_sets else frozenset()
-        )
-        net = build_elf_flow(g, v, y, z, w_big, w_v)
-        return max_flow(net) == len(w_v | z | w_big)
-    except GraphError:
+    witness tuple, with its flow solved on a frame compiled from `g`;
+    returns False on malformed inputs."""
+    view = CompiledGraph(g)
+    z, h = frozenset(z), frozenset(h)
+    if set(w_z) != z or len(z) != len(h):
         return False
+    masks = [_observed_mask(view, nodes) for nodes in (w_v, y, z, [v])]
+    w_z_masks = {zz: _observed_mask(view, ws) for zz, ws in w_z.items()}
+    if None in masks or None in w_z_masks.values():
+        return False
+    w_v_m, y_m, z_m, v_m = masks
+    pa = view.pa
+    if w_v_m & ~pa[view.index[v]]:
+        return False
+    w_big = z1 = 0
+    for zz, ws in w_z_masks.items():
+        i = view.index[zz]
+        if ws & ~pa[i]:
+            return False
+        w_big |= ws
+        if ws != pa[i]:
+            z1 |= 1 << i
+    sinks = w_v_m | z_m | w_big
+    # condition (i)
+    if y_m.bit_count() != sinks.bit_count():
+        return False
+    if z_m & v_m or z1 & (w_big | w_v_m):
+        return False
+    # condition (ii)
+    if y_m & (z_m | v_m):
+        return False
+    lat_y = lat_zv = 0
+    for i in bits(y_m):
+        lat_y |= view.pa_lat[i]
+    for i in bits(z_m | v_m):
+        lat_zv |= view.pa_lat[i]
+    if any(view.latent[j] not in h for j in bits(lat_y & lat_zv)):
+        return False
+    frame = FlowFrame(view)
+    net = frame.network(frame.base(frame.det_network(view)), y_m, z_m)
+    return frame.solve(net, y_m, sinks)[0] == sinks.bit_count()
 
 
 def verify_certificate(
     g: LatentFactorGraph, cert: Certificate
 ) -> bool:
-    """Re-verify a recorded certificate from scratch."""
+    """Re-verify a recorded certificate from scratch, with its flows solved
+    on a frame compiled from `g`."""
     if isinstance(cert, HtcCertificate):
         return check_elf_htc(
             g, cert.v, cert.w_v, cert.y, cert.z, cert.w_z(), cert.h
         )
-    try:
-        pa = parents_obs(g, cert.v)
-        dec_v = descendants(g, [cert.v])
-    except GraphError:
+    view = CompiledGraph(g)
+    names = ([cert.v], [cert.w0], cert.deleted_parents, cert.s, cert.t)
+    masks = [_observed_mask(view, nodes) for nodes in names]
+    if None in masks:
         return False
-    if cert.w0 not in pa or not cert.deleted_parents <= pa - {cert.w0}:
+    v_m, w0_m, deleted, s, t = masks
+    v = view.index[cert.v]
+    others = view.pa[v] & ~w0_m
+    if not view.pa[v] & w0_m or deleted & ~others:
         return False
-    if dec_v & (cert.t | {cert.v}):
+    if view.descendants(v) & (t | v_m):
         return False
-    if len(cert.s) != len(cert.t) + 1:
+    if s.bit_count() != t.bit_count() + 1:
         return False
-    if cert.t & {cert.v, cert.w0}:
+    if t & (v_m | w0_m):
         return False
-    net = build_det_flow(g)
-    k = len(cert.s)
-    srcs = [orig(n) for n in cert.s]
-    full = net.with_terminals(
-        srcs, [primed(n) for n in cert.t | {cert.w0}]
-    )
-    if max_flow(full) != k:
+    frame = FlowFrame(view)
+    full = frame.det_network(view)
+    k = s.bit_count()
+    if frame.solve(full, s, t | w0_m)[0] != k:
         return False
-    barred = net.without_arcs(
-        {
-            (primed(w), primed(cert.v))
-            for w in cert.deleted_parents | {cert.w0}
-        }
-    ).with_terminals(srcs, [primed(n) for n in cert.t | {cert.v}])
-    return max_flow(barred) < k
+    barred = frame.barred(full, v, deleted | w0_m)
+    return frame.solve(barred, s, t | v_m)[0] < k
 
 
 # -- kept minimum cuts ----------------------------------------------------
@@ -837,14 +819,6 @@ def _rows_update(
 # -- combined algorithm ----------------------------------------------------
 
 
-def compile_frame(g: LatentFactorGraph) -> FlowFrame:
-    """The flow frame of `g` (see `FlowFrame`): its determinantal network
-    and eLF-HTC tables, compiled once. `combined_algorithm` takes it for
-    any graph over the same nodes and latent edges whose observed edges
-    are among `g`'s."""
-    return FlowFrame(build_det_flow(g), CompiledGraph(g))
-
-
 def combined_algorithm(
     g: LatentFactorGraph,
     cfg: SearchConfig = SearchConfig(),
@@ -856,9 +830,9 @@ def combined_algorithm(
     subgraphs are recorded with their recursion depth and deletion
     context, and the edges they solve are lifted into the result. The
     observed nodes of `g` are numbered once (`CompiledGraph`) and its
-    determinantal flow network is derived from `frame` (`compile_frame`;
-    a GraphError when the frame does not hold `g`), or compiled from `g`
-    when no frame is given; each subgraph of the edge-deletion recursion
+    determinantal flow network is derived from `frame` (a GraphError when
+    the frame does not hold `g`), or from a frame compiled from `g` when
+    none is given; each subgraph of the edge-deletion recursion
     is the root with its deleted edges' parent and child bits cleared and
     their arcs closed. A frame changes no result, only the work.
     """

@@ -17,9 +17,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import SearchConfig, combined_algorithm, compile_frame
+from .criteria import SearchConfig, combined_algorithm
 from .flow import FlowFrame
-from .graph import LatentFactorGraph
+from .graph import CompiledGraph, LatentFactorGraph
 
 
 @dataclass(frozen=True)
@@ -260,11 +260,14 @@ class BenchmarkRow:
 
 def _pattern_frame(pattern: LatentPattern) -> FlowFrame:
     """The flow frame of the pattern's complete graph, which holds every
-    class of the pattern (`criteria.compile_frame`)."""
+    class of the pattern."""
     n = pattern.num_observed
-    return compile_frame(
-        _graph_from_edges(
-            pattern, [(a, b) for a in range(n) for b in range(n) if a != b]
+    return FlowFrame(
+        CompiledGraph(
+            _graph_from_edges(
+                pattern,
+                [(a, b) for a in range(n) for b in range(n) if a != b],
+            )
         )
     )
 

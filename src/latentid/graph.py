@@ -399,10 +399,14 @@ def graph_from_dict(data: dict) -> LatentFactorGraph:
             isinstance(n, str) for n in nodes
         ):
             raise GraphError(f"field {name!r} must be a list of node names")
-    if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges_obs):
-        raise GraphError("field 'edges_obs' must contain [from, to] pairs")
-    if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges_lat):
-        raise GraphError("field 'edges_lat' must contain [latent, to] pairs")
+    for name, edges, pair in (
+        ("edges_obs", edges_obs, "[from, to]"),
+        ("edges_lat", edges_lat, "[latent, to]"),
+    ):
+        if not isinstance(edges, list) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2 for e in edges
+        ):
+            raise GraphError(f"field {name!r} must be a list of {pair} pairs")
     return LatentFactorGraph(observed, latent, edges_obs, edges_lat)
 
 

@@ -1,7 +1,8 @@
 """Exact ranks of covariance minors at one parameter point mod a prime.
 
 By trek separation the flow value from S to the primed copies of T in
-`flow.build_det_flow` is the generic rank of Σ[S, T]. A minor evaluated at
+the determinantal network (`flow.FlowFrame`) is the generic rank of
+Σ[S, T]. A minor evaluated at
 one parameter point is nonzero only if it is not identically zero, so a
 nonzero k×k minor proves that the flow reaches k; a vanishing one proves
 nothing. The parameters are integers from a fixed seed and all arithmetic

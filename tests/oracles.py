@@ -22,14 +22,7 @@ from latentid.criteria import (
     HtcCertificate,
     check_elf_htc,
 )
-from latentid.flow import (
-    build_det_flow,
-    build_elf_flow,
-    max_flow,
-    max_flow_sources,
-    orig,
-    primed,
-)
+from latentid.flow import FlowFrame
 from latentid.graph import (
     CompiledGraph,
     Edge,
@@ -95,7 +88,7 @@ def htr_bruteforce(g: LatentFactorGraph, sources, avoid_h=frozenset()):
 
 def disjoint_paths_bruteforce(net):
     """Maximum number of arc- and node-capacity-respecting paths from the
-    sources to the sinks of a FlowNetwork, found by exhaustive search.
+    sources to the sinks of a RefFlowNetwork, found by exhaustive search.
 
     Only intended for small networks (<= ~20 flow nodes).
     """
@@ -165,9 +158,19 @@ def disjoint_paths_bruteforce(net):
 #
 # Dict-based networks and a solver that builds its split network afresh on
 # every call, with super-source and super-sink nodes and plainly sorted
-# adjacency lists: the reference the compiled kernel of `latentid.flow`
-# must match, with the same node and arc sets, the same value and the same
-# carrying sources (which depend on the order neighbours are visited in).
+# adjacency lists: the reference `latentid.flow.FlowFrame` must match, with
+# the same node and arc sets, the same value, the same carrying sources
+# (which depend on the order neighbours are visited in) and the same cut.
+# A flow node is a tagged name: ("o", n) for the original copy of node n,
+# ("p", n) for its primed copy.
+
+
+def orig(n: str) -> tuple[str, str]:
+    return ("o", n)
+
+
+def primed(n: str) -> tuple[str, str]:
+    return ("p", n)
 
 
 @dataclass(frozen=True)
@@ -247,9 +250,11 @@ _REF_SRC = ("+src", "", "x")
 _REF_SNK = ("+snk", "", "x")
 
 
-def ref_solve(net) -> tuple[int, frozenset]:
-    """(number of vertex-disjoint paths, carrying source names) of any
-    network exposing `node_capacity`, `arcs`, `sources` and `sinks`."""
+def ref_solve(net) -> tuple[int, frozenset, tuple[frozenset, frozenset]]:
+    """(number of vertex-disjoint paths, carrying source names, reach) of
+    any network exposing `node_capacity`, `arcs`, `sources` and `sinks`.
+    The reach is that of the last, failed search: the names whose
+    original copy's entry and those whose primed copy's exit it holds."""
     unit_arcs = [(n + ("i",), n + ("x",)) for n in net.node_capacity]
     unit_arcs += [(u + ("x",), w + ("i",)) for u, w in net.arcs]
     unit_arcs += [(_REF_SRC, s + ("i",)) for s in net.sources]
@@ -285,7 +290,143 @@ def ref_solve(net) -> tuple[int, frozenset]:
     carrying = frozenset(
         s[1] for s in net.sources if (s + ("x",), s + ("i",)) in open_arcs
     )
-    return total, carrying
+    reach = (
+        frozenset(n[1] for n in parent if n[0] == "o" and n[2] == "i"),
+        frozenset(n[1] for n in parent if n[0] == "p" and n[2] == "x"),
+    )
+    return total, carrying, reach
+
+
+def frame_arcs(frame: FlowFrame) -> dict:
+    """The arc numbers of `frame` by name: a flow node's split arc under
+    the node, any other arc under its (tail, head) flow nodes. Flow node
+    j < m is the original copy of the j-th of the m sorted observed and
+    latent names, m + j its primed copy."""
+    view = frame.view
+    names = sorted(view.names + view.latent)
+    nodes = [orig(n) for n in names] + [primed(n) for n in names]
+    tail = frame._tail
+    out = {}
+    for k in range(len(tail) // 2):
+        if k < len(nodes):
+            out[nodes[k]] = k
+        else:
+            out[nodes[tail[2 * k] >> 1], nodes[tail[2 * k + 1] >> 1]] = k
+    return out
+
+
+def frame_network(frame: FlowFrame, residual) -> RefFlowNetwork:
+    """The network a residual of `frame` holds, by name: a node passes a
+    unit when its split arc is open, and an arc is in it when open along
+    itself."""
+    node_capacity, arcs = {}, {}
+    for key, k in frame_arcs(frame).items():
+        if residual[2 * k]:
+            if isinstance(key[0], tuple):
+                arcs[key] = 1
+            else:
+                node_capacity[key] = 1
+    return RefFlowNetwork(node_capacity, arcs)
+
+
+def without_named_arcs(frame: FlowFrame, residual, arcs) -> bytes:
+    """`residual`, a network of `frame`, with the arcs `arcs`, given by
+    name, closed."""
+    ids = frame_arcs(frame)
+    out = bytearray(residual)
+    for arc in arcs:
+        out[2 * ids[arc]] = 0
+    return bytes(out)
+
+
+def solve_outcome(frame: FlowFrame, residual, a: int, t: int, ref) -> str:
+    """Check `frame.solve(residual, a, t)` against `ref_solve` on `ref`,
+    the same network built by name: the flow value; when the flow reaches
+    the sinks, the carrying sources; when it falls short with a source
+    unused, the cut against the reach of the reference's failed search,
+    and no cut when every source is used. Returns which of the three
+    happened."""
+    value, carrying, cut = frame.solve(residual, a, t)
+    ref_value, used, (entered, exited) = ref_solve(ref)
+    assert value == ref_value
+    if value == t.bit_count():
+        assert (carrying, cut) == (used, None)
+        return "succeeded"
+    assert carrying == frozenset()
+    if value == a.bit_count():
+        assert cut is None
+        return "saturated"
+    index = frame.view.index
+    assert cut == (
+        sum(1 << index[n] for n in entered if n in index),
+        sum(1 << index[n] for n in exited if n in index),
+    )
+    return "cut"
+
+
+def name_mask(view: CompiledGraph, nodes) -> int:
+    """The mask of the observed nodes `nodes` of `view`."""
+    return sum(1 << view.index[n] for n in set(nodes))
+
+
+def ref_verify_certificate(g: LatentFactorGraph, cert) -> bool:
+    """`criteria.verify_certificate` on sets of names, with its flows on
+    the dict networks of `ref_build_det_flow` and `ref_build_elf_flow`,
+    solved by `ref_solve`."""
+    observed = frozenset(g.observed)
+    if isinstance(cert, HtcCertificate):
+        return ref_check_elf_htc(
+            g, cert.v, cert.w_v, cert.y, cert.z, cert.w_z(), cert.h
+        )
+    v, w0, t = cert.v, cert.w0, cert.t
+    if not {v, w0} | cert.deleted_parents | cert.s | t <= observed:
+        return False
+    pa = parents_obs(g, v)
+    if w0 not in pa or not cert.deleted_parents <= pa - {w0}:
+        return False
+    if descendants(g, [v]) & (t | {v}):
+        return False
+    if len(cert.s) != len(t) + 1 or t & {v, w0}:
+        return False
+    det = ref_build_det_flow(g)
+    k = len(cert.s)
+    sources = [orig(n) for n in cert.s]
+    full = det.with_terminals(sources, [primed(n) for n in t | {w0}])
+    if ref_solve(full)[0] != k:
+        return False
+    barred = det.without_arcs(
+        (primed(w), primed(v)) for w in cert.deleted_parents | {w0}
+    ).with_terminals(sources, [primed(n) for n in t | {v}])
+    return ref_solve(barred)[0] < k
+
+
+def ref_check_elf_htc(g, v, w_v, y, z, w_z, h) -> bool:
+    """`criteria.check_elf_htc` on sets of names, its flow on the dict
+    network of `ref_build_elf_flow`, solved by `ref_solve`."""
+    w_v, y, z, h = map(frozenset, (w_v, y, z, h))
+    w_z = {zz: frozenset(ws) for zz, ws in w_z.items()}
+    w_big = frozenset().union(*w_z.values())
+    if not {v} | w_v | y | z | set(w_z) | w_big <= frozenset(g.observed):
+        return False
+    if set(w_z) != z or not w_v <= parents_obs(g, v):
+        return False
+    if any(not ws <= parents_obs(g, zz) for zz, ws in w_z.items()):
+        return False
+    z1 = frozenset(zz for zz in z if w_z[zz] < parents_obs(g, zz))
+    # condition (i)
+    if len(z) != len(h) or len(y) != len(w_v | z | w_big):
+        return False
+    if v in z or z1 & (w_big | w_v):
+        return False
+    # condition (ii)
+    if y & (z | {v}):
+        return False
+    lat_y = frozenset().union(*(parents_lat(g, n) for n in y))
+    lat_zv = frozenset().union(*(parents_lat(g, n) for n in z | {v}))
+    if not lat_y & lat_zv <= h:
+        return False
+    net = ref_build_elf_flow(g, v, y, z, w_big, w_v)
+    return ref_solve(net)[0] == len(w_v | z | w_big)
 
 
 # -- literal determinantal search ------------------------------------------
@@ -295,14 +436,16 @@ def ref_det_subprocedure(g, state, v, cfg):
     """The determinantal subprocedure as a literal loop: every (S, T)
     pair in lexicographic order, each counted against
     `cfg.cap_det_pairs` and then filtered one covariance pair at a time,
-    with its flows on the name-keyed network `build_det_flow(g)`.
+    with its flows solved on a `FlowFrame` compiled from `g` itself.
     `criteria.det_subprocedure` must match it."""
     pa = parents_obs(g, v)
     dec_v = descendants(g, [v])
     if v in dec_v:
         return state
     obs = sorted(g.observed)
-    base = build_det_flow(g)
+    view = CompiledGraph(g)
+    frame = FlowFrame(view)
+    base = frame.det_network(view)
     allowed_cov = allowed_pairs(state.view, state.allowed_rows)
 
     for w0 in sorted(pa):
@@ -311,8 +454,8 @@ def ref_det_subprocedure(g, state, v, cfg):
         solved_parents = frozenset(
             p for p in pa if (p, v) in state.solved_edges
         )
-        barred = base.without_arcs(
-            {(primed(w), primed(v)) for w in solved_parents | {w0}}
+        barred = frame.barred(
+            base, view.index[v], name_mask(view, solved_parents | {w0})
         )
         tried = 0
         done = False
@@ -341,16 +484,16 @@ def ref_det_subprocedure(g, state, v, cfg):
                         for t in cov_targets
                     ):
                         continue
-                    srcs = [orig(n) for n in s_combo]
-                    full = base.with_terminals(
-                        srcs, [primed(n) for n in t_set | {w0}]
+                    srcs = name_mask(view, s_combo)
+                    full = frame.solve(
+                        base, srcs, name_mask(view, t_set | {w0})
                     )
-                    if max_flow(full) != k:
+                    if full[0] != k:
                         continue
-                    cut = barred.with_terminals(
-                        srcs, [primed(n) for n in t_set | {v}]
+                    cut = frame.solve(
+                        barred, srcs, name_mask(view, t_set | {v})
                     )
-                    if max_flow(cut) >= k:
+                    if cut[0] >= k:
                         continue
                     cert = DetCertificate(
                         v=v,
@@ -380,15 +523,18 @@ def ref_det_subprocedure(g, state, v, cfg):
 
 def ref_elf_htc_subprocedure(g, state, v, cfg):
     """The eLF-HTC subprocedure as a literal loop over H, Z and the W_z
-    choices on sets of names, with a `build_elf_flow` network compiled
-    from `g` for every choice that passes the side condition and no other
-    filter. `criteria.elf_htc_subprocedure` must match it. The source
+    choices on sets of names, with a network of a `FlowFrame` compiled
+    from `g` itself for every choice that passes the side condition and no
+    other filter. `criteria.elf_htc_subprocedure` must match it. The source
     pools and the legacy sink pool read the solved nodes as the call
     found them."""
     pa = parents_obs(g, v)
     solved_nodes = frozenset(state.solved_nodes)
     allowed_cov = allowed_pairs(state.view, state.allowed_rows)
     legacy = cfg.legacy_lf_htc_only
+    view = CompiledGraph(g)
+    frame = FlowFrame(view)
+    base = frame.base(frame.det_network(view))
 
     def solved_parents(n):
         return frozenset(
@@ -439,9 +585,12 @@ def ref_elf_htc_subprocedure(g, state, v, cfg):
                     )
                     if z1 & (w_big | w_v):
                         continue
-                    net = build_elf_flow(g, v, sources, z, w_big, w_v)
-                    value, carrying = max_flow_sources(net)
-                    if value != len(w_v | z | w_big):
+                    a = name_mask(view, sources)
+                    sinks = name_mask(view, w_v | z | w_big)
+                    value, carrying, _ = frame.solve(
+                        frame.network(base, a, name_mask(view, z)), a, sinks
+                    )
+                    if value != sinks.bit_count():
                         continue
                     z2 = z - z1
                     newly = w_v - (z2 | w_big) - solved_parents(v)

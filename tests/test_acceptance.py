@@ -25,7 +25,7 @@ from latentid.enumeration import (
     SINGLE_FACTOR_SIX,
     run_benchmark,
 )
-from latentid.flow import build_det_flow, max_flow, orig, primed
+from latentid.flow import FlowFrame
 from latentid.formulas import (
     DeletionContext,
     FormulaMap,
@@ -34,11 +34,16 @@ from latentid.formulas import (
     render_latex,
     solve_alpha,
 )
+from latentid.graph import CompiledGraph
 from latentid.numerics import covariance, sample_parameters, verify_identification
 
 from oracles import (
     disjoint_paths_bruteforce,
+    name_mask,
+    orig,
+    primed,
     random_latent_factor_graph,
+    ref_build_det_flow,
     trek_rule_covariance,
 )
 
@@ -370,14 +375,22 @@ class TestOracleEquivalences:
                 g = random_latent_factor_graph(
                     rng, max_obs=6, max_lat=2, acyclic=False
                 )
-                net = build_det_flow(g)
+                view = CompiledGraph(g)
+                frame = FlowFrame(view)
                 obs = sorted(g.observed)
-                sources = [orig(n) for n in obs if rng.random() < 0.5]
-                sinks = [primed(n) for n in obs if rng.random() < 0.5]
+                sources = [n for n in obs if rng.random() < 0.5]
+                sinks = [n for n in obs if rng.random() < 0.5]
                 if not sources or not sinks:
                     continue
-                net = net.with_terminals(sources, sinks)
-                assert max_flow(net) == disjoint_paths_bruteforce(net)
+                value, _, _ = frame.solve(
+                    frame.det_network(view),
+                    name_mask(view, sources),
+                    name_mask(view, sinks),
+                )
+                ref = ref_build_det_flow(g).with_terminals(
+                    map(orig, sources), map(primed, sinks)
+                )
+                assert value == disjoint_paths_bruteforce(ref)
                 checked += 1
 
     def test_covariance_matches_trek_rule(self):

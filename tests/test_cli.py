@@ -158,6 +158,20 @@ class TestCheck:
         assert_one_line_error(err)
         assert f"'{field}' must be a list" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("edges_obs", 5), ("edges_obs", None), ("edges_lat", 3)],
+    )
+    def test_edge_field_must_be_list(self, capsys, tmp_path, field, value):
+        data = {"observed": ["a", "b"], "edges_obs": [["a", "b"]]}
+        data[field] = value
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "check", "--graph", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert_one_line_error(err)
+        assert f"'{field}' must be a list" in err
+
     def test_graph_file_must_hold_object(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps([["1", "2"]]))

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -28,13 +30,7 @@ from latentid.enumeration import (
     enumerate_dags,
     run_benchmark,
 )
-from latentid.flow import (
-    build_elf_flow,
-    max_flow_sources,
-    orig,
-    primed,
-    without_edges,
-)
+from latentid.flow import FlowFrame
 from latentid.formulas import DeletionContext
 from latentid.graph import (
     CompiledGraph,
@@ -55,11 +51,18 @@ from oracles import (
     allowed_update,
     check_lf_htc,
     cov_pair,
+    frame_network,
+    orig,
+    primed,
     random_latent_factor_graph,
+    ref_build_det_flow,
+    ref_build_elf_flow,
     ref_det_subprocedure,
     ref_elf_allowed_sources,
     ref_elf_htc_subprocedure,
+    ref_solve,
     ref_solved_nodes,
+    ref_verify_certificate,
 )
 
 LEGACY = SearchConfig(
@@ -287,6 +290,26 @@ class TestCertificateVerification:
             h=frozenset(),
         )
         assert not verify_certificate(g, htc)
+
+    def test_det_rejects_latent_source_or_target(self):
+        """A determinantal certificate with a latent node in S or T is
+        rejected, though its flows pass: its formula would need the
+        covariance of a latent node."""
+        g = LatentFactorGraph(
+            ["1", "2", "3", "4", "5"],
+            ["h1", "h2"],
+            [("1", "5"), ("2", "5"), ("3", "1"), ("3", "5"), ("4", "2")],
+            [("h1", "3"), ("h2", "1"), ("h2", "2")],
+        )
+        for s, t in (({"h1"}, set()), ({"1", "h1"}, {"h2"})):
+            cert = DetCertificate(
+                v="1",
+                w0="3",
+                deleted_parents=frozenset(),
+                s=frozenset(s),
+                t=frozenset(t),
+            )
+            assert not verify_certificate(g, cert), (s, t)
 
     def test_search_certificates_reverify(self):
         """Every certificate the search records re-verifies in its
@@ -667,7 +690,7 @@ class TestDeterminantalPools:
                 allowed = allowed_update(g, allowed, v, {w}, solved)
             sub = g.without_obs_edges(set(deleted))
             rows = allowed_rows(CompiledGraph(sub), allowed)
-            frame = criteria.compile_frame(g)
+            frame = FlowFrame(CompiledGraph(g))
 
             def run(subprocedure, cfg):
                 state = scratch_state(g, deleted, solved, rows, frame)
@@ -801,6 +824,73 @@ def deep_det_graph(seed, draw):
             rng, max_obs=6, max_lat=3, acyclic=i % 2 == 0, edge_prob=0.4
         )
     return g
+
+
+def certificate_mutants(g, cert):
+    """`cert` and its mutants: Y shrunk by one member or one member
+    swapped for another node; a T member dropped or swapped for another
+    node, an S member swapped for another node, w0 swapped for each other
+    parent of v, or an S member replaced by a latent node."""
+    yield "recorded", cert
+    observed = sorted(g.observed)
+    if isinstance(cert, HtcCertificate):
+        for y in sorted(cert.y)[:1]:
+            yield "shrink Y", replace(cert, y=cert.y - {y})
+            for n in [n for n in observed if n not in cert.y][:1]:
+                yield "swap Y", replace(cert, y=cert.y - {y} | {n})
+        return
+    for t in sorted(cert.t)[:1]:
+        yield "drop T", replace(cert, t=cert.t - {t})
+        others = cert.t | {cert.v, cert.w0}
+        for n in [n for n in observed if n not in others][:1]:
+            yield "swap T", replace(cert, t=cert.t - {t} | {n})
+    for s in sorted(cert.s)[:1]:
+        for n in [n for n in observed if n not in cert.s][:1]:
+            yield "swap S", replace(cert, s=cert.s - {s} | {n})
+    for w in sorted(parents_obs(g, cert.v) - {cert.w0}):
+        yield "swap w0", replace(cert, w0=w)
+    for h in sorted(g.latent)[:1]:
+        s = sorted(cert.s)[0]
+        yield "latent in S", replace(cert, s=cert.s - {s} | {h})
+
+
+class TestReferenceVerifier:
+    def test_agrees_with_reference(self):
+        """`verify_certificate` agrees with `ref_verify_certificate`, whose
+        flows run on the dict networks, on every certificate the search
+        records (Det+eLF-HTC+rec) for fig5a rows 0-6, G7 and 60 seeded
+        cyclic graphs, and on their mutants."""
+        graphs = [
+            g for m in range(7) for g in enumerate_dags(PATTERNS["fig5a"], m)
+        ]
+        graphs.append(G7)
+        rng = random.Random(5)
+        graphs += [
+            random_latent_factor_graph(rng, max_obs=6, acyclic=False)
+            for _ in range(60)
+        ]
+        outcomes = Counter()
+        for g in graphs:
+            state = combined_algorithm(g, METHOD_PRESETS["Det+eLF-HTC+rec"])
+            for rec in state.certificates:
+                sub = g.without_obs_edges(set(rec.deleted))
+                for kind, cert in certificate_mutants(sub, rec.cert):
+                    got = verify_certificate(sub, cert)
+                    assert got == ref_verify_certificate(sub, cert), (
+                        g,
+                        kind,
+                        cert,
+                    )
+                    outcomes[kind, got] += 1
+        assert outcomes["recorded", False] == 0
+        assert outcomes["recorded", True] > 3000
+        # A mutant with too few members, or a latent one, never passes.
+        for kind in ("shrink Y", "drop T", "latent in S"):
+            assert outcomes[kind, False] > 50 and not outcomes[kind, True]
+        for kind in ("swap S", "swap w0"):
+            assert outcomes[kind, False] + outcomes[kind, True] > 50
+        for kind in ("swap Y", "swap T"):
+            assert outcomes[kind, False] and outcomes[kind, True], outcomes
 
 
 class TestInheritedCuts:
@@ -1045,7 +1135,7 @@ class TestStateDerivation:
             g = random_latent_factor_graph(
                 rng, max_obs=7, max_lat=2, acyclic=i % 2 == 0
             )
-            frame = criteria.compile_frame(g)
+            frame = FlowFrame(CompiledGraph(g))
             root = IdentificationState.fresh(g, frame)
             root.solved_edges.update(
                 e for e in sorted(g.edges_obs) if rng.random() < 0.6
@@ -1113,7 +1203,7 @@ class TestPatternFrame:
         """A frame refuses a graph with an observed edge or a latent edge
         it lacks."""
         g = builtin_graph("fig2a")
-        frame = criteria.compile_frame(g)
+        frame = FlowFrame(CompiledGraph(g))
         combined_algorithm(g, SearchConfig(), frame)
         extra = LatentFactorGraph(
             g.observed, g.latent, g.edges_obs | {("6", "1")}, g.edges_lat
@@ -1138,8 +1228,8 @@ class TestCompiledQueries:
     def test_masks_match_set_queries(self):
         """The compiled graph, allowed rows, source pools, solved nodes and
         eLF-HTC networks of the search equal the set-based queries,
-        `oracles.allowed_update` and `build_elf_flow`, in subgraphs of the
-        deletion recursion."""
+        `oracles.allowed_update` and the reference networks, in subgraphs
+        of the deletion recursion."""
         rng = random.Random(71)
         pools = networks = 0
         for i in range(200):
@@ -1192,12 +1282,14 @@ class TestCompiledQueries:
                 p for p in sorted(allowed) if rng.random() < 0.85
             )
 
-            frame = criteria.compile_frame(g)
-            net = without_edges(frame.det, deleted)
+            frame = FlowFrame(root)
             state = scratch_state(
                 g, deleted, solved, allowed_rows(view, allowed), frame
             )
-            assert state.flow_net == net._residual
+            named = frame_network(frame, state.flow_net)
+            ref_det = ref_build_det_flow(sub)
+            assert named.node_capacity == ref_det.node_capacity
+            assert named.arcs == ref_det.arcs
             assert state.solved_nodes == ref_solved_nodes(
                 sub, state.solved_edges
             )
@@ -1237,18 +1329,19 @@ class TestCompiledQueries:
                             w_z = rng.getrandbits(len(names))
                             sinks = w_v | z | w_z
                             fast = state.elf_network(sources, z)
-                            ref = build_elf_flow(
+                            ref = ref_build_elf_flow(
                                 sub,
                                 v,
                                 view.nodes(sources),
                                 view.nodes(z),
                                 view.nodes(w_z),
                                 view.nodes(w_v),
-                                det=net,
                             )
-                            # The same arc states, so the same nodes and
-                            # arcs, and the same terminals.
-                            assert fast == ref._residual
+                            # The same nodes and arcs, and the same
+                            # terminals.
+                            named = frame_network(frame, fast)
+                            assert named.node_capacity == ref.node_capacity
+                            assert named.arcs == ref.arcs
                             assert ref.sources == tuple(
                                 orig(names[k]) for k in bits(sources)
                             )
@@ -1258,7 +1351,7 @@ class TestCompiledQueries:
                             value, carrying, _ = state.frame.solve(
                                 fast, sources, sinks
                             )
-                            ref_value, used = max_flow_sources(ref)
+                            ref_value, used, _ = ref_solve(ref)
                             assert value == ref_value
                             if value == sinks.bit_count():
                                 assert carrying == used

@@ -1,111 +1,138 @@
-"""Flow-network builders and the vertex-disjoint-paths solver."""
+"""The flow frame's networks and its vertex-disjoint-paths solver, against
+the dict-based reference networks and exhaustive search."""
 
 import random
 
-import pytest
-
 from latentid.catalog import builtin_graph
-from latentid import flow
-from latentid.flow import (
-    FlowFrame,
-    FlowNetwork,
-    build_det_flow,
-    build_elf_flow,
-    flow_numbers,
-    max_flow,
-    max_flow_cut,
-    max_flow_sources,
+from latentid.criteria import check_elf_htc
+from latentid.flow import FlowFrame
+from latentid.graph import CompiledGraph, LatentFactorGraph
+
+from oracles import (
+    disjoint_paths_bruteforce,
+    frame_network,
+    name_mask,
     orig,
     primed,
-    without_edges,
+    random_latent_factor_graph,
+    ref_build_det_flow,
+    ref_build_elf_flow,
+    ref_solve,
+    solve_outcome,
+    without_named_arcs,
 )
-from latentid.graph import CompiledGraph, GraphError, LatentFactorGraph
 
-from oracles import disjoint_paths_bruteforce, random_latent_factor_graph
+
+def compile_det(g):
+    """The frame of `g`, its compiled graph and its determinantal
+    network."""
+    view = CompiledGraph(g)
+    frame = FlowFrame(view)
+    return frame, view, frame.det_network(view)
+
+
+def elf_network(g, v, allowed, z):
+    """The frame of `g`, its compiled graph and its eLF-HTC network for
+    node `v`, sources `allowed` and sink set Z `z`."""
+    frame, view, det = compile_det(g)
+    net = frame.network(
+        frame.base(det), name_mask(view, allowed), name_mask(view, z)
+    )
+    return frame, view, net
 
 
 class TestBuildDetFlow:
     def test_single_edge_arcs(self):
         g = LatentFactorGraph(["1", "2"], [], [("1", "2")], [])
-        net = build_det_flow(g)
+        frame, _, det = compile_det(g)
+        net = frame_network(frame, det)
         assert set(net.arcs) == {
             (orig("2"), orig("1")),
             (orig("1"), primed("1")),
             (orig("2"), primed("2")),
             (primed("1"), primed("2")),
         }
-        assert all(c == 1 for c in net.arcs.values())
-        assert all(c == 1 for c in net.node_capacity.values())
+        assert set(net.node_capacity) == {
+            orig("1"), orig("2"), primed("1"), primed("2")
+        }
 
     def test_empty_graph(self):
         g = LatentFactorGraph([], [], [], [])
-        net = build_det_flow(g)
+        frame, _, det = compile_det(g)
+        net = frame_network(frame, det)
         assert not net.arcs and not net.node_capacity
+        assert frame.solve(det, 0, 0)[0] == 0
 
     def test_fig4a_network_size(self):
         g = builtin_graph("fig4a")
-        net = build_det_flow(g)
+        frame, _, det = compile_det(g)
         # 6 observed + 1 latent, originals plus primed copies.
-        assert len(net.node_capacity) == 14
+        assert len(frame_network(frame, det).node_capacity) == 14
 
     def test_fig4a_example_flow(self):
         g = builtin_graph("fig4a")
-        net = build_det_flow(g).with_terminals(
-            [orig(n) for n in ("2", "3", "4")],
-            [primed(n) for n in ("1", "2", "4")],
+        frame, view, det = compile_det(g)
+        value, _, _ = frame.solve(
+            det,
+            name_mask(view, ("2", "3", "4")),
+            name_mask(view, ("1", "2", "4")),
         )
-        assert max_flow(net) == 3
+        assert value == 3
 
 
 class TestBuildElfFlow:
     def test_sink_structure_fig2b(self):
         g = builtin_graph("fig2b")
-        net = build_elf_flow(
+        frame, _, net = elf_network(g, "3", allowed={"1", "2"}, z={"4"})
+        ref = ref_build_elf_flow(
             g, "3", allowed={"1", "2"}, z={"4"}, w_z=set(), w_v={"2"}
         )
-        assert set(net.sinks) == {primed("2"), primed("4")}
+        assert set(ref.sinks) == {primed("2"), primed("4")}
+        named = frame_network(frame, net)
+        assert named.node_capacity == ref.node_capacity
+        assert named.arcs == ref.arcs
         # No primed arc may enter a conditioned sink from an observed edge.
         assert not any(
-            w == primed("4") and u[1] in g.observed
-            for (u, w) in net.arcs
+            w == primed("4") and u[1] in g.observed for (u, w) in named.arcs
         )
 
     def test_empty_sinks(self):
         g = builtin_graph("fig2a")
-        net = build_elf_flow(
-            g, "4", allowed={"1"}, z=set(), w_z=set(), w_v=set()
-        )
-        assert net.sinks == ()
-        assert max_flow(net) == 0
+        frame, view, net = elf_network(g, "4", allowed={"1"}, z=set())
+        assert frame.solve(net, name_mask(view, {"1"}), 0)[0] == 0
 
-    def test_source_overlap_rejected(self):
+    def test_source_in_sinks_rejected(self):
+        """A witness whose Y meets Z or v is rejected, though the flow
+        from such a Y reaches every sink: a source in Z passes its own
+        unit from its original to its primed copy."""
         g = builtin_graph("fig2a")
-        with pytest.raises(GraphError):
-            build_elf_flow(
-                g, "4", allowed={"4"}, z=set(), w_z=set(), w_v={"3"}
-            )
+        witness = dict(w_v={"3"}, z={"6"}, w_z={"6": {"5"}}, h={"h1"})
+        assert check_elf_htc(g, "4", y={"1", "2", "3"}, **witness)
+        for y in ({"1", "3", "6"}, {"1", "3", "4"}):
+            assert not check_elf_htc(g, "4", y=y, **witness), y
+        y = {"1", "3", "6"}
+        frame, view, net = elf_network(g, "4", allowed=y, z={"6"})
+        sinks = name_mask(view, {"3", "5", "6"})
+        assert frame.solve(net, name_mask(view, y), sinks)[0] == 3
 
     def test_fig6_example_flow(self):
         # The half-trek system {1->5, 2<-h1->6, 3} carries three units.
         g = builtin_graph("fig2a")
-        net = build_elf_flow(
-            g,
-            "4",
-            allowed={"1", "2", "3", "5"},
-            z={"6"},
-            w_z={"5"},
-            w_v={"3"},
+        allowed = {"1", "2", "3", "5"}
+        frame, view, net = elf_network(g, "4", allowed, z={"6"})
+        value, carriers, _ = frame.solve(
+            net, name_mask(view, allowed), name_mask(view, {"3", "5", "6"})
         )
-        value, carriers = max_flow_sources(net)
         assert value == 3
-        assert carriers <= {"1", "2", "3", "5"}
+        assert carriers <= allowed
         assert len(carriers) == 3
 
 
 class TestMaxFlowSolver:
     def test_no_sinks(self):
-        net = FlowNetwork({orig("1"): 1}, {}, (orig("1"),), ())
-        assert max_flow(net) == 0
+        g = LatentFactorGraph(["1"], [], [], [])
+        frame, _, det = compile_det(g)
+        assert frame.solve(det, 1, 0)[0] == 0
 
     def test_matches_bruteforce_on_random_networks(self):
         rng = random.Random(3)
@@ -114,14 +141,19 @@ class TestMaxFlowSolver:
             g = random_latent_factor_graph(
                 rng, max_obs=4, max_lat=1, acyclic=False
             )
-            net = build_det_flow(g)
+            frame, view, det = compile_det(g)
             obs = sorted(g.observed)
-            sources = [orig(n) for n in obs if rng.random() < 0.5]
-            sinks = [primed(n) for n in obs if rng.random() < 0.5]
+            sources = [n for n in obs if rng.random() < 0.5]
+            sinks = [n for n in obs if rng.random() < 0.5]
             if not sources or not sinks:
                 continue
-            net = net.with_terminals(sources, sinks)
-            assert max_flow(net) == disjoint_paths_bruteforce(net)
+            ref = ref_build_det_flow(g).with_terminals(
+                map(orig, sources), map(primed, sinks)
+            )
+            value, _, _ = frame.solve(
+                det, name_mask(view, sources), name_mask(view, sinks)
+            )
+            assert value == disjoint_paths_bruteforce(ref)
             checked += 1
 
     def test_elf_networks_match_bruteforce(self):
@@ -137,26 +169,29 @@ class TestMaxFlowSolver:
             z = {n for n in rest if rng.random() < 0.3}
             allowed = {n for n in rest if n not in z and rng.random() < 0.7}
             w_v = {n for n in rest if rng.random() < 0.5}
-            net = build_elf_flow(g, v, allowed, z, set(), w_v)
-            if not net.sources or not net.sinks:
+            ref = ref_build_elf_flow(g, v, allowed, z, set(), w_v)
+            if not ref.sources or not ref.sinks:
                 continue
-            assert max_flow(net) == disjoint_paths_bruteforce(net)
+            frame, view, net = elf_network(g, v, allowed, z)
+            value, _, _ = frame.solve(
+                net, name_mask(view, allowed), name_mask(view, w_v | z)
+            )
+            assert value == disjoint_paths_bruteforce(ref)
             checked += 1
 
     def test_monotone_under_arc_removal(self):
         rng = random.Random(5)
         for _ in range(30):
             g = random_latent_factor_graph(rng, max_obs=5, acyclic=False)
-            net = build_det_flow(g).with_terminals(
-                [orig(n) for n in g.observed],
-                [primed(n) for n in g.observed],
-            )
-            before = max_flow(net)
-            arcs = sorted(net.arcs)
+            frame, view, det = compile_det(g)
+            every = view.all
+            before = frame.solve(det, every, every)[0]
+            arcs = sorted(frame_network(frame, det).arcs)
             if not arcs:
                 continue
             removed = arcs[rng.randrange(len(arcs))]
-            assert max_flow(net.without_arcs([removed])) <= before
+            after = without_named_arcs(frame, det, [removed])
+            assert frame.solve(after, every, every)[0] <= before
 
     def test_relabel_invariance(self):
         g = builtin_graph("fig4a")
@@ -167,31 +202,26 @@ class TestMaxFlowSolver:
             [(mapping[a], mapping[b]) for a, b in sorted(g.edges_obs)],
             [(h, mapping[b]) for h, b in sorted(g.edges_lat)],
         )
-        n1 = build_det_flow(g).with_terminals(
-            [orig(n) for n in ("2", "3", "4")],
-            [primed(n) for n in ("1", "2", "4")],
-        )
-        n2 = build_det_flow(g2).with_terminals(
-            [orig(mapping[n]) for n in ("2", "3", "4")],
-            [primed(mapping[n]) for n in ("1", "2", "4")],
-        )
-        assert max_flow(n1) == max_flow(n2)
+        values = []
+        for graph, names in ((g, dict(zip(mapping, mapping))), (g2, mapping)):
+            frame, view, det = compile_det(graph)
+            values.append(
+                frame.solve(
+                    det,
+                    name_mask(view, (names[n] for n in ("2", "3", "4"))),
+                    name_mask(view, (names[n] for n in ("1", "2", "4"))),
+                )[0]
+            )
+        assert values[0] == values[1]
 
     def test_carrying_sources_consistent(self):
         g = builtin_graph("fig2a")
-        net = build_elf_flow(
-            g,
-            "4",
-            allowed={"1", "2", "3", "5"},
-            z={"6"},
-            w_z={"5"},
-            w_v={"3"},
-        )
-        value, carriers = max_flow_sources(net)
-        restricted = net.with_terminals(
-            [orig(n) for n in carriers], net.sinks
-        )
-        assert max_flow(restricted) == value
+        allowed = {"1", "2", "3", "5"}
+        frame, view, net = elf_network(g, "4", allowed, z={"6"})
+        sinks = name_mask(view, {"3", "5", "6"})
+        value, carriers, _ = frame.solve(net, name_mask(view, allowed), sinks)
+        restricted = frame.solve(net, name_mask(view, carriers), sinks)
+        assert restricted[0] == value
 
 
 class TestMaxFlowCut:
@@ -208,36 +238,55 @@ class TestMaxFlowCut:
             )
             obs = sorted(g.observed)
             edges = sorted(g.edges_obs | g.edges_lat)
-            det = build_det_flow(g)
-            entry = dict(zip(obs, flow_numbers(det, map(orig, obs))))
-            exit_ = dict(zip(obs, flow_numbers(det, map(primed, obs))))
+            frame, view, det = compile_det(g)
+            ref_det = ref_build_det_flow(g)
+
+            def mask(nodes):
+                return name_mask(view, nodes)
+
             # A chain of networks, each with more edges deleted.
             chain = [det]
             for _ in range(2):
                 chain.append(
-                    without_edges(
+                    without_named_arcs(
+                        frame,
                         chain[-1],
-                        rng.sample(edges, rng.randint(0, min(3, len(edges)))),
+                        (
+                            arc
+                            for a, b in rng.sample(
+                                edges, rng.randint(0, min(3, len(edges)))
+                            )
+                            for arc in (
+                                (orig(b), orig(a)),
+                                (primed(a), primed(b)),
+                            )
+                        ),
                     )
                 )
             for level, net in enumerate(chain[:-1]):
                 s1 = rng.sample(obs, rng.randint(1, len(obs)))
                 t1 = rng.sample(obs, rng.randint(1, len(obs)))
-                one = net.with_terminals(map(orig, s1), map(primed, t1))
-                value, entered, exited = max_flow_cut(one)
-                assert value == max_flow(one)
+                value, _, cut = frame.solve(net, mask(s1), mask(t1))
+                named = frame_network(frame, net)
+                if level == 0:
+                    assert named.arcs == ref_det.arcs
+                ref_value, used, _ = ref_solve(
+                    named.with_terminals(map(orig, s1), map(primed, t1))
+                )
+                assert value == ref_value
                 if value == len(t1):
-                    assert entered == exited == 0
+                    assert cut is None
                     continue
                 failing += 1
-                e = {n for n in obs if entered >> entry[n] & 1}
-                x = {n for n in obs if exited >> exit_[n] & 1}
-                assert set(s1) - max_flow_sources(one)[1] <= e
+                entered, exited = cut or (0, 0)
+                e = view.nodes(entered)
+                x = view.nodes(exited)
+                assert set(s1) - used <= e
                 # Dropping a used sink drops the flow by one; dropping an
                 # unused one would not.
                 for t in x & set(t1):
-                    rest = [primed(n) for n in t1 if n != t]
-                    assert max_flow(net.with_terminals(map(orig, s1), rest)) == (
+                    rest = [n for n in t1 if n != t]
+                    assert frame.solve(net, mask(s1), mask(rest))[0] == (
                         value - 1
                     )
                 arcs = value - len(set(s1) - e) - len(set(t1) & x)
@@ -249,9 +298,7 @@ class TestMaxFlowCut:
                     t2 = rng.sample(obs, len(s2))
                     bound = arcs + len(set(s2) - e) + len(set(t2) & x)
                     for sub in chain[level:]:
-                        flow = max_flow(
-                            sub.with_terminals(map(orig, s2), map(primed, t2))
-                        )
+                        flow = frame.solve(sub, mask(s2), mask(t2))[0]
                         assert flow <= bound, (g, s1, t1, s2, t2)
                     rejected += bound < len(s2)
         assert failing > 100 and rejected > 50
@@ -272,17 +319,6 @@ def complete_graph(g):
     )
 
 
-def elf_reference(g, det, view, v, a, z, t):
-    """`build_elf_flow`'s network of `g`, derived from `det`, for node v,
-    sources `a` and sink set Z `z`, with the primed copies of `t` as its
-    sinks: the network `FlowFrame.solve` solves for (a, z, t), built by
-    name."""
-    net = build_elf_flow(
-        g, view.names[v], view.nodes(a), view.nodes(z), (), (), det
-    )
-    return net.with_terminals(net.sources, map(primed, view.nodes(t)))
-
-
 def random_graph_of_size(rng, low, high, acyclic):
     """A `random_latent_factor_graph` with `low` to `high` observed nodes."""
     while True:
@@ -293,42 +329,13 @@ def random_graph_of_size(rng, low, high, acyclic):
             return g
 
 
-def solve_outcome(frame, residual, a, t, ref):
-    """Check `frame.solve(residual, a, t)` against the name-keyed solvers
-    on `ref`, the same network built by name: the flow value; when the
-    flow reaches the sinks, the carrying sources; when it falls short with
-    a source unused, `max_flow_cut`'s cut read through `frame.numbers`,
-    and no cut when every source is used. Returns which of the three
-    happened."""
-    value, carrying, cut = frame.solve(residual, a, t)
-    ref_value, used = max_flow_sources(ref)
-    assert value == ref_value
-    if value == t.bit_count():
-        assert (carrying, cut) == (used, None)
-        return "succeeded"
-    assert carrying == frozenset()
-    if value == a.bit_count():
-        assert cut is None
-        return "saturated"
-    _, entered, exited = max_flow_cut(ref)
-    assert cut == (
-        sum(1 << j for j, (o, _) in enumerate(frame.numbers) if entered >> o & 1),
-        sum(1 << j for j, (_, p) in enumerate(frame.numbers) if exited >> p & 1),
-    )
-    return "cut"
-
-
-def as_network(frame, residual):
-    """`residual`, a network of `frame`, as a name-keyed `FlowNetwork`."""
-    return flow._network(frame.det._compiled, residual, (), ())
-
-
 class TestFlowFrame:
     def test_solve_matches_name_keyed_flows(self):
-        """`solve` on masks gives what the name-keyed solvers give on the
-        same network (`solve_outcome`): on `build_elf_flow`'s networks,
-        and on determinantal networks, full, barred (`barred`) and with an
-        edge deleted (`without_edge`). Graphs of 13 and 14 observed nodes
+        """`solve` on masks gives what `ref_solve` gives on the same
+        network built by name (`solve_outcome`): on eLF-HTC networks, and
+        on determinantal networks, full, barred (`barred`) and with an
+        edge deleted (`without_edge`); the frame's networks hold the
+        reference's nodes and arcs. Graphs of 13 and 14 observed nodes
         give masks past the `bits` table."""
         rng = random.Random(37)
         outcomes = {"elf": [], "det": []}
@@ -341,12 +348,14 @@ class TestFlowFrame:
                 )
             else:
                 g = random_graph_of_size(rng, 13, 14, acyclic)
-            view = CompiledGraph(g)
+            frame, view, full = compile_det(g)
             n = len(view.names)
-            det = build_det_flow(g)
-            frame = FlowFrame(det, view)
-            full = frame.det_network(view)
-            assert full == det._residual
+            det = ref_build_det_flow(g)
+            named = frame_network(frame, full)
+            assert (named.node_capacity, named.arcs) == (
+                det.node_capacity,
+                det.arcs,
+            )
             base = frame.base(full)
             for _ in range(6):
                 v = rng.randrange(n)
@@ -355,14 +364,13 @@ class TestFlowFrame:
                 w_v = view.pa[v] & random_mask(rng, n)
                 w_z = random_mask(rng, n) & random_mask(rng, n)
                 t = w_v | z | w_z
-                ref = build_elf_flow(
+                ref = ref_build_elf_flow(
                     g,
                     view.names[v],
                     view.nodes(a),
                     view.nodes(z),
                     view.nodes(w_z),
                     view.nodes(w_v),
-                    det,
                 )
                 outcomes["elf"].append(
                     solve_outcome(frame, frame.network(base, a, z), a, t, ref)
@@ -393,7 +401,7 @@ class TestFlowFrame:
                     nets.append(
                         (
                             frame.without_edge(full, a_, b_),
-                            without_edges(det, [edge]),
+                            ref_build_det_flow(g.without_obs_edges({edge})),
                         )
                     )
                 for residual, net in nets:
@@ -425,35 +433,41 @@ class TestFlowFrame:
             g = random_latent_factor_graph(
                 rng, max_obs=6, max_lat=2, acyclic=i % 2 == 0
             )
-            view = CompiledGraph(g)
+            elf, view, det = compile_det(g)
             n = len(view.names)
-            det = build_det_flow(g)
-            elf = FlowFrame(det, view)
             edges = sorted(g.edges_obs)
-            # A chain of networks, each with more edges deleted.
-            chain = [det]
+            # A chain of networks, each with more edges deleted, with the
+            # graphs they belong to.
+            chain = [(g, det)]
             for _ in range(2):
-                chain.append(
-                    without_edges(
-                        chain[-1],
-                        rng.sample(edges, rng.randint(0, min(3, len(edges)))),
-                    )
-                )
+                graph, net = chain[-1]
+                deleted = rng.sample(edges, rng.randint(0, min(3, len(edges))))
+                for a, b in deleted:
+                    net = elf.without_edge(net, view.index[a], view.index[b])
+                sub = graph.without_obs_edges(set(deleted) & graph.edges_obs)
+                chain.append((sub, net))
 
             def solve(net, a, z, t):
-                return elf.solve(
-                    elf.network(elf.base(net._residual), a, z), a, t
-                )
+                return elf.solve(elf.network(elf.base(net), a, z), a, t)
 
             for level in (0, 0, 1, 1):
-                net = chain[level]
+                graph, net = chain[level]
                 v = 1 << rng.randrange(n)
                 z = random_mask(rng, n, v) & random_mask(rng, n)
                 a = random_mask(rng, n, v | z)
                 t = random_mask(rng, n) or v
                 value, carrying, cut = solve(net, a, z, t)
-                one = elf_reference(g, net, view, v.bit_length() - 1, a, z, t)
-                value_ref, used = max_flow_sources(one)
+                one = ref_build_elf_flow(
+                    graph,
+                    view.names[v.bit_length() - 1],
+                    view.nodes(a),
+                    view.nodes(z),
+                    (),
+                    (),
+                ).with_terminals(
+                    map(orig, view.nodes(a)), map(primed, view.nodes(t))
+                )
+                value_ref, used, _ = ref_solve(one)
                 assert value == value_ref
                 if value == t.bit_count():
                     assert (carrying, cut) == (used, None)
@@ -465,7 +479,7 @@ class TestFlowFrame:
                 failing += 1
                 e, x = cut
                 # The cut holds every unused source.
-                assert not a & ~e & ~sum(1 << view.index[u] for u in used)
+                assert not a & ~e & ~name_mask(view, used)
                 c = value - (a & ~e).bit_count() - (t & x).bit_count()
                 for _ in range(10):
                     z2 = z | random_mask(rng, n, v) & random_mask(rng, n)
@@ -474,7 +488,7 @@ class TestFlowFrame:
                         a2 = random_mask(rng, n, v | z2)
                     t2 = random_mask(rng, n) or v
                     bound = c + (a2 & ~e).bit_count() + (t2 & x).bit_count()
-                    for sub in chain[level:]:
+                    for _, sub in chain[level:]:
                         flow = solve(sub, a2, z2, t2)[0]
                         assert flow <= bound, (g, a, z, t, a2, z2, t2)
                     rejected += bound < t2.bit_count()
@@ -492,11 +506,9 @@ class TestFlowFrame:
             )
             view = CompiledGraph(g)
             n = len(view.names)
-            own = FlowFrame(build_det_flow(g), view)
+            own = FlowFrame(view)
             complete = complete_graph(g)
-            frame = FlowFrame(
-                build_det_flow(complete), CompiledGraph(complete)
-            )
+            frame = FlowFrame(CompiledGraph(complete))
             assert frame.fits(view) and own.fits(view)
             assert not own.fits(CompiledGraph(complete)) or (
                 g.edges_obs == complete.edges_obs
@@ -514,7 +526,8 @@ class TestFlowFrame:
                         )
                     )
             for mine, theirs, sub in pairs:
-                ours, others = as_network(own, mine), as_network(frame, theirs)
+                ours = frame_network(own, mine)
+                others = frame_network(frame, theirs)
                 assert ours.arcs == others.arcs
                 assert ours.node_capacity == others.node_capacity
                 assert frame.det_network(sub) == theirs

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from latentid import rank
-from latentid.flow import build_det_flow, max_flow, orig, primed, without_edges
+from latentid.flow import FlowFrame
 from latentid.graph import CompiledGraph, bits
 from latentid.numerics import ModelParameters
 
@@ -164,20 +164,20 @@ class TestRankVersusFlow:
                 sorted(g.edges_obs), min(len(g.edges_obs), rng.randint(0, 2))
             )
             view = CompiledGraph(g)
+            frame = FlowFrame(view)
             for w, v in deleted:
                 view = view.without_edge(view.index[w], view.index[v])
-            net = without_edges(build_det_flow(g), deleted)
+            net = frame.det_network(view)
             cov = rank.covariance(view)
             assert cov is not None, g
-            names, n = view.names, len(view.names)
+            n = len(view.names)
 
             def check(matrix, flow_net, sources, sinks):
                 nonlocal pairs, exceed, deficit
-                flow = max_flow(
-                    flow_net.with_terminals(
-                        [orig(names[s]) for s in sources],
-                        [primed(names[c]) for c in sinks],
-                    )
+                flow, _, _ = frame.solve(
+                    flow_net,
+                    sum(1 << s for s in sources),
+                    sum(1 << c for c in sinks),
                 )
                 full = rank.nonsingular(matrix)
                 pairs += 1
@@ -199,9 +199,7 @@ class TestRankVersusFlow:
                     1 << w
                     for w in rng.sample(parents, rng.randint(1, len(parents)))
                 )
-                barred = net.without_arcs(
-                    (primed(names[w]), primed(names[v])) for w in bits(d)
-                )
+                barred = frame.barred(net, v, d)
                 column = cov.barred_column(v, d)
                 t_pool = list(bits(view.all & ~dec_v & ~(1 << v)))
                 for k in range(1, 4):
