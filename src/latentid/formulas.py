@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
+from math import prod
 from typing import Iterable, Optional
 
 import numpy as np
@@ -148,6 +149,9 @@ class FormulaMap:
     """Formulas per solved edge; closed under coefficient handles."""
 
     formulas: dict[Edge, RationalExpr] = field(default_factory=dict)
+    _plan: Optional[EvalPlan] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __contains__(self, edge: Edge) -> bool:
         return edge in self.formulas
@@ -167,6 +171,14 @@ class FormulaMap:
 
     def items(self):
         return self.formulas.items()
+
+    def plan(self) -> EvalPlan:
+        """The evaluation plan of every formula, compiled once and again
+        only when `formulas` no longer equals what it was compiled from."""
+        plan = self._plan
+        if plan is None or plan.formulas != self.formulas:
+            plan = self._plan = EvalPlan(self.formulas, self.formulas)
+        return plan
 
 
 def _lam_refs(expr: RationalExpr) -> set[Edge]:
@@ -622,70 +634,177 @@ def _pmatrix(rows: tuple[tuple[RationalExpr, ...], ...]) -> str:
 
 # -- evaluation ------------------------------------------------------------
 
+# The kinds of `EvalPlan` slot: operations, each filling its slot from the
+# slots `ins`, then covariance lookups and constants.
+_SUM, _PROD, _NEG, _QUOT, _DET, _SOLVE, _COORD, _COV, _CONST = range(9)
+
+
+class EvalPlan:
+    """Formulas compiled once into a flat list of operations over slots.
+
+    Structurally equal nodes share one slot (hash-consing keyed by the
+    node type and its children's slots; a `Const` by its float's exact
+    bits), a `Lam` is the slot of its edge's formula, and every
+    `SolveCoord` of one `(matrix, rhs)` system reads one solution vector.
+    `run` fills the slots in topological order, one covariance lookup per
+    distinct pair, with the tree walk's operation order in every node, so
+    each value is bit-identical to evaluating the tree. A degenerate slot
+    holds its `DegenerateInputError`, and a slot that reads it holds the
+    first such error among its inputs, in the walk's order: only the
+    formulas that depend on a degenerate value are degenerate.
+
+    `roots` names the expressions to evaluate; a `Lam` resolves through
+    `formulas`, kept as the shallow copy the plan was compiled from. A
+    handle with no formula there is a `DependencyError` here."""
+
+    def __init__(self, roots: dict, formulas: dict[Edge, RationalExpr]):
+        self.formulas = dict(formulas)
+        self._values: list = []  # a Const's value, None in other slots
+        self._covs: list[tuple[int, tuple[str, str]]] = []
+        self._ops: list[tuple] = []
+        self._keys: dict[tuple, int] = {}
+        self._edge_slots: dict[Edge, int] = {}
+        self.roots = {key: self._compile(expr) for key, expr in roots.items()}
+        del self._keys, self._edge_slots
+
+    def _slot(self, key: tuple, code: int, ins: tuple = (), arg=None) -> int:
+        """The slot of the node `key`, made on first sight: a constant
+        `arg`, a covariance lookup `arg`, or operation `code` over the
+        slots `ins`."""
+        slot = self._keys.get(key)
+        if slot is None:
+            slot = self._keys[key] = len(self._values)
+            self._values.append(arg if code == _CONST else None)
+            if code == _COV:
+                self._covs.append((slot, arg))
+            elif code != _CONST:
+                self._ops.append((code, slot, ins, arg))
+        return slot
+
+    def _compile(self, expr: RationalExpr) -> int:
+        if isinstance(expr, Cov):
+            pair = (expr.x, expr.y)
+            return self._slot((Cov, pair), _COV, arg=pair)
+        if isinstance(expr, Lam):
+            slot = self._edge_slots.get(expr.edge)
+            if slot is None:
+                if expr.edge not in self.formulas:
+                    raise DependencyError(expr.edge)
+                slot = self._compile(self.formulas[expr.edge])
+                self._edge_slots[expr.edge] = slot
+            return slot
+        if isinstance(expr, Sum):
+            ins = tuple(map(self._compile, expr.terms))
+            return self._slot((Sum, ins), _SUM, ins)
+        if isinstance(expr, Prod):
+            ins = tuple(map(self._compile, expr.factors))
+            return self._slot((Prod, ins), _PROD, ins)
+        if isinstance(expr, Neg):
+            ins = (self._compile(expr.term),)
+            return self._slot((Neg, ins), _NEG, ins)
+        if isinstance(expr, Quot):
+            ins = (self._compile(expr.num), self._compile(expr.den))
+            return self._slot((Quot, ins), _QUOT, ins)
+        if isinstance(expr, Det):
+            rows = self._rows(expr.matrix)
+            return self._slot((Det, rows), _DET, sum(rows, ()), rows)
+        if isinstance(expr, SolveCoord):
+            rows = self._rows(expr.matrix)
+            rhs = tuple(map(self._compile, expr.rhs))
+            ins = sum(rows, ()) + rhs
+            key = (SolveCoord, rows, rhs)
+            system = self._slot(key, _SOLVE, ins, (rows, rhs))
+            return self._slot(
+                (system, expr.index), _COORD, (system,), expr.index
+            )
+        if isinstance(expr, Const):
+            value = float(expr.value)
+            return self._slot((Const, value.hex()), _CONST, arg=value)
+        raise TypeError(f"unknown expression node: {expr!r}")
+
+    def _rows(self, matrix) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(map(self._compile, row)) for row in matrix)
+
+    def run(self, sigma) -> dict:
+        """The value of every root at `sigma`, or the `DegenerateInputError`
+        that makes it undefined there. `sigma` must support `sigma[x, y]`
+        lookups by node id."""
+        vals = self._values[:]
+        for slot, pair in self._covs:
+            vals[slot] = float(sigma[pair])
+        get = vals.__getitem__
+        poisoned = False
+        for code, out, ins, arg in self._ops:
+            if poisoned:
+                err = next(
+                    (v for v in map(get, ins)
+                     if isinstance(v, DegenerateInputError)),
+                    None,
+                )
+                if err is not None:
+                    vals[out] = err
+                    continue
+            if code == _PROD:
+                vals[out] = prod(map(get, ins), start=1.0)
+            elif code == _NEG:
+                vals[out] = -vals[ins[0]]
+            elif code == _SUM:
+                vals[out] = sum(map(get, ins))
+            elif code == _COORD:
+                vals[out] = vals[ins[0]][arg]
+            elif code == _QUOT:
+                num, den = vals[ins[0]], vals[ins[1]]
+                if abs(den) <= SINGULARITY_TOL * max(1.0, abs(num)):
+                    vals[out] = DegenerateInputError(
+                        "denominator vanishes at this covariance matrix"
+                    )
+                    poisoned = True
+                else:
+                    vals[out] = num / den
+            elif code == _DET:
+                vals[out] = float(np.linalg.det(_matrix(get, arg)))
+            else:  # _SOLVE
+                vals[out] = _solve(get, *arg)
+                poisoned = poisoned or isinstance(
+                    vals[out], DegenerateInputError
+                )
+        return {key: vals[slot] for key, slot in self.roots.items()}
+
+
+def _matrix(get, rows) -> np.ndarray:
+    return np.array([list(map(get, row)) for row in rows], dtype=float)
+
+
+def _solve(get, rows, rhs):
+    """The solution vector of a system (a list of floats), or the
+    `DegenerateInputError` of an empty or near-singular one."""
+    a = _matrix(get, rows)
+    if a.size == 0:
+        return DegenerateInputError("empty linear system")
+    b = np.array(list(map(get, rhs)))
+    scale = float(np.prod(np.linalg.norm(a, axis=1)))
+    det = float(np.linalg.det(a))
+    if abs(det) <= SINGULARITY_TOL * max(scale, 1e-300):
+        return DegenerateInputError(
+            "near-singular linear system at this covariance matrix"
+        )
+    return np.linalg.solve(a, b).tolist()
+
 
 def eval_expr(
     expr: RationalExpr,
     sigma,
     fmap: Optional[FormulaMap] = None,
-    _cache: Optional[dict[Edge, float]] = None,
 ) -> float:
     """Numeric value of an expression at a covariance matrix.
 
     `sigma` must support `sigma[x, y]` lookups by node id. Coefficient
-    handles are resolved through `fmap` and memoized.
+    handles are resolved through `fmap`. This compiles a plan for the one
+    expression; `FormulaMap.plan` evaluates a whole map at once.
     """
-    if _cache is None:
-        _cache = {}
-    return _eval(expr, sigma, fmap, _cache)
-
-
-def _eval(expr, sigma, fmap, cache) -> float:
-    if isinstance(expr, Cov):
-        return float(sigma[expr.x, expr.y])
-    if isinstance(expr, Const):
-        return float(expr.value)
-    if isinstance(expr, Lam):
-        if expr.edge not in cache:
-            if fmap is None or expr.edge not in fmap:
-                raise DependencyError(expr.edge)
-            cache[expr.edge] = _eval(fmap.get(expr.edge), sigma, fmap, cache)
-        return cache[expr.edge]
-    if isinstance(expr, Sum):
-        return sum(_eval(t, sigma, fmap, cache) for t in expr.terms)
-    if isinstance(expr, Prod):
-        out = 1.0
-        for f in expr.factors:
-            out *= _eval(f, sigma, fmap, cache)
-        return out
-    if isinstance(expr, Neg):
-        return -_eval(expr.term, sigma, fmap, cache)
-    if isinstance(expr, Quot):
-        num = _eval(expr.num, sigma, fmap, cache)
-        den = _eval(expr.den, sigma, fmap, cache)
-        if abs(den) <= SINGULARITY_TOL * max(1.0, abs(num)):
-            raise DegenerateInputError(
-                "denominator vanishes at this covariance matrix"
-            )
-        return num / den
-    if isinstance(expr, Det):
-        return float(np.linalg.det(_eval_matrix(expr.matrix, sigma, fmap, cache)))
-    if isinstance(expr, SolveCoord):
-        a = _eval_matrix(expr.matrix, sigma, fmap, cache)
-        b = np.array([_eval(t, sigma, fmap, cache) for t in expr.rhs])
-        scale = float(np.prod(np.linalg.norm(a, axis=1))) if a.size else 0.0
-        det = float(np.linalg.det(a)) if a.size else 0.0
-        if a.size == 0:
-            raise DegenerateInputError("empty linear system")
-        if abs(det) <= SINGULARITY_TOL * max(scale, 1e-300):
-            raise DegenerateInputError(
-                "near-singular linear system at this covariance matrix"
-            )
-        return float(np.linalg.solve(a, b)[expr.index])
-    raise TypeError(f"unknown expression node: {expr!r}")
-
-
-def _eval_matrix(matrix, sigma, fmap, cache) -> np.ndarray:
-    return np.array(
-        [[_eval(e, sigma, fmap, cache) for e in row] for row in matrix],
-        dtype=float,
-    )
+    value = EvalPlan(
+        {None: expr}, fmap.formulas if fmap is not None else {}
+    ).run(sigma)[None]
+    if isinstance(value, DegenerateInputError):
+        raise value
+    return value

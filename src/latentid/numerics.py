@@ -14,7 +14,6 @@ from .criteria import IdentificationState
 from .formulas import (
     DegenerateInputError,
     FormulaMap,
-    eval_expr,
     formula_map_from_state,
 )
 from .graph import Edge, LatentFactorGraph
@@ -55,14 +54,28 @@ class ModelParameters:
 
 
 class CovarianceMatrix:
-    """Symmetric positive-definite matrix indexed by observed node ids."""
+    """Symmetric positive-definite matrix indexed by observed node ids.
+    Node names are distinct and every entry is finite (`ValueError`)."""
 
     def __init__(self, nodes, values: np.ndarray):
         self.nodes = tuple(nodes)
+        if len(set(self.nodes)) < len(self.nodes):
+            dup = next(n for i, n in enumerate(self.nodes)
+                       if n in self.nodes[:i])
+            raise ValueError(f"duplicate covariance node name {dup!r}")
         values = np.asarray(values, dtype=float)
         if values.shape != (len(self.nodes), len(self.nodes)):
             raise ValueError("covariance shape does not match node list")
-        if not np.allclose(values, values.T, atol=1e-12):
+        finite = np.isfinite(values)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"covariance entry at row {i + 1}, column {j + 1} is not "
+                f"finite ({values[i, j]})"
+            )
+        # `np.allclose(values, values.T, atol=1e-12)`, whose inf and NaN
+        # handling finite entries do not need.
+        if not (abs(values - values.T) <= 1e-12 + 1e-5 * abs(values.T)).all():
             raise ValueError("covariance matrix is not symmetric")
         self.values = (values + values.T) / 2.0
         self._index = {n: i for i, n in enumerate(self.nodes)}
@@ -132,16 +145,15 @@ class EdgeEstimate:
 def estimate(
     g: LatentFactorGraph, sigma: CovarianceMatrix, fmap: FormulaMap
 ) -> dict[Edge, EdgeEstimate]:
-    """Evaluate every available formula at the given covariance matrix."""
+    """Evaluate every available formula at the given covariance matrix,
+    through the map's compiled plan. An edge whose formula depends on a
+    value that is degenerate at `sigma` is flagged; the others keep theirs."""
     out: dict[Edge, EdgeEstimate] = {}
-    cache: dict[Edge, float] = {}
-    for edge, expr in sorted(fmap.items()):
-        try:
-            out[edge] = EdgeEstimate(
-                eval_expr(expr, sigma, fmap, _cache=cache)
-            )
-        except DegenerateInputError:
+    for edge, value in sorted(fmap.plan().run(sigma).items()):
+        if isinstance(value, DegenerateInputError):
             out[edge] = EdgeEstimate(None, degenerate=True)
+        else:
+            out[edge] = EdgeEstimate(value)
     return out
 
 

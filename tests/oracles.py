@@ -23,6 +23,22 @@ from latentid.criteria import (
     check_elf_htc,
 )
 from latentid.flow import FlowFrame
+from latentid.formulas import (
+    SINGULARITY_TOL,
+    Const,
+    Cov,
+    DegenerateInputError,
+    DependencyError,
+    Det,
+    FormulaMap,
+    Lam,
+    Neg,
+    Prod,
+    Quot,
+    RationalExpr,
+    SolveCoord,
+    Sum,
+)
 from latentid.graph import (
     CompiledGraph,
     Edge,
@@ -904,6 +920,82 @@ def count_classes_exhaustive(pattern, num_edges):
             continue
         reps.append(edge_set)
     return len(reps)
+
+
+# -- formula evaluation by walking the tree -------------------------------
+
+
+def ref_eval_expr(
+    expr: RationalExpr,
+    sigma,
+    fmap: Optional[FormulaMap] = None,
+    _cache: Optional[dict[Edge, float]] = None,
+) -> float:
+    """Numeric value of an expression at a covariance matrix, by walking
+    the tree: the reference for `formulas.EvalPlan`.
+
+    `sigma` must support `sigma[x, y]` lookups by node id. Coefficient
+    handles are resolved through `fmap` and memoized.
+    """
+    if _cache is None:
+        _cache = {}
+    return _ref_eval(expr, sigma, fmap, _cache)
+
+
+def _ref_eval(expr, sigma, fmap, cache) -> float:
+    if isinstance(expr, Cov):
+        return float(sigma[expr.x, expr.y])
+    if isinstance(expr, Const):
+        return float(expr.value)
+    if isinstance(expr, Lam):
+        if expr.edge not in cache:
+            if fmap is None or expr.edge not in fmap:
+                raise DependencyError(expr.edge)
+            cache[expr.edge] = _ref_eval(
+                fmap.get(expr.edge), sigma, fmap, cache
+            )
+        return cache[expr.edge]
+    if isinstance(expr, Sum):
+        return sum(_ref_eval(t, sigma, fmap, cache) for t in expr.terms)
+    if isinstance(expr, Prod):
+        out = 1.0
+        for f in expr.factors:
+            out *= _ref_eval(f, sigma, fmap, cache)
+        return out
+    if isinstance(expr, Neg):
+        return -_ref_eval(expr.term, sigma, fmap, cache)
+    if isinstance(expr, Quot):
+        num = _ref_eval(expr.num, sigma, fmap, cache)
+        den = _ref_eval(expr.den, sigma, fmap, cache)
+        if abs(den) <= SINGULARITY_TOL * max(1.0, abs(num)):
+            raise DegenerateInputError(
+                "denominator vanishes at this covariance matrix"
+            )
+        return num / den
+    if isinstance(expr, Det):
+        return float(
+            np.linalg.det(_ref_eval_matrix(expr.matrix, sigma, fmap, cache))
+        )
+    if isinstance(expr, SolveCoord):
+        a = _ref_eval_matrix(expr.matrix, sigma, fmap, cache)
+        b = np.array([_ref_eval(t, sigma, fmap, cache) for t in expr.rhs])
+        scale = float(np.prod(np.linalg.norm(a, axis=1))) if a.size else 0.0
+        det = float(np.linalg.det(a)) if a.size else 0.0
+        if a.size == 0:
+            raise DegenerateInputError("empty linear system")
+        if abs(det) <= SINGULARITY_TOL * max(scale, 1e-300):
+            raise DegenerateInputError(
+                "near-singular linear system at this covariance matrix"
+            )
+        return float(np.linalg.solve(a, b)[expr.index])
+    raise TypeError(f"unknown expression node: {expr!r}")
+
+
+def _ref_eval_matrix(matrix, sigma, fmap, cache) -> np.ndarray:
+    return np.array(
+        [[_ref_eval(e, sigma, fmap, cache) for e in row] for row in matrix],
+        dtype=float,
+    )
 
 
 # -- random graph generators -----------------------------------------------

@@ -543,6 +543,36 @@ class TestEstimate:
         assert_one_line_error(err)
         assert "not positive definite" in err
 
+    def test_duplicate_node_name(self, capsys, tmp_path):
+        # Seven columns naming fig2a's six nodes, "1" twice: the node set
+        # matches, but one of the two columns would go unread.
+        rows = [",".join("1" if i == j else "0" for j in range(7))
+                for i in range(7)]
+        path = tmp_path / "sigma.csv"
+        path.write_text("\n".join(["1,2,3,4,5,6,1"] + rows))
+        code, out, err = run_cli(
+            capsys, "estimate", "--graph", "fig2a", "--cov", str(path)
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+        assert "duplicate covariance node name '1'" in err
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_entry(self, capsys, tmp_path, bad):
+        rows = [",".join("1" if i == j else "0" for j in range(6))
+                for i in range(6)]
+        rows[0] = bad + rows[0][1:]
+        path = tmp_path / "sigma.csv"
+        path.write_text("\n".join(["1,2,3,4,5,6"] + rows))
+        code, out, err = run_cli(
+            capsys, "estimate", "--graph", "fig2a", "--cov", str(path)
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+        assert "row 1, column 1 is not finite" in err
+
     def test_node_mismatch(self, capsys, tmp_path):
         g = builtin_graph("fig2b")
         path = tmp_path / "sigma.csv"

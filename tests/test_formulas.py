@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from latentid.formulas import (
     DeletionContext,
     DependencyError,
     Det,
+    EvalPlan,
     FormulaMap,
     Lam,
     Neg,
@@ -33,7 +35,14 @@ from latentid.formulas import (
     solve_alpha,
 )
 from latentid.graph import GraphError, LatentFactorGraph
-from latentid.numerics import CovarianceMatrix, covariance, sample_parameters
+from latentid.numerics import (
+    CovarianceMatrix,
+    SamplingError,
+    covariance,
+    sample_parameters,
+)
+
+from oracles import random_latent_factor_graph, ref_eval_expr
 
 
 def htc(v, w_v, y, z, w_z, h):
@@ -529,3 +538,196 @@ class TestEvaluation:
             assert got == pytest.approx(
                 params.coefficient(edge), rel=1e-8
             ), edge
+
+
+def outcome(value) -> tuple:
+    """A value's exact text, which tells -0.0, 0 and NaN apart, or the
+    message of the degenerate input that has no value."""
+    if isinstance(value, DegenerateInputError):
+        return ("degenerate", str(value))
+    return ("value", repr(value))
+
+
+def ref_outcome(expr, sigma, fmap) -> tuple:
+    try:
+        return outcome(ref_eval_expr(expr, sigma, fmap))
+    except DegenerateInputError as exc:
+        return outcome(exc)
+
+
+class TestEvalPlan:
+    """The compiled plan against the tree walk in `oracles.ref_eval_expr`:
+    the same float, bit for bit, or the same degenerate message."""
+
+    @staticmethod
+    def assert_matches_walk(fmap, sigma):
+        got = {e: outcome(v) for e, v in fmap.plan().run(sigma).items()}
+        want = {e: ref_outcome(x, sigma, fmap) for e, x in fmap.items()}
+        assert got == want
+
+    @staticmethod
+    def sigmas(g, seeds):
+        out = [CovarianceMatrix(g.observed, np.eye(len(g.observed)))]
+        for seed in seeds:
+            try:
+                out.append(covariance(sample_parameters(g, seed)))
+            except (SamplingError, ValueError):
+                continue
+        return out
+
+    def test_builtin_graphs_match_walk(self):
+        for name in ("fig2a", "fig2b", "fig3", "fig4a", "household"):
+            g = builtin_graph(name)
+            fmap = formula_map_from_state(g, combined_algorithm(g))
+            for sigma in self.sigmas(g, range(10)):
+                self.assert_matches_walk(fmap, sigma)
+
+    def test_random_graphs_match_walk(self):
+        rng = random.Random(18)
+        compared = 0
+        for i in range(40):
+            g = random_latent_factor_graph(rng, acyclic=i % 2 == 0)
+            fmap = formula_map_from_state(g, combined_algorithm(g))
+            for sigma in self.sigmas(g, [(18, i, t) for t in range(10)]):
+                self.assert_matches_walk(fmap, sigma)
+                compared += len(fmap.formulas)
+        assert compared >= 700
+
+    def test_expression_trees_match_walk(self):
+        # Trees with repeated subtrees, equal and identical, and handles
+        # to a map whose third formula is degenerate at every Σ.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        base = {
+            ("1", "2"): Quot(cov("1", "2"), cov("1", "1")),
+            ("2", "3"): SolveCoord(
+                ((cov("2", "2"), Lam(("1", "2"))),
+                 (cov("1", "2"), cov("1", "1"))),
+                (cov("2", "3"), cov("1", "3")),
+                0,
+            ),
+            ("1", "3"): Quot(cov("1", "3"), Const(0.0)),
+        }
+        names = st.sampled_from(["1", "2", "3"])
+        leaves = (
+            st.builds(cov, names, names)
+            | st.builds(Cov, names, names)
+            | st.sampled_from([Lam(e) for e in base])
+            | st.builds(Const, st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-13]))
+        )
+
+        def nodes(inner):
+            terms = st.lists(inner, max_size=3).map(tuple)
+
+            def system(n):
+                row = st.lists(inner, min_size=n, max_size=n).map(tuple)
+                return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+            def solve(n):
+                return st.builds(
+                    SolveCoord,
+                    system(n),
+                    st.lists(inner, min_size=n, max_size=n).map(tuple),
+                    st.integers(0, max(n, 1) - 1),
+                )
+
+            return (
+                terms.map(Sum)
+                | terms.map(Prod)
+                | inner.map(Neg)
+                | st.builds(Quot, inner, inner)
+                | st.integers(1, 3).flatmap(system).map(Det)
+                | st.integers(0, 2).flatmap(solve)
+                | inner.map(lambda t: Sum((t, Neg(copy.deepcopy(t)))))
+                | inner.map(lambda t: Prod((t, t)))
+            )
+
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(3, 3))
+        sigmas = [
+            CovarianceMatrix(("1", "2", "3"), x @ x.T + np.eye(3)),
+            CovarianceMatrix(("1", "2", "3"), np.eye(3)),
+            CovarianceMatrix(("1", "2", "3"), np.ones((3, 3))),
+        ]
+
+        @hypothesis.settings(
+            derandomize=True, max_examples=300, database=None, deadline=None
+        )
+        @hypothesis.given(st.recursive(leaves, nodes, max_leaves=16))
+        def check(expr):
+            fmap = FormulaMap(dict(base))
+            fmap.add(("3", "4"), expr)
+            for sigma in sigmas:
+                self.assert_matches_walk(fmap, sigma)
+                try:
+                    got = outcome(eval_expr(expr, sigma, fmap))
+                except DegenerateInputError as exc:
+                    got = outcome(exc)
+                assert got == ref_outcome(expr, sigma, fmap)
+
+        check()
+
+    def test_shared_systems_solved_once(self, monkeypatch):
+        g = builtin_graph("fig3")
+        fmap = formula_map_from_state(g, combined_algorithm(g))
+        systems = {
+            (x.matrix, x.rhs)
+            for x in fmap.formulas.values()
+            if isinstance(x, SolveCoord)
+        }
+        assert len(systems) < len(fmap.formulas)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b)
+        )
+        fmap.plan().run(covariance(sample_parameters(g, seed=1)))
+        assert len(solves) == len(systems)
+
+    def test_equal_subtrees_share_a_slot(self):
+        def shared():
+            return Quot(cov("1", "2"), Sum((cov("1", "1"), Const(1.0))))
+
+        sigma = CovarianceMatrix(("1", "2"), np.eye(2))
+        one = EvalPlan({0: Prod((shared(), shared()))}, {})
+        two = EvalPlan({0: Prod((shared(), Neg(shared())))}, {})
+        # cov 12, cov 11, the constant, the sum, the quotient, the root:
+        # the second Quot is the first one's slot. Neg adds one more.
+        assert len(one._values) == 6 and len(two._values) == 7
+        assert one.run(sigma) == {0: 0.0}
+
+    def test_unequal_nodes_keep_their_own_slots(self):
+        # Same children under another operation, and constants that are
+        # equal as floats but not bit for bit.
+        a, b = cov("1", "2"), cov("2", "2")
+        roots = {
+            "sum": Sum((a, b)),
+            "prod": Prod((a, b)),
+            "zero": Prod((b, Const(0.0))),
+            "minus zero": Prod((b, Const(-0.0))),
+        }
+        sigma = CovarianceMatrix(
+            ("1", "2"), np.array([[1.0, 2.0], [2.0, 3.0]])
+        )
+        got = {k: repr(v) for k, v in EvalPlan(roots, {}).run(sigma).items()}
+        assert got == {
+            "sum": "5.0", "prod": "6.0", "zero": "0.0", "minus zero": "-0.0"
+        }
+
+    def test_plan_kept_until_formulas_change(self):
+        fmap = FormulaMap()
+        fmap.add(("1", "2"), Quot(cov("1", "2"), cov("1", "1")))
+        plan = fmap.plan()
+        assert fmap.plan() is plan
+        fmap.formulas[("1", "2")] = Quot(cov("1", "2"), cov("1", "1"))
+        assert fmap.plan() is plan  # an equal formula
+        fmap.add(("2", "3"), Prod((Lam(("1", "2")), cov("1", "3"))))
+        assert fmap.plan() is not plan
+        sigma = CovarianceMatrix(("1", "2", "3"), np.eye(3))
+        assert set(fmap.plan().run(sigma)) == {("1", "2"), ("2", "3")}
+
+    def test_missing_handle_raises_when_compiled(self):
+        fmap = FormulaMap({("2", "3"): Prod((Lam(("1", "2")), cov("1", "3")))})
+        with pytest.raises(DependencyError) as info:
+            fmap.plan()
+        assert info.value.edge == ("1", "2")

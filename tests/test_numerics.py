@@ -7,10 +7,20 @@ import pytest
 
 from latentid.catalog import builtin_graph
 from latentid.criteria import IdentificationState, combined_algorithm
-from latentid.formulas import FormulaMap, Quot, cov
+from latentid.formulas import (
+    FormulaMap,
+    Lam,
+    Neg,
+    Prod,
+    Quot,
+    SolveCoord,
+    Sum,
+    cov,
+)
 from latentid.graph import LatentFactorGraph
 from latentid.numerics import (
     CovarianceMatrix,
+    EdgeEstimate,
     ModelParameters,
     SamplingSpec,
     covariance,
@@ -118,6 +128,20 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             CovarianceMatrix(("1", "2", "3"), np.eye(2))
 
+    def test_duplicate_node_rejected(self):
+        # Read by name, the second "1" would shadow the first.
+        with pytest.raises(ValueError, match="duplicate .* '1'"):
+            CovarianceMatrix(("1", "2", "1"), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_entry_rejected(self, bad):
+        values = np.eye(3)
+        values[1, 1] = bad
+        with pytest.raises(
+            ValueError, match="row 2, column 2 is not finite"
+        ):
+            CovarianceMatrix(("1", "2", "3"), values)
+
     def test_lookup_by_node_id(self):
         sigma = CovarianceMatrix(
             ("a", "b"), np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -191,7 +215,39 @@ class TestEstimate:
         fmap = formula_map_from_state(g, state)
         sigma = CovarianceMatrix(tuple(g.observed), np.eye(6))
         results = estimate(g, sigma, fmap)
-        assert any(r.degenerate for r in results.values())
+        # Every system of fig2a is singular at the identity.
+        assert results == {
+            edge: EdgeEstimate(None, degenerate=True)
+            for edge in sorted(g.edges_obs)
+        }
+
+    def test_degenerate_value_flags_only_its_dependents(self):
+        # A's denominator vanishes; B holds A's coefficient; C does not.
+        # D and E are two coordinates of one singular system.
+        a, b, c = ("1", "2"), ("2", "3"), ("1", "3")
+        d, e = ("3", "4"), ("2", "4")
+        s11, s12, s22 = cov("1", "1"), cov("1", "2"), cov("2", "2")
+        singular = ((s11, s12), (s12, s12))
+        rhs = (cov("1", "3"), cov("2", "3"))
+        fmap = FormulaMap()
+        fmap.add(a, Quot(s12, Sum((s11, Neg(s22)))))
+        fmap.add(b, Prod((Lam(a), cov("1", "3"))))
+        fmap.add(c, Quot(cov("1", "3"), cov("3", "3")))
+        fmap.add(d, SolveCoord(singular, rhs, 0))
+        fmap.add(e, SolveCoord(singular, rhs, 1))
+        vals = np.array(
+            [[2.0, 2.0, 0.5, 0.0], [2.0, 2.0, 0.3, 0.0],
+             [0.5, 0.3, 4.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        )
+        g = LatentFactorGraph(["1", "2", "3", "4"], [], [a, b, c, d, e], [])
+        results = estimate(g, CovarianceMatrix(g.observed, vals), fmap)
+        assert results == {
+            a: EdgeEstimate(None, degenerate=True),
+            b: EdgeEstimate(None, degenerate=True),
+            c: EdgeEstimate(0.125),
+            d: EdgeEstimate(None, degenerate=True),
+            e: EdgeEstimate(None, degenerate=True),
+        }
 
     def test_empty_fmap(self):
         g = builtin_graph("fig2a")
