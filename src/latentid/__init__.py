@@ -66,14 +66,9 @@ from .graph import (
     NamespaceError,
     SelfLoopError,
     UnknownNodeError,
-    children,
-    descendants,
     graph_from_dict,
     graph_to_dict,
-    htr,
     load_graph,
-    parents_lat,
-    parents_obs,
 )
 from .numerics import (
     CovarianceMatrix,

@@ -28,6 +28,7 @@ from .enumeration import (
     rows_to_markdown,
 )
 from .formulas import (
+    Lam,
     RationalExpr,
     expr_to_json,
     formula_map_from_state,
@@ -225,7 +226,7 @@ def cmd_formula(args: argparse.Namespace) -> int:
             )
     if args.format == "latex":
         for e in entries:
-            name = f"\\lambda_{{{e['edge'][0]}{e['edge'][1]}}}"
+            name = render_latex(Lam(tuple(e["edge"])))
             if e["status"] == "identified":
                 print(f"{name} = {e['latex']}")
             else:
@@ -308,6 +309,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"choices: {', '.join(sorted(PATTERNS))}"
         )
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise CliError(
+            "--methods names no method; choices: "
+            f"{', '.join(sorted(METHOD_PRESETS))}"
+        )
     for m in methods:
         if m not in METHOD_PRESETS:
             raise CliError(
@@ -319,7 +325,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     workers = args.workers
     if workers is None:
         env = os.environ.get("LATENTID_WORKERS")
-        workers = int(env) if env else None
+        try:
+            workers = int(env) if env else None
+        except ValueError:
+            raise CliError(
+                f"LATENTID_WORKERS must be an integer, got {env!r}"
+            ) from None
     if workers is not None and workers < 1:
         raise CliError(
             f"--workers (or LATENTID_WORKERS) must be >= 1, got {workers}"
@@ -347,6 +358,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise CliError(f"--trials must be non-negative, got {args.trials}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     g = _resolve_graph(args.graph)
     state = combined_algorithm(g, _search_config(args))
     try:

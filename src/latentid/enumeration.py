@@ -126,25 +126,17 @@ class _Canonicalizer:
         return int(masks.min())
 
 
-def _creates_cycle(
-    edges: Sequence[tuple[int, int]], new_edge: tuple[int, int]
-) -> bool:
-    """True when adding `new_edge` to the acyclic set `edges` closes a
-    directed cycle, i.e. the head already reaches the tail."""
-    a, b = new_edge
-    adj: dict[int, list[int]] = {}
-    for u, w in edges:
-        adj.setdefault(u, []).append(w)
-    stack, seen = [b], {b}
-    while stack:
-        u = stack.pop()
-        if u == a:
-            return True
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
+def _reach_masks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Per node u, the mask of the nodes u reaches by a directed path of
+    length >= 0 (u itself included)."""
+    reach = [1 << u for u in range(n)]
+    for a, b in edges:
+        reach[a] |= 1 << b
+    for k in range(n):
+        for u in range(n):
+            if reach[u] >> k & 1:
+                reach[u] |= reach[k]
+    return reach
 
 
 def _canonical_levels(
@@ -153,24 +145,21 @@ def _canonical_levels(
     """Canonical edge-set bitmasks per edge count, 0..max_edges.
 
     Level m is generated by extending every level-(m-1) representative
-    with one edge, discarding cyclic candidates, and canonicalizing."""
+    with one edge, discarding candidates whose head already reaches their
+    tail (they close a cycle), and canonicalizing."""
     canon = _Canonicalizer(pattern)
     levels: list[list[int]] = [[0]]
     for _ in range(max_edges):
         reps: set[int] = set()
         seen_raw: set[int] = set()
         for mask in levels[-1]:
-            edges = canon.edges_of(mask)
-            present = set(edges)
-            for pair in canon.pairs:
-                if pair in present:
-                    continue
-                bit = 1 << canon.pair_index[pair]
-                candidate = mask | bit
-                if candidate in seen_raw:
+            reach = _reach_masks(canon.n, canon.edges_of(mask))
+            for i, (a, b) in enumerate(canon.pairs):
+                candidate = mask | 1 << i
+                if candidate == mask or candidate in seen_raw:
                     continue
                 seen_raw.add(candidate)
-                if _creates_cycle(edges, pair):
+                if reach[b] >> a & 1:
                     continue
                 reps.add(canon.canonical(candidate))
         levels.append(sorted(reps))

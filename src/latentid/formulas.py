@@ -29,8 +29,7 @@ from .graph import (
     GraphError,
     LatentFactorGraph,
     UnknownNodeError,
-    htr,
-    parents_obs,
+    bits,
 )
 
 SINGULARITY_TOL = 1e-12
@@ -208,25 +207,28 @@ def _lam_refs(expr: RationalExpr) -> set[Edge]:
 
 class DeletionContext:
     """An ordered sequence of single-edge deletions from a base graph,
-    with the subgraph it leaves and the covariance pairs still
-    computable there: the search's allowed rows (`_rows_update`), one
-    bitmask row per node of the base graph's `CompiledGraph` `view`."""
+    with the subgraph it leaves, compiled (`view`: the base graph's
+    `CompiledGraph` with one `without_edge` per deleted edge), and the
+    covariance pairs still computable there: the search's allowed rows
+    (`_rows_update`), one bitmask row per node in `view`'s numbering."""
 
     def __init__(self, graph: LatentFactorGraph, deleted: Iterable[Edge] = ()):
         self.deleted = tuple(tuple(e) for e in deleted)
         if len(set(self.deleted)) < len(self.deleted):
             raise UnknownNodeError(f"edges deleted twice: {list(self.deleted)}")
-        self.subgraph = (
-            graph.without_obs_edges(self.deleted) if self.deleted else graph
-        )
-        self.view = view = CompiledGraph(graph)
-        index = view.index
-        rows = (view.all,) * len(view.names)
+        missing = set(self.deleted) - graph.edges_obs
+        if missing:
+            raise UnknownNodeError(f"edges not in graph: {sorted(missing)}")
+        base = view = CompiledGraph(graph)
+        index = base.index
+        rows = (base.all,) * len(base.names)
         for w, v in self.deleted:
             # Descendants are taken in the base graph so the allowed rows
             # only depend on the union of deleted edges (order-free).
-            b = index[v]
-            rows = _rows_update(rows, b, 1 << index[w], view.descendants(b))
+            a, b = index[w], index[v]
+            rows = _rows_update(rows, b, 1 << a, base.descendants(b))
+            view = view.without_edge(a, b)
+        self.view = view
         self.rows = rows
 
     def is_allowed(self, x: str, y: str) -> bool:
@@ -286,6 +288,16 @@ class LinearSystem:
     alpha_edges: tuple[Edge, ...]
 
 
+def _index(index: dict[str, int], node: str, kind: str) -> int:
+    if node not in index:
+        raise UnknownNodeError(f"{node!r} is not {kind} node")
+    return index[node]
+
+
+def _mask(index: dict[str, int], nodes: Iterable[str], kind: str) -> int:
+    return sum(1 << _index(index, n, kind) for n in set(nodes))
+
+
 def build_elf_system(
     g: LatentFactorGraph,
     cert: HtcCertificate,
@@ -300,86 +312,88 @@ def build_elf_system(
     entries are drawn through the deletion context. Every coefficient
     handle the system holds, its deletion corrections' too, must already
     have a formula in `fmap` (`DependencyError`).
+
+    The graph queries read the context's compiled subgraph: node sets are
+    masks in its sorted-name numbering, walked in that order by `bits`.
     """
     if ctx is None:
         ctx = DeletionContext(g)
-    gs = ctx.subgraph
-    v = cert.v
-    w_z = cert.w_z()
-    w_big = cert.w_z_union
-    z1 = frozenset(z for z in cert.z if w_z[z] < parents_obs(gs, z))
-    z2 = cert.z - z1
-    pa_v = parents_obs(gs, v)
-    reachable = htr(gs, cert.z | {v}, cert.h)
-
-    alpha_nodes = sorted(cert.w_v - (z2 | w_big))
-    columns = (
-        alpha_nodes + sorted(z1) + sorted(z2) + sorted(w_big - z2)
+    view = ctx.view
+    names, index, pa = view.names, view.index, view.pa
+    obs = "an observed"
+    v = _index(index, cert.v, obs)
+    w_v = _mask(index, cert.w_v, obs)
+    w_big = _mask(index, cert.w_z_union, obs)
+    sinks = _mask(index, cert.z, obs)
+    named_w_z = cert.w_z()
+    w_z = {
+        z: _mask(index, named_w_z[names[z]], obs) for z in bits(sinks)
+    }
+    # Z1 holds the sinks whose W_z is a proper subset of their parents.
+    z1 = sum(
+        1 << z for z, ws in w_z.items() if ws != pa[z] and not ws & ~pa[z]
     )
+    z2 = sinks & ~z1
+    h = _mask({n: j for j, n in enumerate(view.latent)}, cert.h, "a latent")
+    # The nodes that half-treks from Z and v avoiding H reach, as in
+    # `criteria._elf_allowed_sources`.
+    reachable = 0
+    for t in bits(sinks | 1 << v):
+        reach = view.descendants(t)
+        for j in bits(view.pa_lat[t] & ~h):
+            reach |= view.lat_reach(j)
+        reachable |= reach & ~(1 << t)
+    alpha = w_v & ~(z2 | w_big)
 
-    def lam(p: str, t: str) -> Lam:
-        if (p, t) not in fmap:
-            raise DependencyError((p, t))
-        return Lam((p, t))
+    def lam(p: int, t: int) -> Lam:
+        edge = (names[p], names[t])
+        if edge not in fmap:
+            raise DependencyError(edge)
+        return Lam(edge)
 
-    def sig(a: str, b: str) -> RationalExpr:
-        return adjusted_cov(a, b, ctx, fmap)
+    def sig(a: int, b: int) -> RationalExpr:
+        return adjusted_cov(names[a], names[b], ctx, fmap)
 
-    def corrected(y: str, t: str) -> RationalExpr:
+    def corrected(y: int, t: int) -> RationalExpr:
         # [(I - Lambda)^T Sigma]_{yt} with the y-column coefficients
         # pulled from previously derived formulas.
         return _sub_chain(
-            sig(y, t),
+            sig(y, t), [_lam_times(lam(p, y), sig(p, t)) for p in bits(pa[y])]
+        )
+
+    def partial(y: int, t: int, parents: int, case2: bool) -> RationalExpr:
+        # The entry of t minus the parents' terms whose coefficients are
+        # already known.
+        entry = corrected if case2 else sig
+        return _sub_chain(
+            entry(y, t),
             [
-                _lam_times(lam(p, y), sig(p, t))
-                for p in sorted(parents_obs(gs, y))
+                Prod((corrected(y, p), lam(p, t)))
+                if case2
+                else _lam_times(lam(p, t), sig(y, p))
+                for p in bits(parents)
             ],
         )
 
     matrix: list[tuple[RationalExpr, ...]] = []
     rhs: list[RationalExpr] = []
-    rows = sorted(cert.y)
-    for y in rows:
-        case2 = y in reachable
-        entry = (lambda t: corrected(y, t)) if case2 else (
-            lambda t: sig(y, t)
-        )
-        row: list[RationalExpr] = []
-        for p in alpha_nodes:
-            row.append(entry(p))
-        for z in sorted(z1):
-            row.append(
-                _sub_chain(
-                    entry(z),
-                    [
-                        Prod((entry(p), lam(p, z)))
-                        if case2
-                        else _lam_times(lam(p, z), sig(y, p))
-                        for p in sorted(parents_obs(gs, z) - w_z[z])
-                    ],
-                )
-            )
-        for w in sorted(z2) + sorted(w_big - z2):
-            row.append(entry(w))
+    rows = _mask(index, cert.y, obs)
+    for y in bits(rows):
+        case2 = bool(reachable >> y & 1)
+        entry = corrected if case2 else sig
+        row = [entry(y, p) for p in bits(alpha)]
+        row += [partial(y, z, pa[z] & ~w_z[z], case2) for z in bits(z1)]
+        row += [entry(y, w) for m in (z2, w_big & ~z2) for w in bits(m)]
         matrix.append(tuple(row))
-        rhs.append(
-            _sub_chain(
-                entry(v),
-                [
-                    Prod((entry(p), lam(p, v)))
-                    if case2
-                    else _lam_times(lam(p, v), sig(y, p))
-                    for p in sorted(pa_v - cert.w_v)
-                ],
-            )
-        )
+        rhs.append(partial(y, v, pa[v] & ~w_v, case2))
 
+    columns = (alpha, z1, z2, w_big & ~z2)
     return LinearSystem(
         matrix=tuple(matrix),
         rhs=tuple(rhs),
-        columns=tuple(columns),
-        rows=tuple(rows),
-        alpha_edges=tuple((p, v) for p in alpha_nodes),
+        columns=tuple(names[c] for m in columns for c in bits(m)),
+        rows=tuple(names[y] for y in bits(rows)),
+        alpha_edges=tuple((names[p], names[v]) for p in bits(alpha)),
     )
 
 

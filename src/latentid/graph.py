@@ -1,12 +1,10 @@
-"""Latent-factor graphs and the purely graphical queries on them."""
+"""Latent-factor graphs, their compiled bitmask form, and JSON I/O."""
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Iterable, Iterator, Optional
 
-NodeSet = frozenset[str]
 Edge = tuple[str, str]
 
 
@@ -27,7 +25,7 @@ class NamespaceError(GraphError):
 
 
 class UnknownNodeError(GraphError):
-    """An edge or query refers to a node that is not in the graph."""
+    """A name refers to a node or an edge that is not in the graph."""
 
 
 class LatentFactorGraph:
@@ -35,19 +33,11 @@ class LatentFactorGraph:
 
     The observed part may contain directed cycles and reciprocal edge
     pairs; latent nodes only ever appear as edge sources. Instances are
-    immutable after construction and safe to share.
+    immutable after construction, hashable and safe to share; queries run
+    on the compiled form, `CompiledGraph`.
     """
 
-    __slots__ = (
-        "observed",
-        "latent",
-        "edges_obs",
-        "edges_lat",
-        "_children",
-        "_parents_obs",
-        "_parents_lat",
-        "_key",
-    )
+    __slots__ = ("observed", "latent", "edges_obs", "edges_lat", "_key")
 
     def __init__(
         self,
@@ -94,19 +84,6 @@ class LatentFactorGraph:
             if b not in obs_set:
                 raise UnknownNodeError(f"latent edge target {b!r} unknown")
 
-        children: dict[str, set[str]] = {n: set() for n in names}
-        par_obs: dict[str, set[str]] = {n: set() for n in self.observed}
-        par_lat: dict[str, set[str]] = {n: set() for n in self.observed}
-        for a, b in self.edges_obs:
-            children[a].add(b)
-            par_obs[b].add(a)
-        for a, b in self.edges_lat:
-            children[a].add(b)
-            par_lat[b].add(a)
-        self._children = {n: frozenset(c) for n, c in children.items()}
-        self._parents_obs = {n: frozenset(p) for n, p in par_obs.items()}
-        self._parents_lat = {n: frozenset(p) for n, p in par_lat.items()}
-
         self._key = (
             self.observed,
             self.latent,
@@ -132,14 +109,6 @@ class LatentFactorGraph:
             f"edges_lat={sorted(self.edges_lat)})"
         )
 
-    def _check_nodes(self, nodes: Iterable[str]) -> None:
-        for n in nodes:
-            if n not in self._children:
-                raise UnknownNodeError(f"unknown node {n!r}")
-
-    def is_observed(self, n: str) -> bool:
-        return n in self._parents_obs
-
     # -- derived graphs ---------------------------------------------------
 
     def without_obs_edges(self, removed: Iterable[Edge]) -> "LatentFactorGraph":
@@ -154,102 +123,6 @@ class LatentFactorGraph:
             self.edges_obs - removed,
             self.edges_lat,
         )
-
-
-def parents_obs(g: LatentFactorGraph, v: str) -> NodeSet:
-    """Observed parents of the observed node `v`."""
-    try:
-        return g._parents_obs[v]
-    except KeyError:
-        g._check_nodes([v])
-        raise UnknownNodeError(f"{v!r} is not an observed node") from None
-
-
-def parents_lat(g: LatentFactorGraph, v: str) -> NodeSet:
-    """Latent parents of the observed node `v`."""
-    g._check_nodes([v])
-    if not g.is_observed(v):
-        raise UnknownNodeError(f"{v!r} is not an observed node")
-    return g._parents_lat[v]
-
-
-def children(g: LatentFactorGraph, s: Iterable[str]) -> NodeSet:
-    """Union of direct successors of the members of `s`."""
-    s = set(s)
-    g._check_nodes(s)
-    out: set[str] = set()
-    for n in s:
-        out |= g._children[n]
-    return frozenset(out)
-
-
-def descendants(g: LatentFactorGraph, s: Iterable[str]) -> NodeSet:
-    """All nodes reachable from `s` by a directed path of length >= 1.
-
-    A node is a descendant of itself only if it lies on a directed cycle.
-    """
-    s = set(s)
-    g._check_nodes(s)
-    seen: set[str] = set()
-    queue = deque()
-    for n in sorted(s):
-        for c in g._children[n]:
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    while queue:
-        n = queue.popleft()
-        for c in g._children[n]:
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return frozenset(seen)
-
-
-def _reach_from(g: LatentFactorGraph, start: Iterable[str]) -> set[str]:
-    """Directed reachability including the start nodes themselves."""
-    seen = set(start)
-    queue = deque(seen)
-    while queue:
-        n = queue.popleft()
-        for c in g._children[n]:
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return seen
-
-
-def htr(
-    g: LatentFactorGraph,
-    sources: Iterable[str],
-    avoid_h: Iterable[str] = (),
-) -> NodeSet:
-    """Observed nodes reachable by a non-trivial half-trek from `sources`.
-
-    A half-trek from `s` either walks forward along observed edges
-    (`s -> ... -> w`) or starts with one latent top node not in `avoid_h`
-    (`s <- h -> ... -> w`). The result never contains the source itself
-    (per source), and results for several sources are unioned.
-    """
-    sources = set(sources)
-    avoid_h = set(avoid_h)
-    g._check_nodes(sources)
-    g._check_nodes(avoid_h)
-    for h in avoid_h:
-        if g.is_observed(h):
-            raise UnknownNodeError(f"avoid set contains observed node {h!r}")
-    for s in sources:
-        if not g.is_observed(s):
-            raise UnknownNodeError(f"source {s!r} is not observed")
-
-    out: set[str] = set()
-    for s in sources:
-        fwd = descendants(g, [s])
-        over_latent = children(g, g._parents_lat[s] - avoid_h)
-        reach = set(fwd) | _reach_from(g, over_latent)
-        reach.discard(s)
-        out |= reach
-    return frozenset(out)
 
 
 # -- compiled form ---------------------------------------------------------

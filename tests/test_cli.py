@@ -401,7 +401,28 @@ class TestFormula:
             "latex",
         )
         assert code == EXIT_PARTIAL
-        assert r"% \lambda_{HSTC}: unidentified" in out
+        assert r"% \lambda_{HS,TC}: unidentified" in out
+
+    def test_latex_left_sides_as_bodies_write_them(self, capsys, tmp_path):
+        # Both edges were written \lambda_{112}. A multi-character name
+        # is separated by a comma, as in every formula body.
+        g = LatentFactorGraph(
+            ["1", "2", "11", "12"], [], [("1", "12"), ("11", "2")], []
+        )
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph_to_dict(g)))
+        code, out, _ = run_cli(
+            capsys, "formula", "--graph", str(path), "--format", "latex"
+        )
+        assert code == EXIT_OK
+        assert [line.split(" = ")[0] for line in out.splitlines()] == [
+            r"\lambda_{1,12}",
+            r"\lambda_{11,2}",
+        ]
+        code, out, _ = run_cli(
+            capsys, "formula", "--graph", "household", "--format", "latex"
+        )
+        assert r"\lambda_{HA,TC} = " in out
 
     def test_json_expressions(self, capsys):
         code, out, _ = run_cli(capsys, "formula", "--graph", "fig2a")
@@ -432,7 +453,7 @@ class TestFormula:
             entries = []
             lines = []
             for edge in sorted(g.edges_obs):
-                name = f"\\lambda_{{{edge[0]}{edge[1]}}}"
+                name = render_latex(Lam(edge))
                 entry = {"edge": list(edge), "status": "unidentified"}
                 entry["latex"] = entry["expression"] = None
                 if edge in fmap:
@@ -702,6 +723,26 @@ class TestEnumerate:
         assert_one_line_error(err)
         assert "must be >= 1" in err
 
+    def test_non_integer_workers_env_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATENTID_WORKERS", "abc")
+        code, out, err = run_cli(
+            capsys, "enumerate", "--max-edges", "1", "--methods", "LF-HTC"
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not out
+        assert_one_line_error(err)
+        assert "LATENTID_WORKERS" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("methods", [",", "", " , "])
+    def test_empty_methods_rejected(self, capsys, methods):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--max-edges", "1", "--methods", methods
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not out
+        assert_one_line_error(err)
+        assert "--methods" in err
+
     def test_workers_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("LATENTID_WORKERS", "2")
         code, out, _ = run_cli(
@@ -758,6 +799,15 @@ class TestVerify:
         assert out == ""
         assert_one_line_error(err)
         assert "--trials" in err
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--graph", "fig2a", "--seed", "-1"
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+        assert "--seed" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance_rejected(self, capsys, tol):

@@ -38,21 +38,22 @@ from latentid.graph import (
     LatentFactorGraph,
     UnknownNodeError,
     bits,
-    children,
-    descendants,
-    htr,
-    parents_obs,
 )
 
 from oracles import (
+    G7,
     all_cov_pairs,
     allowed_pairs,
     allowed_rows,
     allowed_update,
     check_lf_htc,
+    children,
     cov_pair,
+    descendants,
     frame_network,
+    htr,
     orig,
+    parents_obs,
     primed,
     random_latent_factor_graph,
     ref_build_det_flow,
@@ -554,8 +555,6 @@ class TestCombinedAlgorithm:
         for name in ("fig2a", "household"):
             g = builtin_graph(name)
             state = combined_algorithm(g)
-            from latentid.graph import parents_obs
-
             expected = {
                 v
                 for v in g.observed
@@ -604,21 +603,6 @@ DIGEST_CASES = {
     "fig5a row 6, cap100": ("fig5a", 6, "cap100"),
     "fig5a row 6, cap500": ("fig5a", 6, "cap500"),
 }
-
-# A dense graph that sends the edge-deletion recursion through about a
-# thousand subgraphs in vain: 10 of its 11 edges are identified at the top
-# level and no subgraph identifies the last one.
-G7 = LatentFactorGraph(
-    [str(i) for i in range(1, 8)],
-    ["h1"],
-    [
-        ("1", "2"), ("1", "3"), ("1", "4"), ("4", "2"), ("4", "5"),
-        ("4", "6"), ("6", "2"), ("7", "3"), ("7", "4"), ("7", "5"),
-        ("7", "6"),
-    ],
-    [("h1", "1"), ("h1", "6"), ("h1", "7")],
-)
-
 
 def dense_graphs(count, seed):
     """`count` random graphs with 7 observed nodes and one latent,

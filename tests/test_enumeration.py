@@ -1,5 +1,7 @@
 """DAG enumeration up to symmetry and the benchmark harness."""
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -20,7 +22,7 @@ from latentid.enumeration import (
     run_benchmark,
 )
 
-from oracles import count_classes_exhaustive
+from oracles import count_classes_exhaustive, descendants
 
 
 class TestPatterns:
@@ -79,8 +81,6 @@ class TestEnumeration:
 
     def test_graphs_are_acyclic_and_distinct(self):
         graphs = enumerate_dags(SINGLE_FACTOR_SIX, 4)
-        from latentid.graph import descendants
-
         seen = set()
         for g in graphs:
             assert g.edges_obs not in seen
@@ -114,6 +114,19 @@ class TestEnumeration:
                 assert len(enumerate_dags(pattern, m)) == (
                     count_classes_exhaustive(pattern, m)
                 ), (pattern, m)
+
+    def test_canonical_levels_pinned(self):
+        # sha256 of the canonical representatives per level, as
+        # `_canonical_levels` lists them: the classes the benchmark runs.
+        # Update it only for an intended change of representatives.
+        pinned = {
+            ("fig5a", 6): "545f5b6ceaa8d98abd7472849abac86433e5f5315601f76c6f0d71ba5754d45a",
+            ("fig5b", 4): "b9d564723d17f35528d77b1c05741754d0bc626b33283d87bc7e8b995cd17bd1",
+        }
+        for (name, m), digest in pinned.items():
+            levels = enumeration._canonical_levels(PATTERNS[name], m)
+            text = json.dumps(levels).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, name
 
 
 class TestBenchmark:

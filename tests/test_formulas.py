@@ -1,13 +1,15 @@
 """Symbolic formula construction, rendering, and evaluation."""
 
 import copy
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latentid.catalog import builtin_graph
+from latentid.catalog import BUILTIN_GRAPHS, builtin_graph
 from latentid.criteria import DetCertificate, HtcCertificate, combined_algorithm
 from latentid.formulas import (
     Const,
@@ -30,6 +32,7 @@ from latentid.formulas import (
     cov,
     eval_expr,
     expr_to_dict,
+    expr_to_json,
     formula_map_from_state,
     render_latex,
     solve_alpha,
@@ -42,7 +45,7 @@ from latentid.numerics import (
     sample_parameters,
 )
 
-from oracles import random_latent_factor_graph, ref_eval_expr
+from oracles import G7, random_latent_factor_graph, ref_eval_expr
 
 
 def htc(v, w_v, y, z, w_z, h):
@@ -398,6 +401,70 @@ class TestFormulaMap:
         with pytest.raises(DependencyError) as info:
             formula_map_from_state(g, state)
         assert info.value.edge == ("1", "5")
+
+
+# sha256 per case of every formula `formula_map_from_state` builds, in
+# the map's order, as `expr_to_json` and `render_latex` write it. Update it
+# only for an intended change of formulas.
+FORMULA_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "formulas_digest.json").read_text()
+)
+
+
+def seeded_graphs(seed, count):
+    """`count` random graphs of up to 7 observed nodes, alternately
+    acyclic and cyclic."""
+    rng = random.Random(seed)
+    return [
+        random_latent_factor_graph(rng, max_obs=7, acyclic=i % 2 == 0)
+        for i in range(count)
+    ]
+
+
+def renamed(g):
+    """`g` with observed node k renamed k + 8, so "10" sorts before "9"
+    and the sorted-name numbering differs from the numeric one."""
+    name = {n: str(int(n) + 8) for n in g.observed}
+    return LatentFactorGraph(
+        [name[n] for n in g.observed],
+        g.latent,
+        [(name[a], name[b]) for a, b in g.edges_obs],
+        [(h, name[b]) for h, b in g.edges_lat],
+    )
+
+
+FORMULA_CASES = {
+    "builtins": lambda: [builtin_graph(n) for n in sorted(BUILTIN_GRAPHS)],
+    "G7": lambda: [G7],
+    "40 seeded graphs, seed 2": lambda: seeded_graphs(2, 40),
+    "40 seeded graphs, seed 2, renamed": lambda: [
+        renamed(g) for g in seeded_graphs(2, 40)
+    ],
+    "60 seeded graphs, seed 5": lambda: seeded_graphs(5, 60),
+}
+
+
+class TestPinnedFormulas:
+    def test_every_case_pinned(self):
+        assert set(FORMULA_DIGESTS) == set(FORMULA_CASES)
+
+    @pytest.mark.parametrize("case", sorted(FORMULA_CASES))
+    def test_formulas_match_recorded(self, case):
+        runs, deletions = [], 0
+        for g in FORMULA_CASES[case]():
+            state = combined_algorithm(g)
+            deletions += sum(1 for r in state.certificates if r.deleted)
+            runs.append(
+                [
+                    [list(edge), expr_to_json(expr), render_latex(expr)]
+                    for edge, expr in formula_map_from_state(g, state).items()
+                ]
+            )
+        if case.startswith(("40", "60")):
+            # Some formulas are built in an edge-deleted subgraph.
+            assert deletions, case
+        digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+        assert digest == FORMULA_DIGESTS[case]
 
 
 class TestRendering:

@@ -1,4 +1,4 @@
-"""Graph construction, queries, and half-trek reachability."""
+"""Graph construction, compiled queries, and half-trek reachability."""
 
 import random
 
@@ -6,23 +6,27 @@ import pytest
 
 from latentid import graph
 from latentid.catalog import builtin_graph
+from latentid.criteria import HtcCertificate
+from latentid.formulas import DeletionContext, FormulaMap, build_elf_system
 from latentid.graph import (
+    CompiledGraph,
     EdgeIntoLatentError,
     LatentFactorGraph,
     NamespaceError,
     SelfLoopError,
     UnknownNodeError,
     bits,
-    children,
-    descendants,
     graph_from_dict,
     graph_to_dict,
-    htr,
-    parents_lat,
-    parents_obs,
 )
 
-from oracles import htr_bruteforce, random_latent_factor_graph, reach_by_matrix_power
+from oracles import (
+    descendants,
+    htr,
+    htr_bruteforce,
+    random_latent_factor_graph,
+    reach_by_matrix_power,
+)
 
 
 @pytest.fixture
@@ -67,53 +71,83 @@ class TestConstruction:
 
 
 class TestQueries:
+    """The compiled graph's masks, read back as node names."""
+
+    @staticmethod
+    def query(g, attr, node):
+        view = CompiledGraph(g)
+        return view.nodes(getattr(view, attr)[view.index[node]])
+
+    @staticmethod
+    def latent_parents(g, node):
+        view = CompiledGraph(g)
+        return {view.latent[j] for j in bits(view.pa_lat[view.index[node]])}
+
+    @staticmethod
+    def latent_children(g, latents):
+        view = CompiledGraph(g)
+        mask = sum(1 << view.latent.index(h) for h in latents)
+        return view.nodes(view.lat_children(mask))
+
     def test_parents_obs_fig2a(self, fig2a):
-        assert parents_obs(fig2a, "5") == frozenset({"1", "4"})
+        assert self.query(fig2a, "pa", "5") == {"1", "4"}
 
     def test_parents_obs_empty(self, fig2a):
-        assert parents_obs(fig2a, "1") == frozenset()
+        assert self.query(fig2a, "pa", "1") == frozenset()
 
     def test_parents_obs_household(self):
         g = builtin_graph("household")
-        assert parents_obs(g, "TC") == frozenset({"HS", "HA", "TA"})
+        assert self.query(g, "pa", "TC") == {"HS", "HA", "TA"}
 
     def test_parents_lat_fig2a(self, fig2a):
-        assert parents_lat(fig2a, "3") == frozenset({"h1"})
+        assert self.latent_parents(fig2a, "3") == {"h1"}
 
     def test_parents_lat_no_latent_edges(self):
         g = LatentFactorGraph(["1", "2"], [], [("1", "2")], [])
-        assert parents_lat(g, "1") == frozenset()
+        assert self.latent_parents(g, "1") == set()
 
     def test_parents_lat_overlap_pattern(self):
         g = LatentFactorGraph(
             ["4"], ["h1", "h2"], [], [("h1", "4"), ("h2", "4")]
         )
-        assert parents_lat(g, "4") == frozenset({"h1", "h2"})
+        assert self.latent_parents(g, "4") == {"h1", "h2"}
 
     def test_children_latent(self, fig2a):
-        assert children(fig2a, {"h1"}) == frozenset(
+        assert self.latent_children(fig2a, {"h1"}) == frozenset(
             {"1", "2", "3", "4", "5", "6"}
         )
+        view = CompiledGraph(fig2a)
+        assert view.lat_ch == (view.all,)
 
     def test_children_empty(self, fig2a):
-        assert children(fig2a, set()) == frozenset()
+        assert self.latent_children(fig2a, set()) == frozenset()
 
     def test_children_fig2b(self, fig2b):
-        assert children(fig2b, {"4"}) == frozenset({"3"})
+        assert self.query(fig2b, "ch", "4") == {"3"}
 
     def test_descendants_chain(self, fig2a):
-        assert descendants(fig2a, {"4"}) == frozenset({"5", "6"})
+        view = CompiledGraph(fig2a)
+        assert view.nodes(view.descendants(view.index["4"])) == {"5", "6"}
 
     def test_descendants_sink(self, fig2a):
-        assert descendants(fig2a, {"6"}) == frozenset()
+        view = CompiledGraph(fig2a)
+        assert view.descendants(view.index["6"]) == 0
 
     def test_descendants_cycle(self):
         g = LatentFactorGraph(["1", "2"], [], [("1", "2"), ("2", "1")], [])
-        assert descendants(g, {"1"}) == frozenset({"1", "2"})
+        view = CompiledGraph(g)
+        assert view.nodes(view.descendants(view.index["1"])) == {"1", "2"}
 
     def test_unknown_node_query(self, fig2a):
+        # Node names are resolved against the compiled graph where the
+        # formula builders take them.
         with pytest.raises(UnknownNodeError):
-            parents_obs(fig2a, "99")
+            DeletionContext(fig2a, [("99", "5")])
+        cert = HtcCertificate(
+            "99", frozenset(), frozenset(), frozenset(), (), frozenset()
+        )
+        with pytest.raises(UnknownNodeError):
+            build_elf_system(fig2a, cert, FormulaMap())
 
 
 class TestHtr:
