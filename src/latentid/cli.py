@@ -157,6 +157,7 @@ def _emit(payload: dict, fmt: str) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
     state = combined_algorithm(g, _search_config(args))
+    solved = state.solved_edges
     edge_records = []
     by_edge = {}
     for record in state.certificates:
@@ -167,22 +168,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         edge_records.append(
             {
                 "edge": list(edge),
-                "solved": edge in state.solved_edges,
+                "solved": edge in solved,
                 "certificate": rec.to_dict() if rec else None,
             }
         )
-    fully = g.edges_obs <= state.solved_edges
+    fully = g.edges_obs <= solved
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "check",
         "graph": args.graph,
         "fully_identified": fully,
-        "num_solved": len(state.solved_edges & g.edges_obs),
+        "num_solved": len(solved & g.edges_obs),
         "num_edges": len(g.edges_obs),
         "edges": edge_records,
     }
     if args.format == "md":
-        print(f"| edge | solved | criterion |")
+        print("| edge | solved | criterion |")
         print("| --- | --- | --- |")
         for rec in edge_records:
             crit = (

@@ -81,7 +81,10 @@ class DetCertificate:
     deleted_parents: frozenset[str]
     s: frozenset[str]
     t: frozenset[str]
-    source_contains_target: bool = False
+
+    @property
+    def source_contains_target(self) -> bool:
+        return self.v in self.s
 
     def to_dict(self) -> dict:
         return {
@@ -105,8 +108,11 @@ class CertRecord:
 
     edges: tuple[Edge, ...]
     cert: Certificate
-    depth: int
     deleted: tuple[Edge, ...]
+
+    @property
+    def depth(self) -> int:
+        return len(self.deleted)
 
     def to_dict(self) -> dict:
         return {
@@ -128,50 +134,40 @@ class IdentificationState:
     its determinantal network in `frame`; the subprocedures derive every
     network they solve from it. The allowed covariance pairs are
     `allowed_rows`, one bitmask row per node in `view`'s numbering: bit y
-    of row x is set when the pair (x, y) is allowed. Without
-    `allowed_rows` every pair is allowed. Inside the edge-deletion
-    recursion `view` is a subgraph's (`without_edge`).
+    of row x is set when the pair (x, y) is allowed. Inside the
+    edge-deletion recursion `view` is a subgraph's (`without_edge`).
 
-    `solved_mask` holds the solved nodes and `solved_pa[i]` the parents of
-    node i whose edges are solved. `solve` keeps both current as it marks
-    edges solved, so the subprocedures never re-derive them;
-    `refresh_solved_nodes` is the full re-derive from `solved_edges`, run
-    on construction and wherever edges are added to `solved_edges`
-    directly (as `_search` does when it lifts a subgraph's result). The
-    eLF-HTC networks (as residuals of `FlowFrame.network`) and the
-    covariance matrix mod p are built on first use and kept for the
-    state's lifetime.
+    `solved_pa[i]` holds the parents of node i whose edges are solved, the
+    one record of the solved edges; `solved_edges` names them and
+    `solved_mask` holds the solved nodes, derived on construction and kept
+    current by `solve`. The eLF-HTC networks (as residuals of
+    `FlowFrame.network`) and the covariance matrix mod p are built on
+    first use and kept for the state's lifetime.
 
-    `cuts` keeps the minimum cut of every full determinantal flow this
-    state rejects and `elf_cuts` that of every eLF-HTC flow it rejects;
-    `inherited_cuts` and `inherited_elf_cuts` are the cuts of the states
-    whose networks contain this one's (its ancestors in the edge-deletion
-    recursion), which bound its flows too."""
+    `cuts` keeps the minimum cuts of the full determinantal flows rejected
+    and `elf_cuts` those of the eLF-HTC flows rejected, each as a chain of
+    stores: the state's own first, in which it keeps its cuts, then those
+    of the states whose networks contain this one's (its ancestors in the
+    edge-deletion recursion), nearest first, which bound its flows too."""
 
     view: CompiledGraph
-    solved_edges: set[Edge]
+    solved_pa: list[int]
     deleted_edges: tuple[Edge, ...]
     certificates: list[CertRecord]
     frame: FlowFrame = field(repr=False, compare=False)
     flow_net: bytes = field(repr=False, compare=False)
-    allowed_rows: Optional[tuple[int, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-    inherited_cuts: tuple[CutStore, ...] = field(
-        default=(), repr=False, compare=False
-    )
-    inherited_elf_cuts: tuple[CutStore, ...] = field(
-        default=(), repr=False, compare=False
-    )
+    allowed_rows: tuple[int, ...] = field(repr=False, compare=False)
+    cuts: tuple[CutStore, ...] = field(repr=False, compare=False)
+    elf_cuts: tuple[CutStore, ...] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.allowed_rows is None:
-            self.allowed_rows = (self.view.all,) * len(self.view.names)
-        self.refresh_solved_nodes()
+        mask = 0
+        for i, pa in enumerate(self.view.pa):
+            if not pa & ~self.solved_pa[i]:
+                mask |= 1 << i
+        self.solved_mask = mask
         self._elf_base: Optional[bytes] = None
         self._elf_nets: dict[tuple[int, int], bytes] = {}
-        self.cuts: CutStore = {}
-        self.elf_cuts: CutStore = {}
 
     @classmethod
     def fresh(
@@ -184,13 +180,17 @@ class IdentificationState:
             frame = FlowFrame(view)
         elif not frame.fits(view):
             raise GraphError("the flow frame does not hold the graph")
+        n = len(view.names)
         return cls(
             view=view,
-            solved_edges=set(),
+            solved_pa=[0] * n,
             deleted_edges=(),
             certificates=[],
             frame=frame,
             flow_net=frame.det_network(view),
+            allowed_rows=(view.all,) * n,
+            cuts=({},),
+            elf_cuts=({},),
         )
 
     def without_edge(
@@ -199,20 +199,33 @@ class IdentificationState:
         """The state of the subgraph with the solved edge a -> b deleted,
         whose head's descendants in the root graph are `dec_v`: its edges
         solved but that one, its allowed rows after `_rows_update`, the
-        same certificate list, and this state's cuts among its inherited
-        ones."""
+        same certificate list, and a new own cut store ahead of this
+        state's chains. Node b's solved status is unchanged, as its
+        parents lose the same bit."""
         view = self.view
         edge = (view.names[a], view.names[b])
+        solved_pa = self.solved_pa.copy()
+        solved_pa[b] &= ~(1 << a)
         return IdentificationState(
             view=view.without_edge(a, b),
-            solved_edges=self.solved_edges - {edge},
+            solved_pa=solved_pa,
             deleted_edges=self.deleted_edges + (edge,),
             certificates=self.certificates,
             frame=self.frame,
             flow_net=self.frame.without_edge(self.flow_net, a, b),
             allowed_rows=_rows_update(self.allowed_rows, b, 1 << a, dec_v),
-            inherited_cuts=(self.cuts,) + self.inherited_cuts,
-            inherited_elf_cuts=(self.elf_cuts,) + self.inherited_elf_cuts,
+            cuts=({},) + self.cuts,
+            elf_cuts=({},) + self.elf_cuts,
+        )
+
+    @property
+    def solved_edges(self) -> frozenset[Edge]:
+        """The solved edges, by name."""
+        names = self.view.names
+        return frozenset(
+            (names[p], names[c])
+            for c, pa in enumerate(self.solved_pa)
+            for p in bits(pa)
         )
 
     @property
@@ -220,30 +233,16 @@ class IdentificationState:
         """The nodes all of whose parent edges are solved."""
         return self.view.nodes(self.solved_mask)
 
-    def refresh_solved_nodes(self) -> None:
-        """Re-derive `solved_pa` and `solved_mask` from `solved_edges`."""
-        index = self.view.index
-        self.solved_pa = solved_pa = [0] * len(index)
-        for p, c in self.solved_edges:
-            solved_pa[index[c]] |= 1 << index[p]
-        mask = 0
-        for i, pa in enumerate(self.view.pa):
-            if not pa & ~solved_pa[i]:
-                mask |= 1 << i
-        self.solved_mask = mask
-
     def solve(self, v: int, parents: int) -> tuple[Edge, ...]:
         """Mark the edges from `parents` into node `v` solved; returns
         them, by name and in sorted order."""
         view = self.view
         names = view.names
-        edges = tuple((names[p], names[v]) for p in bits(parents))
-        self.solved_edges.update(edges)
         self.solved_pa[v] |= parents
         # Only node v's entries change.
         if not view.pa[v] & ~self.solved_pa[v]:
             self.solved_mask |= 1 << v
-        return edges
+        return tuple((names[p], names[v]) for p in bits(parents))
 
     def unsolved_parents(self, v: int) -> int:
         """The parents of node `v` whose edges are not solved, as a mask."""
@@ -509,8 +508,7 @@ def elf_htc_subprocedure(
     legacy criterion, the unsolved parents of Z), and a single choice when
     A is smaller than its sinks. A choice is also skipped when the cut of
     an eLF-HTC flow rejected before, in this subgraph or one containing it
-    (`state.elf_cuts`, `state.inherited_elf_cuts`), bounds its flow below
-    its sink count.
+    (`state.elf_cuts`), bounds its flow below its sink count.
 
     Under `cfg.legacy_lf_htc_only` this is the original node-wise
     criterion: W_v is every observed parent of `v`, the sinks are solved
@@ -535,8 +533,8 @@ def elf_htc_subprocedure(
     max_h = len(lat_pool)
     if cfg.cap_h_size is not None:
         max_h = min(max_h, cfg.cap_h_size)
-    frame, kept = state.frame, state.elf_cuts
-    stores = (kept,) + state.inherited_elf_cuts
+    frame, stores = state.frame, state.elf_cuts
+    kept = stores[0]
     pa, solved_pa = view.pa, state.solved_pa
 
     for h_size in range(max_h + 1):
@@ -611,7 +609,6 @@ def elf_htc_subprocedure(
                         CertRecord(
                             edges=state.solve(i, newly),
                             cert=cert,
-                            depth=len(state.deleted_edges),
                             deleted=state.deleted_edges,
                         )
                     )
@@ -698,11 +695,11 @@ def det_subprocedure(
     so the pools are filtered once per w0 and only passing pairs are
     visited. A pair is rejected without a flow when the cut of a full
     flow rejected before, in this subgraph or one containing it
-    (`state.cuts`, `state.inherited_cuts`), bounds its full flow below k,
-    or when its barred minor (rows S; columns T and v with the
-    edges from w0 and the solved parents deleted) is nonzero at the fixed
-    point of `rank`, which means a barred flow of k; only the two flows
-    accept a pair. `g` is the graph of `state`, read through `state.view`.
+    (`state.cuts`), bounds its full flow below k, or when its barred
+    minor (rows S; columns T and v with the edges from w0 and the solved
+    parents deleted) is nonzero at the fixed point of `rank`, which means
+    a barred flow of k; only the two flows accept a pair. `g` is the
+    graph of `state`, read through `state.view`.
     """
     view, rows = state.view, state.allowed_rows
     i = view.index[v]
@@ -712,12 +709,12 @@ def det_subprocedure(
     names = view.names
     n = len(names)
     frame, base = state.frame, state.flow_net
-    stores = (state.cuts,) + state.inherited_cuts
+    stores = state.cuts
 
     for w0 in bits(view.pa[i]):
         if state.solved_pa[i] >> w0 & 1:
             continue
-        solved_parents = state.solved_pa[i] & view.pa[i]
+        solved_parents = state.solved_pa[i]
         removed = solved_parents | 1 << w0
         fixed = removed | 1 << i
         s_pool = [s for s in range(n) if rows[s] & fixed == fixed]
@@ -763,7 +760,7 @@ def det_subprocedure(
                 # With k sources and k sinks a failing flow leaves a source
                 # unused, so it has a cut.
                 bounds.append(
-                    _keep_cut(state.cuts, 0, s_mask, sinks, value, cut)
+                    _keep_cut(stores[0], 0, s_mask, sinks, value, cut)
                 )
                 continue
             if frame.solve(barred, s_mask, t_mask | 1 << i)[0] >= k:
@@ -777,9 +774,7 @@ def det_subprocedure(
                         deleted_parents=view.nodes(solved_parents),
                         s=frozenset(names[s] for s in s_combo),
                         t=frozenset(names[t] for t in t_combo),
-                        source_contains_target=i in s_combo,
                     ),
-                    depth=len(state.deleted_edges),
                     deleted=state.deleted_edges,
                 )
             )
@@ -845,22 +840,22 @@ def _search(
     state: IdentificationState,
     root: CompiledGraph,
     cfg: SearchConfig,
-    memo: dict[tuple, frozenset[Edge]],
-) -> frozenset[Edge]:
+    memo: dict[tuple, tuple[int, ...]],
+) -> tuple[int, ...]:
     """Solve edges in `state` to a fixpoint, recursing into the subgraphs
-    with one solved edge deleted; returns the solved edges. `root` is the
-    root graph and `memo` holds the result of every (subgraph, solved
-    edges) searched before."""
+    with one solved edge deleted; returns the solved parent masks. `root`
+    is the root graph and `memo` holds the result of every (subgraph,
+    solved edges) searched before."""
     g = state.view
-    key = (g.pa, frozenset(state.solved_edges))
+    key = (g.pa, tuple(state.solved_pa))
     hit = memo.get(key)
     if hit is not None:
         return hit
     all_nodes = g.all
 
     while True:
-        # Edges are only ever added, so the count tells whether any was.
-        before = len(state.solved_edges)
+        # Edges are only ever added, so the masks tell whether any was.
+        before = tuple(state.solved_pa)
         for i, v in enumerate(g.names):
             if state.solved_mask >> i & 1:
                 continue
@@ -878,10 +873,12 @@ def _search(
             or len(state.deleted_edges) < cfg.cap_recursion
         )
         if recursion_open:
-            for edge in sorted(state.solved_edges):
-                a, b = g.index[edge[0]], g.index[edge[1]]
-                if not g.pa[b] >> a & 1:
-                    continue
+            # The solved edges a -> b in (a, b) order, their sorted-name
+            # order, as they were before any lift.
+            solved = state.solved_pa
+            for a, b in sorted(
+                (a, b) for b in range(len(solved)) for a in bits(solved[b])
+            ):
                 # Descendants are taken in the root graph so that the
                 # resulting allowed set depends only on the union of all
                 # deleted edges, not on the deletion order.
@@ -896,15 +893,16 @@ def _search(
                 result = _search(
                     state.without_edge(a, b, dec_v), root, cfg, memo
                 )
-                state.solved_edges.update(result)
-                state.refresh_solved_nodes()
+                for c, pa in enumerate(result):
+                    if pa & ~state.solved_pa[c]:
+                        state.solve(c, pa)
                 if state.solved_mask == all_nodes:
                     break
         if state.solved_mask == all_nodes:
             break
-        if len(state.solved_edges) == before:
+        if tuple(state.solved_pa) == before:
             break
 
-    out = frozenset(state.solved_edges)
+    out = tuple(state.solved_pa)
     memo[key] = out
     return out

@@ -95,19 +95,13 @@ class _Canonicalizer:
         n = pattern.num_observed
         self.n = n
         self.pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
+        pair_index = {p: i for i, p in enumerate(self.pairs)}
         group = automorphisms(pattern)
         table = np.empty((len(group), len(self.pairs)), dtype=np.int64)
         for gi, perm in enumerate(group):
             for pi, (a, b) in enumerate(self.pairs):
-                table[gi, pi] = self.pair_index[(perm[a], perm[b])]
+                table[gi, pi] = pair_index[(perm[a], perm[b])]
         self.table = table
-
-    def mask_of(self, edges: Iterable[tuple[int, int]]) -> int:
-        mask = 0
-        for e in edges:
-            mask |= 1 << self.pair_index[e]
-        return mask
 
     def edges_of(self, mask: int) -> tuple[tuple[int, int], ...]:
         return tuple(

@@ -615,20 +615,17 @@ def ref_det_subprocedure(g, state, v, cfg):
                         deleted_parents=solved_parents,
                         s=frozenset(s_combo),
                         t=t_set,
-                        source_contains_target=v in s_combo,
                     )
-                    state.solved_edges.add((w0, v))
+                    state.solve(view.index[v], name_mask(view, [w0]))
                     state.certificates.append(
                         CertRecord(
                             edges=((w0, v),),
                             cert=cert,
-                            depth=len(state.deleted_edges),
                             deleted=state.deleted_edges,
                         )
                     )
                     done = True
                     break
-    state.refresh_solved_nodes()
     return state
 
 
@@ -711,7 +708,7 @@ def ref_elf_htc_subprocedure(g, state, v, cfg):
                     if not newly:
                         continue
                     edges = tuple(sorted((p, v) for p in newly))
-                    state.solved_edges.update(edges)
+                    state.solve(view.index[v], name_mask(view, newly))
                     state.certificates.append(
                         CertRecord(
                             edges=edges,
@@ -723,15 +720,12 @@ def ref_elf_htc_subprocedure(g, state, v, cfg):
                                 w_z_map=tuple(zip(z_combo, w_choice)),
                                 h=frozenset(h_combo),
                             ),
-                            depth=len(state.deleted_edges),
                             deleted=state.deleted_edges,
                         )
                     )
                     w_v &= z2 | w_big
                     if not w_v:
-                        state.refresh_solved_nodes()
                         return state
-    state.refresh_solved_nodes()
     return state
 
 
@@ -864,8 +858,8 @@ def check_lf_htc(
 
 def ref_solved_nodes(g, solved_edges):
     """The observed nodes whose every incoming observed edge is solved,
-    one `parents_obs` query at a time. `IdentificationState.
-    refresh_solved_nodes` must match it."""
+    one `parents_obs` query at a time. `IdentificationState.solved_mask`
+    must match it."""
     return {
         v
         for v in g.observed

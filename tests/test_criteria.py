@@ -13,6 +13,7 @@ import pytest
 from latentid import criteria, enumeration, flow, rank
 from latentid.catalog import builtin_graph
 from latentid.criteria import (
+    CertRecord,
     DetCertificate,
     HtcCertificate,
     IdentificationState,
@@ -78,14 +79,19 @@ def scratch_state(root, deleted, solved, rows, frame):
     its determinantal network derived from `frame`, a frame that holds
     `root`."""
     view = CompiledGraph(root.without_obs_edges(set(deleted)))
+    solved_pa = [0] * len(view.names)
+    for p, c in set(solved) - set(deleted):
+        solved_pa[view.index[c]] |= 1 << view.index[p]
     return IdentificationState(
         view=view,
-        solved_edges=set(solved) - set(deleted),
+        solved_pa=solved_pa,
         deleted_edges=tuple(deleted),
         certificates=[],
         frame=frame,
         flow_net=frame.det_network(view),
         allowed_rows=rows,
+        cuts=({},),
+        elf_cuts=({},),
     )
 
 
@@ -205,6 +211,39 @@ class TestSubprocedures:
         state = IdentificationState.fresh(g)
         det_subprocedure(g, state, "5", SearchConfig())
         assert ("4", "5") in state.solved_edges
+
+
+class TestCertificateRecords:
+    def test_source_contains_target_derived(self):
+        """A hand-built determinantal certificate writes whether v is in
+        S from S itself."""
+        cert = DetCertificate(
+            v="1",
+            w0="2",
+            deleted_parents=frozenset(),
+            s=frozenset({"1", "3"}),
+            t=frozenset({"4"}),
+        )
+        assert cert.to_dict()["source_contains_target"] is True
+        assert replace(cert, s=frozenset({"2", "3"})).to_dict()[
+            "source_contains_target"
+        ] is False
+
+    def test_recursion_depth_derived(self):
+        """A record writes the number of its deleted edges as its
+        recursion depth."""
+        cert = DetCertificate(
+            v="5",
+            w0="4",
+            deleted_parents=frozenset(),
+            s=frozenset({"2", "3", "4"}),
+            t=frozenset({"1", "2"}),
+        )
+        deleted = (("1", "2"), ("2", "3"))
+        rec = CertRecord(edges=(("4", "5"),), cert=cert, deleted=deleted)
+        assert rec.depth == 2
+        assert rec.to_dict()["recursion_depth"] == 2
+        assert rec.to_dict()["deleted_edges"] == [["1", "2"], ["2", "3"]]
 
 
 class TestCertificateVerification:
@@ -906,7 +945,7 @@ class TestInheritedCuts:
                 r.to_dict() for r in ref.certificates
             ]
             calls += 1
-            inheriting += any(state.inherited_cuts)
+            inheriting += any(state.cuts[1:])
             return state
 
         monkeypatch.setattr(criteria, "det_subprocedure", checked)
@@ -1017,7 +1056,7 @@ class TestElfFlowBounds:
             ]
             if state.deleted_edges:
                 sub_calls += 1
-                inheriting += any(state.inherited_elf_cuts)
+                inheriting += any(state.elf_cuts[1:])
             return state
 
         monkeypatch.setattr(criteria, "elf_htc_subprocedure", checked)
@@ -1052,22 +1091,25 @@ class TestElfFlowBounds:
 class TestSolvedState:
     def test_kept_current_around_every_call(self, monkeypatch):
         """Before and after every subprocedure call, at the root and
-        inside the edge-deletion recursion, `solved_pa`, `solved_mask` and
-        `solved_nodes` equal a full re-derive from `solved_edges`, though
-        the subprocedures never run `refresh_solved_nodes`."""
+        inside the edge-deletion recursion, `solved_edges` names the bits
+        of `solved_pa`, all of them edges of the subgraph, and
+        `solved_mask` and `solved_nodes` equal a full re-derive from
+        `solved_edges`, though only `solve` updates them."""
         root = None
         calls = solving = sub_solving = 0
 
         def assert_current(state):
             view, edges = state.view, state.solved_edges
             sub = root.without_obs_edges(set(state.deleted_edges))
+            assert edges == {
+                (p, n)
+                for i, n in enumerate(view.names)
+                for p in view.nodes(state.solved_pa[i])
+            }
+            assert edges <= sub.edges_obs
             nodes = ref_solved_nodes(sub, edges)
             assert state.solved_nodes == nodes
             assert state.solved_mask == sum(1 << view.index[n] for n in nodes)
-            assert state.solved_pa == [
-                sum(1 << view.index[p] for p, c in edges if c == n)
-                for n in view.names
-            ]
 
         def checked(subprocedure):
             def run(g, state, v, cfg):
@@ -1121,16 +1163,16 @@ class TestStateDerivation:
             )
             frame = FlowFrame(CompiledGraph(g))
             root = IdentificationState.fresh(g, frame)
-            root.solved_edges.update(
-                e for e in sorted(g.edges_obs) if rng.random() < 0.6
-            )
-            root.refresh_solved_nodes()
+            idx = root.view.index
+            for w, v in sorted(g.edges_obs):
+                if rng.random() < 0.6:
+                    root.solve(idx[v], 1 << idx[w])
             chain = [root]
             for _ in range(rng.randint(0, 3)):
                 if not chain[-1].solved_edges:
                     break
                 w, v = rng.choice(sorted(chain[-1].solved_edges))
-                a, b = root.view.index[w], root.view.index[v]
+                a, b = idx[w], idx[v]
                 chain.append(
                     chain[-1].without_edge(a, b, root.view.descendants(b))
                 )
@@ -1151,11 +1193,13 @@ class TestStateDerivation:
             assert state.solved_pa == ref.solved_pa
             assert state.solved_mask == ref.solved_mask
             assert state.certificates is root.certificates
-            for stores, own in (
-                (state.inherited_cuts, [s.cuts for s in chain]),
-                (state.inherited_elf_cuts, [s.elf_cuts for s in chain]),
+            for chains in (
+                [s.cuts for s in chain],
+                [s.elf_cuts for s in chain],
             ):
-                assert list(map(id, stores)) == list(map(id, own[-2::-1]))
+                assert [id(c[0]) for c in chains[-2::-1]] == list(
+                    map(id, chains[-1][1:])
+                )
         assert depths == {0, 1, 2, 3}
 
 
