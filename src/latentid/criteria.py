@@ -127,6 +127,20 @@ class CertRecord:
 
 
 @dataclass
+class Verdict:
+    """Which edges a sound criterion could ever solve, shared by every
+    state of one search. A subgraph's solved edges lift into the root
+    graph, so an edge whose coefficient is not locally identifiable there
+    is solved by no state. `parents[i]` masks the parents of node i whose
+    edges are locally identifiable in the root graph
+    (`rank.identifiable_parents`), or every parent when that is undefined
+    mod p. Until the verdict is taken `parents` is None, and every edge
+    counts as identifiable."""
+
+    parents: Optional[Sequence[int]] = None
+
+
+@dataclass
 class IdentificationState:
     """Mutable search state threaded through the subprocedures.
 
@@ -139,7 +153,10 @@ class IdentificationState:
 
     `solved_pa[i]` holds the parents of node i whose edges are solved, the
     one record of the solved edges; `solved_edges` names them and
-    `solved_mask` holds the solved nodes, derived on construction and kept
+    `solved_mask` holds the solved nodes. `open_mask` holds the nodes with
+    an unsolved parent edge that the shared `verdict` counts as
+    identifiable, the nodes the search still works on. Both masks are
+    derived on construction (and when the verdict is taken) and kept
     current by `solve`. The eLF-HTC networks (as residuals of
     `FlowFrame.network`) and the covariance matrix mod p are built on
     first use and kept for the state's lifetime.
@@ -159,15 +176,37 @@ class IdentificationState:
     allowed_rows: tuple[int, ...] = field(repr=False, compare=False)
     cuts: tuple[CutStore, ...] = field(repr=False, compare=False)
     elf_cuts: tuple[CutStore, ...] = field(repr=False, compare=False)
+    verdict: Verdict = field(
+        default_factory=Verdict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        mask = 0
-        for i, pa in enumerate(self.view.pa):
-            if not pa & ~self.solved_pa[i]:
-                mask |= 1 << i
-        self.solved_mask = mask
+        self._derive_masks()
         self._elf_base: Optional[bytes] = None
         self._elf_nets: dict[tuple[int, int], bytes] = {}
+
+    def _derive_masks(self) -> None:
+        ident = self._verdict_seen = self.verdict.parents
+        solved = open_ = 0
+        for i, pa in enumerate(self.view.pa):
+            unsolved = pa & ~self.solved_pa[i]
+            if not unsolved:
+                solved |= 1 << i
+            elif ident is None or unsolved & ident[i]:
+                open_ |= 1 << i
+        self.solved_mask, self.open_mask = solved, open_
+
+    def take_verdict(self, root: CompiledGraph) -> None:
+        """Take the shared verdict for the root graph `root`."""
+        parents = rank.identifiable_parents(root)
+        self.verdict.parents = parents or [-1] * len(root.names)
+        self._derive_masks()
+
+    def sync_verdict(self) -> None:
+        """Re-derive `open_mask` if a state sharing the verdict has taken
+        it since."""
+        if self._verdict_seen is not self.verdict.parents:
+            self._derive_masks()
 
     @classmethod
     def fresh(
@@ -216,6 +255,7 @@ class IdentificationState:
             allowed_rows=_rows_update(self.allowed_rows, b, 1 << a, dec_v),
             cuts=({},) + self.cuts,
             elf_cuts=({},) + self.elf_cuts,
+            verdict=self.verdict,
         )
 
     @property
@@ -240,13 +280,22 @@ class IdentificationState:
         names = view.names
         self.solved_pa[v] |= parents
         # Only node v's entries change.
-        if not view.pa[v] & ~self.solved_pa[v]:
-            self.solved_mask |= 1 << v
+        unsolved = view.pa[v] & ~self.solved_pa[v]
+        if not unsolved & self.identifiable(v):
+            self.open_mask &= ~(1 << v)
+            if not unsolved:
+                self.solved_mask |= 1 << v
         return tuple((names[p], names[v]) for p in bits(parents))
 
     def unsolved_parents(self, v: int) -> int:
         """The parents of node `v` whose edges are not solved, as a mask."""
         return self.view.pa[v] & ~self.solved_pa[v]
+
+    def identifiable(self, v: int) -> int:
+        """The parents of node `v` whose edges the verdict counts as
+        identifiable, as a mask (all bits set before it is taken)."""
+        parents = self.verdict.parents
+        return -1 if parents is None else parents[v]
 
     def elf_network(self, sources: int, z: int) -> bytes:
         """The eLF-HTC network of this state's graph for the source set
@@ -518,14 +567,18 @@ def elf_htc_subprocedure(
     view = state.view
     i = view.index[v]
     legacy = cfg.legacy_lf_htc_only
+    unsolved = state.unsolved_parents(i)
+    ident = state.identifiable(i)
+    # No witness solves an edge that is not identifiable, and a legacy
+    # witness solves every unsolved edge into v at once.
+    if not unsolved & ident or legacy and unsolved & ~ident:
+        return state
     if legacy:
         w_v = view.pa[i]
         sink_pool = state.solved_mask & ~w_v
     else:
-        w_v = state.unsolved_parents(i)
+        w_v = unsolved
         sink_pool = view.all
-    if not w_v:
-        return state
 
     lat_pool = [
         j for j, kids in enumerate(view.lat_ch) if kids.bit_count() >= 4
@@ -686,7 +739,8 @@ def det_subprocedure(
 ) -> IdentificationState:
     """Search for determinantal witnesses solving single edges into `v`.
 
-    For each unsolved parent w0 the literal candidates are the pairs
+    For each unsolved parent w0 whose edge the state's verdict counts as
+    identifiable, the literal candidates are the pairs
     (S, T), S a k-subset of the observed nodes and T a (k-1)-subset of
     those other than v and w0, in lexicographic order by k, S, T;
     `cfg.cap_det_pairs` bounds how many of them one w0 may consider. A
@@ -711,9 +765,8 @@ def det_subprocedure(
     frame, base = state.frame, state.flow_net
     stores = state.cuts
 
-    for w0 in bits(view.pa[i]):
-        if state.solved_pa[i] >> w0 & 1:
-            continue
+    # No witness solves an edge that is not identifiable.
+    for w0 in bits(state.unsolved_parents(i) & state.identifiable(i)):
         solved_parents = state.solved_pa[i]
         removed = solved_parents | 1 << w0
         fixed = removed | 1 << i
@@ -845,27 +898,34 @@ def _search(
     """Solve edges in `state` to a fixpoint, recursing into the subgraphs
     with one solved edge deleted; returns the solved parent masks. `root`
     is the root graph and `memo` holds the result of every (subgraph,
-    solved edges) searched before."""
+    solved edges) searched before.
+
+    Only open nodes (`IdentificationState.open_mask`) are worked on: once
+    the shared verdict is taken, a node whose unsolved edges are all not
+    identifiable is left alone, in the node loop, the fixpoint exit and
+    the decision to recurse. The subprocedures skip such edges too, and
+    none of the skipped flows or minors could have accepted a pair, so
+    the solved edges and certificates are those of the search without
+    the verdict."""
     g = state.view
     key = (g.pa, tuple(state.solved_pa))
     hit = memo.get(key)
     if hit is not None:
         return hit
-    all_nodes = g.all
 
     while True:
         # Edges are only ever added, so the masks tell whether any was.
         before = tuple(state.solved_pa)
         for i, v in enumerate(g.names):
-            if state.solved_mask >> i & 1:
+            if not state.open_mask >> i & 1:
                 continue
             if cfg.enable_elf:
                 elf_htc_subprocedure(g, state, v, cfg)
-            if state.solved_mask >> i & 1:
+            if not state.open_mask >> i & 1:
                 continue
             if cfg.enable_det:
                 det_subprocedure(g, state, v, cfg)
-        if state.solved_mask == all_nodes:
+        if not state.open_mask:
             break
 
         recursion_open = cfg.enable_recursion and (
@@ -885,20 +945,28 @@ def _search(
                 dec_v = root.descendants(b)
                 # The subgraph's allowed set drops every pair touching
                 # dec_v, and both subprocedures need a covariance with the
-                # head of the edge they solve: when every unsolved edge
-                # points into dec_v, neither it nor any deeper deletion can
-                # solve anything.
-                if not all_nodes & ~state.solved_mask & ~dec_v:
+                # head of the edge they solve: when every open node lies
+                # in dec_v, neither it nor any deeper deletion can solve
+                # anything.
+                if not state.open_mask & ~dec_v:
                     continue
+                # The verdict is taken once per root, when a subgraph is
+                # about to recurse: most graphs that recurse at all are
+                # done one deletion deep and never pay for it.
+                if state.deleted_edges and state.verdict.parents is None:
+                    state.take_verdict(root)
+                    if not state.open_mask & ~dec_v:
+                        continue
                 result = _search(
                     state.without_edge(a, b, dec_v), root, cfg, memo
                 )
+                state.sync_verdict()
                 for c, pa in enumerate(result):
                     if pa & ~state.solved_pa[c]:
                         state.solve(c, pa)
-                if state.solved_mask == all_nodes:
+                if not state.open_mask:
                     break
-        if state.solved_mask == all_nodes:
+        if not state.open_mask:
             break
         if tuple(state.solved_pa) == before:
             break

@@ -7,12 +7,17 @@ one parameter point is nonzero only if it is not identically zero, so a
 nonzero k×k minor proves that the flow reaches k; a vanishing one proves
 nothing. The parameters are integers from a fixed seed and all arithmetic
 is exact mod the prime P, so the answers are deterministic.
+
+At the same point `identifiable_parents` tells which edge coefficients
+are locally identifiable, from the column matroid of the Jacobian of the
+parametrization; `rref` is the modular elimination behind it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Optional
 
@@ -22,12 +27,13 @@ P = 2**31 - 1
 _SEED = 2010
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point:
     """Parameters mod P in a `CompiledGraph` numbering: `lam[a][b]` is
     the coefficient of the edge a -> b, `gamma[j][i]` that of latent j ->
     node i, `omega` the error variances and `v_lat` the latent variances.
-    Entries off the graph's edges are ignored."""
+    Entries off the graph's edges are ignored. Points compare and hash by
+    identity."""
 
     lam: list[list[int]]
     gamma: list[list[int]]
@@ -35,10 +41,12 @@ class Point:
     v_lat: list[int]
 
 
+@lru_cache(maxsize=64)
 def draw_point(n: int, m: int) -> Point:
     """The fixed point for `n` observed and `m` latent nodes, drawn from a
     fixed seed. Every ordered pair gets a coefficient, so that a graph and
-    its edge-deleted subgraphs give their common edges the same values."""
+    its edge-deleted subgraphs give their common edges the same values.
+    One point per (n, m) is kept and shared: callers must not change it."""
     rng = random.Random(_SEED)
 
     def draw(count: int) -> list[int]:
@@ -133,18 +141,133 @@ def _inverse(
     for b, parents in enumerate(view.pa):
         for a in bits(parents):
             rows[a][b] = -lam[a][b] % P
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = pow(rows[c][c], -1, P)
-        pivot = rows[c] = [x * inv % P for x in rows[c]]
-        for r in range(n):
-            f = rows[r][c]
-            if r != c and f:
-                rows[r] = [(x - f * y) % P for x, y in zip(rows[r], pivot)]
+    rows, pivots = rref(rows)
+    if pivots[:n] != list(range(n)):
+        return None
     return [row[n:] for row in rows]
+
+
+def rref(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form of `matrix` mod P, without its zero
+    rows, and its pivot columns, one per row."""
+    rows = [row[:] for row in matrix]
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, P)
+        # The pivot row is zero before column c, so the row operations
+        # start there.
+        pivot = [x * inv % P for x in rows[r][c:]]
+        rows[r][c:] = pivot
+        for k, row in enumerate(rows):
+            f = row[c]
+            if f and k != r:
+                row[c:] = [(x - f * y) % P for x, y in zip(row[c:], pivot)]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows[: len(pivots)], pivots
+
+
+def identifiable_parents(
+    view: CompiledGraph, point: Optional[Point] = None
+) -> Optional[list[int]]:
+    """For each node b of the graph `view`, the mask of its parents a
+    whose edge coefficient λ_ab is locally identifiable at `point` (by
+    default `draw_point`), or None when I − Λ is singular mod P.
+
+    λ_ab is locally identifiable when its column is a coloop of the
+    Jacobian of (Λ, Γ, Ω) ↦ Σ: no combination of the other columns gives
+    it. The Jacobian is taken in the coordinates M = (I − Λ)ᵀΣ(I − Λ),
+    an invertible linear change of Σ at the point, in which M = Ω + ΓᵀVΓ:
+    an ω column is a unit vector on the diagonal, so the ω columns and the
+    diagonal rows drop out. On the pair {b, y}, y ≠ b, the column of
+    a -> b is K[a, y] with K = Σ(I − Λ), and that of the loading j -> b is
+    γ_jy (times V_j, which does not change the column's span). K solves
+    (I − Λ)ᵀK = M. The loading columns drop out too, by passing to the
+    quotient by their span (`_loading_quotient`), which keeps the coloops
+    among the edge columns. A column is a coloop when it is a pivot of
+    the reduced row echelon form whose row is zero at every other
+    column."""
+    n = len(view.names)
+    if point is None:
+        point = draw_point(n, len(view.latent))
+    lam = point.lam
+    # The system [(I − Λ)ᵀ | M].
+    system = [[0] * n + [0] * n for _ in range(n)]
+    for a, row in enumerate(system):
+        row[a] = 1
+        row[n + a] = point.omega[a]
+        for c in bits(view.pa[a]):
+            row[c] = -lam[c][a] % P
+    for v, load in zip(point.v_lat, _loadings(view.lat_ch, point)):
+        for a, f in enumerate(load):
+            if f:
+                row = system[a]
+                f = f * v
+                row[n:] = [(x + f * y) % P for x, y in zip(row[n:], load)]
+    system, pivots = rref(system)
+    if pivots[:n] != list(range(n)):
+        return None
+    # In the quotient edge a -> b's column has entry Σ_y q[b][y]K[a, y]
+    # for each form q.
+    edges = [(a, b) for b in range(n) for a in bits(view.pa[b])]
+    rows = [
+        [sum(map(mul, q[b], system[a][n:])) % P for a, b in edges]
+        for q in _loading_quotient(n, view.lat_ch, point)
+    ]
+    rows, pivots = rref(rows)
+    out = [0] * n
+    for row, c in zip(rows, pivots):
+        if not any(row[c + 1 :]):
+            a, b = edges[c]
+            out[b] |= 1 << a
+    return out
+
+
+def _loadings(lat_ch: tuple[int, ...], point: Point) -> list[list[int]]:
+    """Each latent node's loadings γ_j at `point`, zero off its children
+    `lat_ch[j]`."""
+    return [
+        [f if kids >> i & 1 else 0 for i, f in enumerate(gamma)]
+        for gamma, kids in zip(point.gamma, lat_ch)
+    ]
+
+
+@lru_cache(maxsize=256)
+def _loading_quotient(
+    n: int, lat_ch: tuple[int, ...], point: Point
+) -> list[list[list[int]]]:
+    """A basis of the linear forms on the pairs {x, y}, x ≠ y, of `n`
+    nodes that vanish on every loading column (`identifiable_parents`) of
+    the latent nodes with children `lat_ch` at `point`, each form q as a
+    symmetric matrix q[x][y] with a zero diagonal. Every graph of one
+    latent pattern has the same forms."""
+    pairs = [(x, y) for y in range(n) for x in range(y)]
+    columns = [
+        [load[y] if x == b else load[x] if y == b else 0 for x, y in pairs]
+        for load, kids in zip(_loadings(lat_ch, point), lat_ch)
+        for b in bits(kids)
+    ]
+    reduced, pivots = rref(columns)
+    forms = []
+    # One form per free pair: 1 there, and minus the free pair's entry of
+    # each reduced row at that row's pivot pair.
+    for f, (x, y) in enumerate(pairs):
+        if f in pivots:
+            continue
+        form = [[0] * n for _ in range(n)]
+        form[x][y] = form[y][x] = 1
+        for row, c in zip(reduced, pivots):
+            u, w = pairs[c]
+            form[u][w] = form[w][u] = -row[f] % P
+        forms.append(form)
+    return forms
 
 
 def nonsingular(matrix: list[list[int]]) -> bool:

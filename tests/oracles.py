@@ -946,6 +946,69 @@ def trek_rule_covariance(params):
     return sigma
 
 
+# -- local identifiability from the Jacobian, in floating point ----------
+
+
+def jacobian_identifiable_edges(
+    g: LatentFactorGraph, seed: int = 0
+) -> frozenset[Edge]:
+    """The observed edges whose coefficients are locally identifiable
+    (Rothenberg, Econometrica 1971): those whose column of the Jacobian of
+    (Λ, Γ, Ω) ↦ vech Σ, at a random real point, is outside the span of
+    the other columns, that is, zero in every vector of the null space.
+    The Jacobian is taken in Σ's own coordinates, with A = (I − Λ)⁻¹, and
+    its null space is read off the SVD.
+
+    Columns on the pair (x, y), x <= y:
+    - edge a -> b: Σ[x, a]A[b, y] + Σ[y, a]A[b, x];
+    - loading j -> b: V_j(A[b, x](γ_jA)[y] + (γ_jA)[x]A[b, y]);
+    - error variance ω_b: A[b, x]A[b, y].
+    """
+    rng = np.random.default_rng(seed)
+    obs, lat = list(g.observed), list(g.latent)
+    idx = {v: i for i, v in enumerate(obs)}
+    lat_idx = {h: j for j, h in enumerate(lat)}
+    d = len(obs)
+
+    def draw(low, high, count):
+        return rng.uniform(low, high, count) * rng.choice([-1.0, 1.0], count)
+
+    edges = sorted(g.edges_obs)
+    loadings = sorted(g.edges_lat)
+    lam = np.zeros((d, d))
+    for (a, b), value in zip(edges, draw(0.3, 0.9, len(edges))):
+        lam[idx[a], idx[b]] = value
+    gamma = np.zeros((len(lat), d))
+    for (h, b), value in zip(loadings, draw(0.5, 1.5, len(loadings))):
+        gamma[lat_idx[h], idx[b]] = value
+    omega = rng.uniform(0.5, 1.5, d)
+    v_lat = rng.uniform(0.5, 1.5, len(lat))
+    a_mat = np.linalg.inv(np.eye(d) - lam)
+    sigma = a_mat.T @ (np.diag(omega) + gamma.T @ np.diag(v_lat) @ gamma) @ a_mat
+    ga = gamma @ a_mat
+    x, y = np.triu_indices(d)
+    columns = []
+    for a, b in edges:
+        i, k = idx[a], idx[b]
+        columns.append(sigma[x, i] * a_mat[k, y] + sigma[y, i] * a_mat[k, x])
+    for h, b in loadings:
+        j, k = lat_idx[h], idx[b]
+        columns.append(
+            v_lat[j] * (a_mat[k, x] * ga[j, y] + ga[j, x] * a_mat[k, y])
+        )
+    for k in range(d):
+        columns.append(a_mat[k, x] * a_mat[k, y])
+    jac = np.array(columns).T
+    _, s, vt = np.linalg.svd(jac)
+    rank = int(np.sum(s > s[0] * 1e-9))
+    null = vt[rank:]
+    return frozenset(
+        e
+        for c, e in enumerate(edges)
+        if np.linalg.norm(null[:, c]) < 1e-6
+    )
+
+
 # -- reachability by matrix powers -----------------------------------------
 
 

@@ -53,6 +53,7 @@ from oracles import (
     descendants,
     frame_network,
     htr,
+    jacobian_identifiable_edges,
     orig,
     parents_obs,
     primed,
@@ -70,6 +71,19 @@ from oracles import (
 LEGACY = SearchConfig(
     legacy_lf_htc_only=True, enable_det=False, enable_recursion=False
 )
+
+
+def every_edge(view, point=None):
+    """A verdict that counts every edge of `view` as identifiable."""
+    return view.pa
+
+
+@pytest.fixture
+def unpruned(monkeypatch):
+    """The search without identifiability pruning: a verdict that counts
+    every edge as identifiable. Work counts measured through it are those
+    of the search before the verdict existed."""
+    monkeypatch.setattr(rank, "identifiable_parents", every_edge)
 
 
 def scratch_state(root, deleted, solved, rows, frame):
@@ -481,11 +495,12 @@ class TestAllowedUpdate:
                 )
             assert batch == stepwise, (g, v, parents)
 
-    def test_context_matches_set_reference(self, monkeypatch):
+    def test_context_matches_set_reference(self, monkeypatch, unpruned):
         """`DeletionContext` allows exactly the pairs the set-based
         reference keeps, after 0-4 deletions in shuffled order, on acyclic
         and cyclic graphs, and every subgraph state the search visits on
-        G7 holds the reference's rows for its deletions. These are the
+        G7 (without identifiability pruning, so all 1,033 of them) holds
+        the reference's rows for its deletions. These are the
         rows `_rows_update` ever sees: the all-ones rows and the rows of
         deletions from them, with descendants in the root graph. On them
         the reference's partner rule (a pair with v needs its other member
@@ -735,9 +750,10 @@ class TestDeterminantalPools:
 
 
 class TestLatticePruning:
-    def test_g7_search_calls(self, monkeypatch):
+    def test_g7_search_calls(self, monkeypatch, unpruned):
         """Deletions whose subgraph cannot solve anything are skipped: on
-        G7 the search visits 1,033 subgraphs (5,131 without pruning)."""
+        G7, without identifiability pruning, the search visits 1,033
+        subgraphs (5,131 without lattice pruning either)."""
         calls = 0
         search = criteria._search
 
@@ -791,9 +807,10 @@ class TestRankFilter:
     """The determinantal search runs its two max-flows only on (S, T)
     pairs that no kept cut rejects and whose barred minor vanishes mod p."""
 
-    def test_g7_flow_calls(self, monkeypatch):
-        """G7 makes 810 determinantal flow solves (29,861 with the rank
-        filter alone, 78,231 without either filter)."""
+    def test_g7_flow_calls(self, monkeypatch, unpruned):
+        """Without identifiability pruning G7 makes 810 determinantal flow
+        solves (29,861 with the rank filter alone, 78,231 without either
+        filter)."""
         flows = count_flows(monkeypatch)
         state = combined_algorithm(G7)
         assert flows()[0] == 810
@@ -917,11 +934,12 @@ class TestReferenceVerifier:
 
 
 class TestInheritedCuts:
-    def test_recursion_matches_literal_loop(self, monkeypatch):
+    def test_recursion_matches_literal_loop(self, monkeypatch, unpruned):
         """Inside the edge-deletion recursion, where a state also reads
         the cuts its ancestors kept, every determinantal call solves the
         literal loop's edges, with its certificates, on the same subgraph,
-        solved set and allowed pairs."""
+        solved set and allowed pairs. The search runs without
+        identifiability pruning, so that it recurses deep."""
         det = criteria.det_subprocedure
         calls = inheriting = 0
         root = None
@@ -993,16 +1011,18 @@ class TestElfFlowBounds:
     """The eLF-HTC search runs a flow only on the W_z choices that neither
     the source-count floor nor a kept cut rejects."""
 
-    def test_g7_flow_solves(self, monkeypatch):
-        """G7 makes 14 eLF-HTC flow solves (261 with neither filter)."""
+    def test_g7_flow_solves(self, monkeypatch, unpruned):
+        """Without identifiability pruning G7 makes 14 eLF-HTC flow solves
+        (261 with neither filter)."""
         flows = count_flows(monkeypatch)
         state = combined_algorithm(G7)
         assert flows()[1] == 14
         assert len(state.solved_edges) == 10
 
-    def test_fig5a_flow_solves(self, monkeypatch):
-        """fig5a rows 0-6 under Det+eLF-HTC+rec make 5,021 eLF-HTC flow
-        solves (10,621 with neither filter), with the same counts."""
+    def test_fig5a_flow_solves(self, monkeypatch, unpruned):
+        """Without identifiability pruning fig5a rows 0-6 under
+        Det+eLF-HTC+rec make 5,021 eLF-HTC flow solves (10,621 with
+        neither filter), with the same counts."""
         flows = count_flows(monkeypatch)
         rows = run_benchmark(
             PATTERNS["fig5a"], 6, ("Det+eLF-HTC+rec",), workers=1
@@ -1012,10 +1032,11 @@ class TestElfFlowBounds:
             1, 1, 4, 13, 51, 159, 398,
         ]
 
-    def test_fig5b_flow_solves(self, monkeypatch):
-        """fig5b rows 0-4 under LF-HTC and eLF-HTC+rec make 18,991 eLF-HTC
-        flow solves (60,455 with neither filter: 23,951 of the failing
-        ones had fewer sources than sinks), with the same counts."""
+    def test_fig5b_flow_solves(self, monkeypatch, unpruned):
+        """Without identifiability pruning fig5b rows 0-4 under LF-HTC and
+        eLF-HTC+rec make 18,991 eLF-HTC flow solves (60,455 with neither
+        filter: 23,951 of the failing ones had fewer sources than sinks),
+        with the same counts."""
         flows = count_flows(monkeypatch)
         rows = run_benchmark(
             PATTERNS["fig5b"], 4, ("LF-HTC", "eLF-HTC+rec"), workers=1
@@ -1025,12 +1046,13 @@ class TestElfFlowBounds:
             (r.counts["LF-HTC"], r.counts["eLF-HTC+rec"]) for r in rows
         ] == [(1, 1), (6, 6), (43, 45), (236, 254), (1018, 1146)]
 
-    def test_recursion_matches_literal_loop(self, monkeypatch):
+    def test_recursion_matches_literal_loop(self, monkeypatch, unpruned):
         """Every eLF-HTC call, at the root and inside the edge-deletion
         recursion, where a state also reads the cuts its ancestors kept,
         solves the literal loop's edges, with its certificates, on the
         same subgraph, solved set and allowed pairs; most calls in
-        subgraphs read a non-empty inherited store."""
+        subgraphs read a non-empty inherited store. The search runs
+        without identifiability pruning, so that it recurses deep."""
         elf = criteria.elf_htc_subprocedure
         sub_calls = inheriting = 0
         root = None
@@ -1088,63 +1110,251 @@ class TestElfFlowBounds:
         assert sub_calls > 1000 and inheriting > sub_calls // 2
 
 
+def search_with_checked_state(monkeypatch, extra=()):
+    """Run the search on G7, fig5b rows 0-3 (LF-HTC, eLF-HTC+rec), 30
+    seeded cyclic graphs (eLF-HTC+rec and the default) and the (graph,
+    config) pairs `extra`, asserting before and after every subprocedure
+    call that `solved_edges` names the bits of `solved_pa`, all of them
+    edges of the subgraph, and that `solved_mask`, `solved_nodes` and
+    `open_mask` equal a full re-derive from `solved_edges` and the
+    verdict. Returns the number of calls, of calls that solved an edge,
+    of those inside the recursion, and of calls on a state whose verdict
+    left some unsolved node closed."""
+    root = None
+    calls = solving = sub_solving = closed = 0
+
+    def assert_current(state):
+        view, edges = state.view, state.solved_edges
+        sub = root.without_obs_edges(set(state.deleted_edges))
+        assert edges == {
+            (p, n)
+            for i, n in enumerate(view.names)
+            for p in view.nodes(state.solved_pa[i])
+        }
+        assert edges <= sub.edges_obs
+        nodes = ref_solved_nodes(sub, edges)
+        assert state.solved_nodes == nodes
+        assert state.solved_mask == sum(1 << view.index[n] for n in nodes)
+        assert state.open_mask == open_nodes(state)
+
+    def checked(subprocedure):
+        def run(g, state, v, cfg):
+            nonlocal calls, solving, sub_solving, closed
+            assert_current(state)
+            before = len(state.solved_edges)
+            subprocedure(g, state, v, cfg)
+            assert_current(state)
+            calls += 1
+            if len(state.solved_edges) > before:
+                solving += 1
+                sub_solving += bool(state.deleted_edges)
+            closed += state.open_mask != state.view.all & ~state.solved_mask
+            return state
+
+        return run
+
+    for name in ("elf_htc_subprocedure", "det_subprocedure"):
+        monkeypatch.setattr(criteria, name, checked(getattr(criteria, name)))
+    cases = [(G7, SearchConfig())]
+    for m in range(4):
+        for g in enumerate_dags(PATTERNS["fig5b"], m):
+            for preset in ("LF-HTC", "eLF-HTC+rec"):
+                cases.append((g, METHOD_PRESETS[preset]))
+    rng = random.Random(97)
+    for i in range(30):
+        g = random_latent_factor_graph(
+            rng, max_obs=6, max_lat=3, acyclic=False, edge_prob=0.4
+        )
+        cases.append((g, METHOD_PRESETS["eLF-HTC+rec"]))
+        cases.append((g, SearchConfig()))
+    for root, cfg in cases + list(extra):
+        combined_algorithm(root, cfg)
+    return calls, solving, sub_solving, closed
+
+
+def open_nodes(state):
+    """The nodes with an unsolved parent edge that the state's verdict
+    counts as identifiable, re-derived from scratch."""
+    parents = state.verdict.parents
+    return sum(
+        1 << i
+        for i, pa in enumerate(state.view.pa)
+        if pa & ~state.solved_pa[i] & (-1 if parents is None else parents[i])
+    )
+
+
 class TestSolvedState:
-    def test_kept_current_around_every_call(self, monkeypatch):
+    def test_kept_current_around_every_call(self, monkeypatch, unpruned):
         """Before and after every subprocedure call, at the root and
-        inside the edge-deletion recursion, `solved_edges` names the bits
-        of `solved_pa`, all of them edges of the subgraph, and
-        `solved_mask` and `solved_nodes` equal a full re-derive from
-        `solved_edges`, though only `solve` updates them."""
-        root = None
-        calls = solving = sub_solving = 0
-
-        def assert_current(state):
-            view, edges = state.view, state.solved_edges
-            sub = root.without_obs_edges(set(state.deleted_edges))
-            assert edges == {
-                (p, n)
-                for i, n in enumerate(view.names)
-                for p in view.nodes(state.solved_pa[i])
-            }
-            assert edges <= sub.edges_obs
-            nodes = ref_solved_nodes(sub, edges)
-            assert state.solved_nodes == nodes
-            assert state.solved_mask == sum(1 << view.index[n] for n in nodes)
-
-        def checked(subprocedure):
-            def run(g, state, v, cfg):
-                nonlocal calls, solving, sub_solving
-                assert_current(state)
-                before = len(state.solved_edges)
-                subprocedure(g, state, v, cfg)
-                assert_current(state)
-                calls += 1
-                if len(state.solved_edges) > before:
-                    solving += 1
-                    sub_solving += bool(state.deleted_edges)
-                return state
-
-            return run
-
-        for name in ("elf_htc_subprocedure", "det_subprocedure"):
-            monkeypatch.setattr(
-                criteria, name, checked(getattr(criteria, name))
-            )
-        cases = [(G7, SearchConfig())]
-        for m in range(4):
-            for g in enumerate_dags(PATTERNS["fig5b"], m):
-                for preset in ("LF-HTC", "eLF-HTC+rec"):
-                    cases.append((g, METHOD_PRESETS[preset]))
-        rng = random.Random(97)
-        for i in range(30):
-            g = random_latent_factor_graph(
-                rng, max_obs=6, max_lat=3, acyclic=False, edge_prob=0.4
-            )
-            cases.append((g, METHOD_PRESETS["eLF-HTC+rec"]))
-            cases.append((g, SearchConfig()))
-        for root, cfg in cases:
-            combined_algorithm(root, cfg)
+        inside the edge-deletion recursion, the solved edges, solved
+        nodes and open nodes are current (`search_with_checked_state`),
+        though only `solve` updates them. The search runs without
+        identifiability pruning, so that it recurses deep."""
+        calls, solving, sub_solving, closed = search_with_checked_state(
+            monkeypatch
+        )
         assert calls > 3000 and solving > 1500 and sub_solving > 10
+        assert closed == 0
+
+    def test_kept_current_with_pruning(self, monkeypatch):
+        """The same with identifiability pruning, where the verdict closes
+        nodes whose unsolved edges are not identifiable and `solve` and
+        `sync_verdict` keep `open_mask` current. The seeded graphs of
+        `seeded_graphs` add subgraphs that work on with a node closed."""
+        verdicts = count_calls(monkeypatch, rank, "identifiable_parents")
+        calls, solving, sub_solving, closed = search_with_checked_state(
+            monkeypatch, [(g, SearchConfig()) for g in seeded_graphs()]
+        )
+        assert calls > 1000 and solving > 1500 and sub_solving > 10
+        assert verdicts and closed > 0
+
+
+SEEDED_PRESETS = (
+    "Det+eLF-HTC+rec",
+    "LF-HTC+rec",
+    "eLF-HTC+rec",
+    "Det+rec",
+    "cap10",
+    "no-wz-loop",
+)
+
+
+def seeded_graphs():
+    """300 graphs of `random_latent_factor_graph(random.Random(5),
+    max_obs=7)`, every other one cyclic."""
+    rng = random.Random(5)
+    return [
+        random_latent_factor_graph(rng, max_obs=7, acyclic=i % 2 == 0)
+        for i in range(300)
+    ]
+
+
+def search_digest(cases):
+    """sha256 over the sorted solved edges and every certificate record,
+    in the order found, of the search on each (graph, preset, frame)."""
+    h = hashlib.sha256()
+    for g, preset, frame in cases:
+        state = combined_algorithm(g, METHOD_PRESETS[preset], frame)
+        h.update(
+            json.dumps(
+                [
+                    sorted(state.solved_edges),
+                    [r.to_dict() for r in state.certificates],
+                ]
+            ).encode()
+        )
+    return h.hexdigest()
+
+
+def undefined_verdict(view, point=None):
+    """A verdict undefined mod p, as for I − Λ singular there."""
+    return None
+
+
+class TestIdentifiabilityPruning:
+    """Once `_search` has taken the verdict (`rank.identifiable_parents`)
+    it spends no work on edges that are not locally identifiable, and it
+    solves the same edges with the same certificates, in the same order,
+    as the search that counts every edge as identifiable."""
+
+    @pytest.mark.parametrize("preset", SEEDED_PRESETS)
+    def test_matches_unpruned_on_seeded_graphs(self, monkeypatch, preset):
+        cases = [(g, preset, None) for g in seeded_graphs()]
+        verdicts = count_calls(monkeypatch, rank, "identifiable_parents")
+        pruned = search_digest(cases)
+        assert len(verdicts) > 30
+        alternatives = [every_edge]
+        if preset == "Det+eLF-HTC+rec":
+            alternatives.append(undefined_verdict)
+        for verdict in alternatives:
+            monkeypatch.setattr(rank, "identifiable_parents", verdict)
+            assert search_digest(cases) == pruned, verdict
+
+    def test_matches_unpruned_on_fig5b(self, monkeypatch):
+        """fig5b rows 0-3 under Det+eLF-HTC+rec, through the pattern's
+        frame as `run_benchmark` runs them."""
+        frame = enumeration._pattern_frame(PATTERNS["fig5b"])
+        cases = [
+            (g, "Det+eLF-HTC+rec", frame)
+            for m in range(4)
+            for g in enumerate_dags(PATTERNS["fig5b"], m)
+        ]
+        pruned = search_digest(cases)
+        for verdict in (every_edge, undefined_verdict):
+            monkeypatch.setattr(rank, "identifiable_parents", verdict)
+            assert search_digest(cases) == pruned, verdict
+
+    def test_g7_work(self, monkeypatch):
+        """G7's one unsolved edge, 7 -> 6, is not identifiable: the first
+        subgraph takes the verdict, and the search ends after 2 `_search`
+        calls and 14 flows (8 determinantal, 6 eLF-HTC), against 1,033
+        calls and 824 flows without it."""
+        searches = count_calls(monkeypatch, criteria, "_search")
+        verdicts = count_calls(monkeypatch, rank, "identifiable_parents")
+        flows = count_flows(monkeypatch)
+        state = combined_algorithm(G7)
+        assert len(searches) == 2 and len(verdicts) == 1
+        assert flows() == (8, 6)
+        assert G7.edges_obs - state.solved_edges == {("7", "6")}
+
+    def test_solved_edges_identifiable(self, unpruned):
+        """Soundness against an independent reference: every edge the
+        search without pruning solves is locally identifiable by the
+        float Jacobian of `oracles.jacobian_identifiable_edges`, on the
+        builtins, G7, fig5a rows 0-6, fig5b rows 0-4 and the seeded
+        graphs."""
+        det, elf = "Det+eLF-HTC+rec", "eLF-HTC+rec"
+        cases = [(builtin_graph(name), [det]) for name in BUILTINS]
+        cases.append((G7, [det]))
+        for m in range(7):
+            cases += [(g, [det]) for g in enumerate_dags(PATTERNS["fig5a"], m)]
+        for m in range(5):
+            presets = [elf, det] if m < 4 else [elf]
+            cases += [(g, presets) for g in enumerate_dags(PATTERNS["fig5b"], m)]
+        cases += [(g, [det]) for g in seeded_graphs()]
+        solved = unsolved = 0
+        for g, presets in cases:
+            identifiable = jacobian_identifiable_edges(g)
+            for preset in presets:
+                state = combined_algorithm(g, METHOD_PRESETS[preset])
+                assert state.solved_edges <= identifiable, (g, preset)
+                solved += len(state.solved_edges)
+                unsolved += len(g.edges_obs - state.solved_edges)
+        assert solved > 10_000 and unsolved > 1_000
+
+    @pytest.mark.parametrize(
+        "pattern, rows, presets, taken, solves, counts",
+        [
+            (
+                "fig5a", 6, ("Det+eLF-HTC+rec",), [4], (367, 5021),
+                [1, 1, 4, 13, 51, 159, 398],
+            ),
+            ("fig5b", 4, ("LF-HTC",), [0], (0, 7934), [1, 6, 43, 236, 1018]),
+            (
+                "fig5b", 4, ("eLF-HTC+rec",), [579], (0, 10566),
+                [1, 6, 45, 254, 1146],
+            ),
+            (
+                "fig5b", 3, ("Det+eLF-HTC+rec",), [88], (2013, 1667),
+                [1, 6, 45, 255],
+            ),
+        ],
+        ids=["fig5a-det", "fig5b-lf", "fig5b-elf", "fig5b-det"],
+    )
+    def test_verdicts_and_flows(
+        self, monkeypatch, pattern, rows, presets, taken, solves, counts
+    ):
+        """The verdicts taken and the flows solved over a table's rows,
+        with the table's counts. A verdict is taken only by graphs that
+        recurse two deletions deep: 4 of fig5a's 640 classes (whose flows
+        it leaves as they are) and 579 of fig5b's 2,446 under eLF-HTC+rec
+        (18,991 eLF-HTC flows without it, with LF-HTC's)."""
+        verdicts = count_calls(monkeypatch, rank, "identifiable_parents")
+        flows = count_flows(monkeypatch)
+        table = run_benchmark(PATTERNS[pattern], rows, presets, workers=1)
+        assert [len(verdicts)] == taken
+        assert flows() == solves
+        assert [r.counts[presets[0]] for r in table] == counts
 
 
 class TestStateDerivation:

@@ -8,11 +8,17 @@ import numpy as np
 import pytest
 
 from latentid import rank
+from latentid.enumeration import PATTERNS, enumerate_dags
 from latentid.flow import FlowFrame
-from latentid.graph import CompiledGraph, bits
+from latentid.graph import CompiledGraph, LatentFactorGraph, bits
 from latentid.numerics import ModelParameters
 
-from oracles import random_latent_factor_graph, trek_rule_covariance
+from oracles import (
+    G7,
+    jacobian_identifiable_edges,
+    random_latent_factor_graph,
+    trek_rule_covariance,
+)
 
 
 def small_point(rng, g, view):
@@ -214,3 +220,123 @@ class TestRankVersusFlow:
         assert pairs > 100_000
         assert exceed == 0
         assert deficit == 0
+
+
+def verdict_edges(g):
+    """The edges of `g` that `rank.identifiable_parents` counts as
+    locally identifiable, by name, or None when it is undefined."""
+    view = CompiledGraph(g)
+    parents = rank.identifiable_parents(view)
+    if parents is None:
+        return None
+    return frozenset(
+        (view.names[a], view.names[b])
+        for b, mask in enumerate(parents)
+        for a in bits(mask)
+    )
+
+
+class TestIdentifiableParents:
+    def test_matches_float_jacobian(self):
+        """The exact verdict mod p equals the float one, from the SVD of
+        the Jacobian in Σ-coordinates at a random real point
+        (`oracles.jacobian_identifiable_edges`), on fig5a rows 0-6, fig5b
+        rows 0-4 and 300 seeded graphs, every other one cyclic."""
+        graphs = [
+            g
+            for pattern, rows in (("fig5a", 7), ("fig5b", 5))
+            for m in range(rows)
+            for g in enumerate_dags(PATTERNS[pattern], m)
+        ]
+        rng = random.Random(5)
+        graphs += [
+            random_latent_factor_graph(rng, max_obs=7, acyclic=i % 2 == 0)
+            for i in range(300)
+        ]
+        missing = 0
+        for g in graphs:
+            got = verdict_edges(g)
+            assert got == jacobian_identifiable_edges(g), g
+            missing += len(g.edges_obs - got)
+        assert len(graphs) == 3386 and missing > 2000
+        assert verdict_edges(G7) == G7.edges_obs - {("7", "6")}
+
+    def test_undefined_when_singular(self):
+        """A 2-cycle with λ_ab λ_ba = 1 makes I − Λ singular: no
+        verdict."""
+        g = LatentFactorGraph(
+            ["a", "b", "c"], ["h"], [("a", "b"), ("b", "a")], [("h", "c")]
+        )
+        view = CompiledGraph(g)
+        point = rank.draw_point(3, 1)
+        lam = [row[:] for row in point.lam]
+        lam[1][0] = pow(lam[0][1], -1, rank.P)
+        singular = rank.Point(lam, point.gamma, point.omega, point.v_lat)
+        assert rank.identifiable_parents(view, singular) is None
+        assert rank.identifiable_parents(view, point) is not None
+
+    def test_invariant_under_relabelling(self):
+        """Relabelling the observed nodes changes the numbering, and with
+        it the parameter point, but not the verdict by name."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(
+            derandomize=True, max_examples=150, database=None, deadline=None
+        )
+        @hypothesis.given(st.integers(0, 10**6), st.randoms(use_true_random=False))
+        def check(seed, shuffle):
+            g = random_latent_factor_graph(
+                random.Random(seed), max_obs=7, acyclic=seed % 2 == 0
+            )
+            names = list(g.observed)
+            shuffle.shuffle(names)
+            rename = dict(zip(g.observed, names))
+            relabelled = LatentFactorGraph(
+                names,
+                g.latent,
+                [(rename[a], rename[b]) for a, b in g.edges_obs],
+                [(h, rename[b]) for h, b in g.edges_lat],
+            )
+            got = verdict_edges(relabelled)
+            assert got == {
+                (rename[a], rename[b]) for a, b in verdict_edges(g)
+            }
+
+        check()
+
+
+class TestRref:
+    def test_reduced_form_and_rank(self):
+        """`rank.rref` of a product of random k×r and r×w matrices mod P
+        has r rows in reduced form (leading one, zeros elsewhere in the
+        pivot columns), spans the same rows, and is its own reduced
+        form."""
+        rng = random.Random(61)
+        for _ in range(200):
+            k, r, w = rng.randint(1, 8), rng.randint(0, 6), rng.randint(1, 9)
+            r = min(r, k, w)
+            left = [[rng.randrange(rank.P) for _ in range(r)] for _ in range(k)]
+            right = [[rng.randrange(rank.P) for _ in range(w)] for _ in range(r)]
+            matrix = [
+                [
+                    sum(x * right[i][j] for i, x in enumerate(row)) % rank.P
+                    for j in range(w)
+                ]
+                for row in left
+            ]
+            rows, pivots = rank.rref(matrix)
+            assert len(rows) == len(pivots) == r
+            assert pivots == sorted(pivots)
+            for row, c in zip(rows, pivots):
+                assert row[c] == 1 and not any(row[:c])
+                assert [other[c] for other in rows].count(0) == r - 1
+            assert rank.rref(rows) == (rows, pivots)
+            # Each input row is a combination of the reduced rows with
+            # its own entries at the pivots as coefficients.
+            for row in matrix:
+                assert row == [
+                    sum(row[c] * red[j] for red, c in zip(rows, pivots))
+                    % rank.P
+                    for j in range(w)
+                ]
