@@ -690,6 +690,8 @@ def _det_pairs(
     t_pool: list[int],
     t_allowed: dict[int, int],
     cap: Optional[int],
+    cov: Optional[rank.Covariance],
+    column: list[int],
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The literal (S, T) pairs, S from the `n` nodes and T from the
     nodes of the mask `t_literal`, that pass the determinantal filters, in
@@ -697,10 +699,13 @@ def _det_pairs(
 
     S is drawn from `s_pool` and T from the members of `t_pool` allowed
     against every source in S (the masks `t_allowed`); both pools are
-    sorted subsequences of the literal ones, so the order is the literal
-    order with the failing pairs left out. A pair's literal index is the
-    number of literal pairs before it; the pairs stop at the first index
-    that reaches `cap`.
+    sorted subsequences of the literal ones. Of those, only the T's whose
+    minor of Σ (`cov`) on the rows S and the columns T with `column`
+    appended vanishes mod p come through, reduced once per S by
+    `rank.vanishing_minors`; every T does when `cov` is None. So the
+    order is the literal order with the failing pairs left out. A pair's
+    literal index is the number of literal pairs before it; the pairs
+    stop at the first index that reaches `cap`.
     """
     t_count = t_literal.bit_count()
     offset = 0  # literal index of the first pair with |S| = k
@@ -714,12 +719,18 @@ def _det_pairs(
             common = t_literal
             for s in s_combo:
                 common &= t_allowed[s]
-            candidates = [t for t in t_pool if common >> t & 1]
+            candidates = tuple(bits(common))
             if cap is not None:
                 s_index = offset + stride * _lex_rank(s_combo, n)
                 if s_index >= cap:
                     return
-            for t_combo in combinations(candidates, k - 1):
+            if cov is None:
+                t_combos = combinations(candidates, k - 1)
+            else:
+                t_combos = rank.vanishing_minors(
+                    cov.sigma, column, s_combo, candidates
+                )
+            for t_combo in t_combos:
                 if cap is not None:
                     # A literal T position counts the literal T nodes below.
                     t_pos = [
@@ -747,13 +758,17 @@ def det_subprocedure(
     pair is tried only when T avoids the descendants of v and every
     covariance of S against T, v, w0 and the solved parents is allowed,
     so the pools are filtered once per w0 and only passing pairs are
-    visited. A pair is rejected without a flow when the cut of a full
-    flow rejected before, in this subgraph or one containing it
-    (`state.cuts`), bounds its full flow below k, or when its barred
-    minor (rows S; columns T and v with the edges from w0 and the solved
+    visited. A pair is rejected without a flow when its barred minor
+    (rows S; columns T and v with the edges from w0 and the solved
     parents deleted) is nonzero at the fixed point of `rank`, which means
-    a barred flow of k; only the two flows accept a pair. `g` is the
-    graph of `state`, read through `state.view`.
+    a barred flow of k, or when the cut of a full flow rejected before, in
+    this subgraph or one containing it (`state.cuts`), bounds its full
+    flow below k; only the two flows accept a pair. The minors are
+    reduced once per S, so that only the pairs whose minor vanishes are
+    visited (`_det_pairs`). Neither filter depends on the other, and the
+    kept cuts change only after a flow, so the same pairs reach the same
+    flows in the same order as with the cut check first. `g` is the graph
+    of `state`, read through `state.view`.
     """
     view, rows = state.view, state.allowed_rows
     i = view.index[v]
@@ -776,12 +791,15 @@ def det_subprocedure(
         t_pool = list(bits(t_pool_mask))
         t_allowed = {s: rows[s] & t_pool_mask for s in s_pool}
         barred = frame.barred(base, i, removed)
-        # Σ's rows with the barred column of v appended as column n, from
-        # the first pair on; empty when Σ is undefined mod p.
-        sigma_rows = None
+        # T avoids the descendants of v, so its columns are the same in
+        # the barred graph; a nonzero barred minor means a barred flow of
+        # k, which no witness has, so `_det_pairs` leaves its pair out.
+        cov = state.covariance
+        column = [] if cov is None else cov.barred_column(i, removed)
         last_s = None
         for s_combo, t_combo in _det_pairs(
-            n, t_literal, s_pool, t_pool, t_allowed, cfg.cap_det_pairs
+            n, t_literal, s_pool, t_pool, t_allowed, cfg.cap_det_pairs,
+            cov, column,
         ):
             k = len(s_combo)
             if s_combo != last_s:
@@ -792,20 +810,6 @@ def det_subprocedure(
                 sinks = sum(1 << t for t in t_combo) | 1 << w0
                 if any(b + (x & sinks).bit_count() < k for b, x in bounds):
                     continue
-            if sigma_rows is None:
-                cov = state.covariance
-                sigma_rows = [] if cov is None else [
-                    row + [b]
-                    for row, b in zip(cov.sigma, cov.barred_column(i, removed))
-                ]
-            # T avoids the descendants of v, so its columns are the same in
-            # the barred graph; a nonzero minor there means a barred flow
-            # of k, which no witness has.
-            cols = t_combo + (n,)
-            if sigma_rows and rank.nonsingular(
-                [[sigma_rows[s][c] for c in cols] for s in s_combo]
-            ):
-                continue
             t_mask = sum(1 << t for t in t_combo)
             sinks = t_mask | 1 << w0
             value, _, cut = frame.solve(base, s_mask, sinks)

@@ -7,6 +7,8 @@ one parameter point is nonzero only if it is not identically zero, so a
 nonzero k×k minor proves that the flow reaches k; a vanishing one proves
 nothing. The parameters are integers from a fixed seed and all arithmetic
 is exact mod the prime P, so the answers are deterministic.
+`vanishing_minors` lists, for one row set, the column sets whose minor
+vanishes: only their flows can fall short of the row count.
 
 At the same point `identifiable_parents` tells which edge coefficients
 are locally identifiable, from the column matroid of the Jacobian of the
@@ -18,8 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from operator import mul
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .graph import CompiledGraph, bits
 
@@ -115,21 +118,35 @@ def _path_sums(
     from its children's, A[x] = e_x + Σ_c λ_xc A[c]; a cycle needs
     Gauss–Jordan elimination."""
     n, ch = len(view.names), view.ch
+    order = _dependency_order(view, ch)
+    if order is None:
+        return _inverse(view, lam)
     rows: list[list[int]] = [[]] * n
+    for x in order:
+        row = [0] * n
+        row[x] = 1
+        for c in bits(ch[x]):
+            f = lam[x][c]
+            row = [(u + f * w) % P for u, w in zip(row, rows[c])]
+        rows[x] = row
+    return rows
+
+
+def _dependency_order(
+    view: CompiledGraph, deps: tuple[int, ...]
+) -> Optional[list[int]]:
+    """The nodes of `view`, each after the nodes of its mask `deps[x]`,
+    or None when the masks have a cycle."""
+    order: list[int] = []
     done = 0
     while done != view.all:
-        ready = [x for x in bits(view.all & ~done) if not ch[x] & ~done]
+        ready = [x for x in bits(view.all & ~done) if not deps[x] & ~done]
         if not ready:
-            return _inverse(view, lam)
+            return None
+        order += ready
         for x in ready:
-            row = [0] * n
-            row[x] = 1
-            for c in bits(ch[x]):
-                f = lam[x][c]
-                row = [(u + f * w) % P for u, w in zip(row, rows[c])]
-            rows[x] = row
             done |= 1 << x
-    return rows
+    return order
 
 
 def _inverse(
@@ -198,27 +215,23 @@ def identifiable_parents(
     if point is None:
         point = draw_point(n, len(view.latent))
     lam = point.lam
-    # The system [(I − Λ)ᵀ | M].
-    system = [[0] * n + [0] * n for _ in range(n)]
-    for a, row in enumerate(system):
-        row[a] = 1
-        row[n + a] = point.omega[a]
-        for c in bits(view.pa[a]):
-            row[c] = -lam[c][a] % P
+    # M = Ω + ΓᵀVΓ.
+    m = [[0] * n for _ in range(n)]
+    for a, row in enumerate(m):
+        row[a] = point.omega[a]
     for v, load in zip(point.v_lat, _loadings(view.lat_ch, point)):
         for a, f in enumerate(load):
             if f:
-                row = system[a]
                 f = f * v
-                row[n:] = [(x + f * y) % P for x, y in zip(row[n:], load)]
-    system, pivots = rref(system)
-    if pivots[:n] != list(range(n)):
+                m[a] = [(x + f * y) % P for x, y in zip(m[a], load)]
+    k = _transposed_solve(view, lam, m)
+    if k is None:
         return None
     # In the quotient edge a -> b's column has entry Σ_y q[b][y]K[a, y]
     # for each form q.
     edges = [(a, b) for b in range(n) for a in bits(view.pa[b])]
     rows = [
-        [sum(map(mul, q[b], system[a][n:])) % P for a, b in edges]
+        [sum(map(mul, q[b], k[a])) % P for a, b in edges]
         for q in _loading_quotient(n, view.lat_ch, point)
     ]
     rows, pivots = rref(rows)
@@ -228,6 +241,34 @@ def identifiable_parents(
             a, b = edges[c]
             out[b] |= 1 << a
     return out
+
+
+def _transposed_solve(
+    view: CompiledGraph, lam: list[list[int]], m: list[list[int]]
+) -> Optional[list[list[int]]]:
+    """K solving (I − Λ)ᵀK = `m` mod P, or None when I − Λ is singular
+    mod P. On an acyclic graph each row comes from its parents',
+    K[a] = M[a] + Σ_c λ_ca K[c], as `_path_sums` goes children first; a
+    cycle needs the elimination of [(I − Λ)ᵀ | M]."""
+    n, pa = len(view.names), view.pa
+    order = _dependency_order(view, pa)
+    if order is None:
+        system = [[int(a == c) for c in range(n)] + m[a] for a in range(n)]
+        for a, row in enumerate(system):
+            for c in bits(pa[a]):
+                row[c] = -lam[c][a] % P
+        system, pivots = rref(system)
+        if pivots[:n] != list(range(n)):
+            return None
+        return [row[n:] for row in system]
+    rows: list[list[int]] = [[]] * n
+    for a in order:
+        row = m[a]
+        for c in bits(pa[a]):
+            f = lam[c][a]
+            row = [(u + f * w) % P for u, w in zip(row, rows[c])]
+        rows[a] = row
+    return rows
 
 
 def _loadings(lat_ch: tuple[int, ...], point: Point) -> list[list[int]]:
@@ -270,27 +311,101 @@ def _loading_quotient(
     return forms
 
 
-def nonsingular(matrix: list[list[int]]) -> bool:
-    """Whether the square `matrix` is nonsingular mod P: elimination that
-    cross-multiplies by the pivot instead of dividing by it, down to a
-    3×3 determinant written out."""
-    while len(matrix) > 3:
-        piv = next((r for r in matrix if r[0]), None)
-        if piv is None:
-            return False
-        p0 = piv[0]
-        matrix = [
-            [(p0 * x - r[0] * y) % P for x, y in zip(r[1:], piv[1:])]
-            for r in matrix
-            if r is not piv
-        ]
-    k = len(matrix)
-    if k == 3:
-        (a, b, c), (d, e, f), (g, h, i) = matrix
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    elif k == 2:
-        (a, b), (c, d) = matrix
-        det = a * d - b * c
+def vanishing_minors(
+    sigma: list[list[int]],
+    column: list[int],
+    rows: Sequence[int],
+    candidates: Sequence[int],
+) -> Iterable[tuple[int, ...]]:
+    """The (k − 1)-subsets T of `candidates`, k = len(rows), in
+    lexicographic order, whose minor of `sigma` on the rows `rows` and the
+    columns T with `column` appended vanishes mod P.
+
+    The rows are reduced by the appended column once: with a pivot row p
+    where the column is b_p ≠ 0, each other row s becomes
+    b_p·Σ[s] − b_s·Σ[p], which clears the column but at p and scales the
+    minor by a power of b_p. What is left is ± b_p times the
+    (k − 1)×(k − 1) minor of the reduced rows on T, so a T survives
+    exactly when that minor vanishes (`_vanishing_sets`)."""
+    k = len(rows)
+    for p in rows:
+        b_p = column[p]
+        if b_p:
+            break
     else:
-        det = matrix[0][0] if matrix else 1
-    return det % P != 0
+        # A zero column: every minor vanishes.
+        return combinations(candidates, k - 1)
+    if k == 1:
+        return ()
+    top = sigma[p]
+    reduced = [
+        [(b_p * row[t] - b * top[t]) % P for t in candidates]
+        for row, b in [(sigma[s], column[s]) for s in rows if s != p]
+    ]
+    out: list[tuple[int, ...]] = []
+    _vanishing_sets((), candidates, reduced, out)
+    return out
+
+
+def _vanishing_sets(
+    prefix: tuple[int, ...],
+    candidates: Sequence[int],
+    rows: list[list[int]],
+    out: list[tuple[int, ...]],
+) -> None:
+    """Append to `out`, in lexicographic order, `prefix` followed by each
+    r-subset of `candidates`, r = len(rows), whose r×r minor of `rows`
+    (one entry per candidate) vanishes mod P.
+
+    Up to r = 3 each minor is a determinant written out. Above, the
+    subsets are searched by their first member c: the same row reduction
+    as in `vanishing_minors`, with c's column as the pivot column, leaves
+    r − 1 rows on the members after c. A column that is zero in every
+    row makes every subset that holds it vanish, with no more
+    arithmetic."""
+    r = len(rows)
+    if r == 1:
+        (xs,) = rows
+        out.extend(prefix + (t,) for t, x in zip(candidates, xs) if not x)
+        return
+    if r == 2:
+        xs, ys = rows
+        m = len(candidates)
+        out.extend(
+            prefix + (candidates[i], candidates[j])
+            for i in range(m - 1)
+            for j in range(i + 1, m)
+            if (xs[i] * ys[j] - ys[i] * xs[j]) % P == 0
+        )
+        return
+    if r == 3:
+        xs, ys, zs = rows
+        out.extend(
+            prefix + (candidates[i], candidates[j], candidates[h])
+            for i, j, h in combinations(range(len(candidates)), 3)
+            if (
+                xs[i] * (ys[j] * zs[h] - zs[j] * ys[h])
+                - xs[j] * (ys[i] * zs[h] - zs[i] * ys[h])
+                + xs[h] * (ys[i] * zs[j] - zs[i] * ys[j])
+            )
+            % P
+            == 0
+        )
+        return
+    for j in range(len(candidates) - r + 1):
+        here = prefix + (candidates[j],)
+        rest = candidates[j + 1 :]
+        for p, pivot in enumerate(rows):
+            a = pivot[j]
+            if a:
+                break
+        else:
+            out.extend(here + more for more in combinations(rest, r - 1))
+            continue
+        top = pivot[j + 1 :]
+        reduced = [
+            [(a * x - row[j] * y) % P for x, y in zip(row[j + 1 :], top)]
+            for i, row in enumerate(rows)
+            if i != p
+        ]
+        _vanishing_sets(here, rest, reduced, out)

@@ -48,6 +48,7 @@ from latentid.graph import (
     UnknownNodeError,
     bits,
 )
+from latentid.rank import P
 
 
 # -- name-keyed graph queries ------------------------------------------------
@@ -627,6 +628,49 @@ def ref_det_subprocedure(g, state, v, cfg):
                     done = True
                     break
     return state
+
+
+# -- per-pair minors mod p ---------------------------------------------------
+
+
+def nonsingular(matrix: list[list[int]]) -> bool:
+    """Whether the square `matrix` is nonsingular mod `rank.P`:
+    elimination that cross-multiplies by the pivot instead of dividing by
+    it, down to a 3×3 determinant written out. The per-pair reference for
+    `rank.vanishing_minors`."""
+    while len(matrix) > 3:
+        piv = next((r for r in matrix if r[0]), None)
+        if piv is None:
+            return False
+        p0 = piv[0]
+        matrix = [
+            [(p0 * x - r[0] * y) % P for x, y in zip(r[1:], piv[1:])]
+            for r in matrix
+            if r is not piv
+        ]
+    k = len(matrix)
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    elif k == 2:
+        (a, b), (c, d) = matrix
+        det = a * d - b * c
+    else:
+        det = matrix[0][0] if matrix else 1
+    return det % P != 0
+
+
+def ref_vanishing_minors(sigma, column, rows, candidates):
+    """`rank.vanishing_minors` one T at a time: every (k − 1)-subset of
+    `candidates` in lexicographic order whose minor of `sigma` on `rows`,
+    with `column` appended, `nonsingular` calls singular."""
+    return [
+        t_combo
+        for t_combo in combinations(candidates, len(rows) - 1)
+        if not nonsingular(
+            [[sigma[s][t] for t in t_combo] + [column[s]] for s in rows]
+        )
+    ]
 
 
 # -- literal eLF-HTC search ------------------------------------------------

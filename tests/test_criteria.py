@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import os
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,7 @@ from oracles import (
     frame_network,
     htr,
     jacobian_identifiable_edges,
+    nonsingular,
     orig,
     parents_obs,
     primed,
@@ -679,15 +683,18 @@ def certificate_digest(pattern, num_edges, preset):
         graphs = [G7] + dense_graphs(40, seed=6)
     else:
         graphs = enumerate_dags(PATTERNS[pattern], num_edges)
-    runs = []
-    for g in graphs:
-        state = combined_algorithm(g, METHOD_PRESETS[preset])
-        runs.append(
-            [
-                sorted(state.solved_edges),
-                [r.to_dict() for r in state.certificates],
-            ]
-        )
+    return runs_digest(
+        [combined_algorithm(g, METHOD_PRESETS[preset]) for g in graphs]
+    )
+
+
+def runs_digest(states):
+    """sha256 of the sorted solved edges and every certificate record of
+    each of the search results `states`."""
+    runs = [
+        [sorted(state.solved_edges), [r.to_dict() for r in state.certificates]]
+        for state in states
+    ]
     return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
 
 
@@ -699,6 +706,38 @@ class TestPinnedCertificates:
     def test_certificates_match_recorded(self, case):
         digest = certificate_digest(*DIGEST_CASES[case])
         assert digest == CERTIFICATE_DIGESTS[case]
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(
+    os.environ.get("LATENTID_EXTENDED") != "1",
+    reason="set LATENTID_EXTENDED=1 to run the long searches",
+)
+class TestExtendedSearch:
+    def test_large_source_sets_within_time(self):
+        """The third graph of `random_latent_factor_graph(random.Random(12),
+        max_obs=12, max_lat=2, edge_prob=0.3)`: 12 observed nodes, 2
+        latents and 28 edges, all solved at the root by a determinantal
+        search over source sets of up to 11 nodes. Its solved edges and
+        certificates hash as they did with the per-pair rank filter, and
+        it finishes within 60 s (about 9 s on a 2-core host; the per-pair
+        filter took 100-158 s)."""
+        rng = random.Random(12)
+        for _ in range(3):
+            g = random_latent_factor_graph(
+                rng, max_obs=12, max_lat=2, edge_prob=0.3
+            )
+        assert (len(g.observed), len(g.latent), len(g.edges_obs)) == (
+            12, 2, 28,
+        )
+        start = time.perf_counter()
+        state = combined_algorithm(g)
+        elapsed = time.perf_counter() - start
+        assert len(state.solved_edges) == 28
+        assert runs_digest([state]) == (
+            "560c5db919bafb737550da59759c03bb318f1ce87e9bce1132f0baa048d4e2fb"
+        )
+        assert elapsed < 60, f"{elapsed:.1f} s"
 
 
 class TestDeterminantalPools:
@@ -842,6 +881,87 @@ class TestRankFilter:
         monkeypatch.setattr(rank, "covariance", undefined)
         TestDeterminantalPools().test_matches_literal_loop()
         assert requested
+
+    def test_survivors_match_per_pair_filter_under_every_cap(
+        self, monkeypatch, unpruned
+    ):
+        """With Σ, `_det_pairs` gives exactly the pairs it gives without
+        Σ whose barred minor the per-pair elimination calls singular, in
+        the same order, under every cap from 0 to past the last literal
+        pair: for every call the search makes on seeded graphs, in
+        subgraphs of the recursion too."""
+        det_pairs = criteria._det_pairs
+        calls = count_calls(monkeypatch, criteria, "_det_pairs")
+        rng = random.Random(73)
+        for i in range(24):
+            g = random_latent_factor_graph(
+                rng, max_obs=6, max_lat=2, acyclic=i % 2 == 0
+            )
+            combined_algorithm(g)
+        cut_short = checked = 0
+        for n, t_literal, s_pool, t_pool, t_allowed, _, cov, column in calls:
+            if cov is None:
+                continue
+            pools = (n, t_literal, s_pool, t_pool, t_allowed)
+            t_count = t_literal.bit_count()
+            literal = sum(
+                comb(n, k) * comb(t_count, k - 1) for k in range(1, n + 1)
+            )
+            uncapped = list(det_pairs(*pools, None, cov, column))
+            for cap in [None, *range(literal + 2)]:
+                want = [
+                    (s_combo, t_combo)
+                    for s_combo, t_combo in det_pairs(*pools, cap, None, [])
+                    if not nonsingular(
+                        [
+                            [cov.sigma[s][t] for t in t_combo] + [column[s]]
+                            for s in s_combo
+                        ]
+                    )
+                ]
+                assert list(det_pairs(*pools, cap, cov, column)) == want
+                cut_short += 0 < len(want) < len(uncapped)
+            checked += 1
+        assert checked > 100
+        assert cut_short > 100
+
+    def test_large_source_sets_match_literal_loop(self, monkeypatch):
+        """On a seeded graph with 9 observed nodes, source sets of 4 to 7
+        nodes go through the large-k paths of `rank.vanishing_minors` (a
+        3×3 determinant for k = 4, the search by first member above),
+        which keep some T's and reject others, and the search gives the
+        literal loop's solved edges and certificates."""
+        outcomes = Counter()
+        minors = rank.vanishing_minors
+
+        def recorded(sigma, column, rows, candidates):
+            out = list(minors(sigma, column, rows, candidates))
+            if len(rows) >= 4 and len(candidates) >= len(rows) - 1:
+                total = comb(len(candidates), len(rows) - 1)
+                outcomes[len(rows), "kept"] += len(out)
+                outcomes[len(rows), "rejected"] += total - len(out)
+            return out
+
+        monkeypatch.setattr(rank, "vanishing_minors", recorded)
+        g = random_latent_factor_graph(random.Random(11), max_obs=9)
+        assert len(g.observed) == 9
+        rows = allowed_rows(CompiledGraph(g), all_cov_pairs(g))
+        frame = FlowFrame(CompiledGraph(g))
+
+        def run(subprocedure):
+            state = scratch_state(g, (), (), rows, frame)
+            for v in sorted(g.observed):
+                subprocedure(g, state, v, SearchConfig())
+            return (
+                sorted(state.solved_edges),
+                [r.to_dict() for r in state.certificates],
+            )
+
+        got = run(det_subprocedure)
+        assert got == run(ref_det_subprocedure)
+        assert len(got[1]) == 12
+        for k in range(4, 8):
+            assert outcomes[k, "kept"] and outcomes[k, "rejected"], k
 
 
 # Graphs on which the determinantal search solves edges inside

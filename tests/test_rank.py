@@ -16,7 +16,9 @@ from latentid.numerics import ModelParameters
 from oracles import (
     G7,
     jacobian_identifiable_edges,
+    nonsingular,
     random_latent_factor_graph,
+    ref_vanishing_minors,
     trek_rule_covariance,
 )
 
@@ -146,10 +148,109 @@ class TestCovariance:
             if k >= 2 and rng.random() < 0.5:
                 m[-1] = [(3 * x + y) % rank.P for x, y in zip(m[0], m[1])]
             want = reference(m)
-            assert rank.nonsingular(m) == want, m
+            assert nonsingular(m) == want, m
             seen.add((k, want))
         assert {(k, True) for k in range(7)} <= seen
         assert {(k, False) for k in range(1, 7)} <= seen
+
+
+SHAPES = ("plain", "zero column", "zero candidate", "parallel", "low rank")
+
+
+def outcome(survivors, candidates, k):
+    """"all", "none" or "some" of the (k − 1)-subsets of `candidates`
+    among `survivors`."""
+    if not survivors:
+        return "none"
+    total = len(list(combinations(candidates, k - 1)))
+    return "all" if len(survivors) == total else "some"
+
+
+class TestVanishingMinors:
+    """`rank.vanishing_minors` reduces by the appended column once per row
+    set and then writes out or searches the minors on T; it must keep
+    exactly the T's whose minor the per-pair elimination calls singular,
+    in the same order."""
+
+    def test_matches_per_pair_filter(self):
+        """Matrices with small entries, so that minors vanish by chance,
+        and with an appended column that is zero on the rows, zero and
+        parallel candidate columns and a dependent row, for k = 1..7."""
+        rng = random.Random(67)
+        seen = set()
+        for _ in range(3000):
+            k = rng.randint(1, 7)
+            m = rng.randint(max(k - 2, 0), k + 3)
+            n = k + m + rng.randint(0, 2)
+            values = [0, 1, 2, rank.P - 1, rng.randrange(rank.P)]
+            sigma = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+            column = [rng.choice(values) for _ in range(n)]
+            rows = sorted(rng.sample(range(n), k))
+            candidates = sorted(rng.sample(range(n), m))
+            shape = rng.choice(SHAPES)
+            if shape == "zero column":
+                for s in rows:
+                    column[s] = 0
+            elif shape == "zero candidate" and candidates:
+                t = rng.choice(candidates)
+                for s in rows:
+                    sigma[s][t] = 0
+            elif shape == "parallel" and len(candidates) >= 2:
+                t, u = rng.sample(candidates, 2)
+                f = rng.randrange(1, rank.P)
+                for s in rows:
+                    sigma[s][t] = f * sigma[s][u] % rank.P
+            elif shape == "low rank" and k >= 3:
+                # The last row a combination of two others on every column.
+                a, b, last = rows[0], rows[1], rows[-1]
+                for c in range(n):
+                    sigma[last][c] = (sigma[a][c] + 3 * sigma[b][c]) % rank.P
+                column[last] = (column[a] + 3 * column[b]) % rank.P
+            want = ref_vanishing_minors(sigma, column, rows, candidates)
+            got = rank.vanishing_minors(sigma, column, rows, candidates)
+            assert list(got) == want, (sigma, column, rows, candidates)
+            seen.add((k, shape, outcome(want, candidates, k)))
+        for k in range(1, 8):
+            kinds = {kind for j, _, kind in seen if j == k}
+            assert {"all", "none"} <= kinds, k
+            assert k == 1 or "some" in kinds, k
+            assert (k, "zero column", "all") in seen, k
+            for shape in ("zero candidate", "parallel")[: k - 1]:
+                assert {(k, shape, "all"), (k, shape, "some")} & seen, k
+
+    def test_matches_per_pair_filter_on_graphs(self):
+        """Σ of seeded graphs with barred columns, on random row sets and
+        sorted candidate lists."""
+        rng = random.Random(71)
+        outcomes = set()
+        for i in range(80):
+            g = random_latent_factor_graph(
+                rng, max_obs=8, max_lat=2, acyclic=i % 2 == 0
+            )
+            view = CompiledGraph(g)
+            cov = rank.covariance(view)
+            if cov is None:
+                continue
+            n = len(view.names)
+            for v in range(n):
+                removed = view.pa[v] & rng.getrandbits(n)
+                column = cov.barred_column(v, removed)
+                for _ in range(6):
+                    k = rng.randint(1, min(n, 7))
+                    rows = sorted(rng.sample(range(n), k))
+                    candidates = sorted(
+                        rng.sample(range(n), rng.randint(0, n))
+                    )
+                    want = ref_vanishing_minors(
+                        cov.sigma, column, rows, candidates
+                    )
+                    got = rank.vanishing_minors(
+                        cov.sigma, column, rows, candidates
+                    )
+                    assert list(got) == want, (g, v, rows, candidates)
+                    outcomes.add((min(k, 4), outcome(want, candidates, k)))
+        for k in range(2, 5):
+            assert (k, "some") in outcomes, k
 
 
 class TestRankVersusFlow:
@@ -185,7 +286,7 @@ class TestRankVersusFlow:
                     sum(1 << s for s in sources),
                     sum(1 << c for c in sinks),
                 )
-                full = rank.nonsingular(matrix)
+                full = nonsingular(matrix)
                 pairs += 1
                 exceed += full and flow < len(sources)
                 deficit += not full and flow == len(sources)
