@@ -94,7 +94,7 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
     )
 
 
-def to_json(value, indent: str = "\n") -> str:
+def to_json(value, indent: str = "\n", memo: Optional[dict] = None) -> str:
     """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it,
     byte for byte. CPython 3.11's `json` runs its pure-Python encoder
     whenever `indent` is set; this writer keeps string escaping in C and
@@ -104,7 +104,9 @@ def to_json(value, indent: str = "\n") -> str:
     TypeError. An expression is written straight from its tree by
     `formulas.expr_to_json`, so a `formula` payload builds no dict trees;
     the text is what the stdlib writes for `formulas.expr_to_dict`, the
-    expression's dict form and the tests' reference."""
+    expression's dict form and the tests' reference. The expressions of
+    one call share a `memo`, so a linear system or matrix entry that
+    several of them hold is written once per payload."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -121,11 +123,13 @@ def to_json(value, indent: str = "\n") -> str:
         if math.isinf(value):
             return "Infinity" if value > 0 else "-Infinity"
         return float.__repr__(value)
+    if memo is None:
+        memo = {}
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [to_json(v, inner) for v in value]
+        items = [to_json(v, inner, memo) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
@@ -134,11 +138,11 @@ def to_json(value, indent: str = "\n") -> str:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            item = to_json(value[key], inner)
+            item = to_json(value[key], inner, memo)
             items.append(encode_basestring_ascii(key) + ": " + item)
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, RationalExpr):
-        return expr_to_json(value, indent)
+        return expr_to_json(value, indent, memo)
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable"
     )
@@ -204,6 +208,7 @@ def cmd_formula(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
     state = combined_algorithm(g, _search_config(args))
     fmap = formula_map_from_state(g, state)
+    latex_memo: dict = {}
     entries = []
     for edge in sorted(g.edges_obs):
         if edge in fmap:
@@ -212,7 +217,7 @@ def cmd_formula(args: argparse.Namespace) -> int:
                 {
                     "edge": list(edge),
                     "status": "identified",
-                    "latex": render_latex(expr),
+                    "latex": render_latex(expr, latex_memo),
                     "expression": expr,
                 }
             )

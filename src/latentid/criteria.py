@@ -48,13 +48,6 @@ class HtcCertificate:
     def w_z(self) -> dict[str, frozenset[str]]:
         return dict(self.w_z_map)
 
-    @property
-    def w_z_union(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for _, ws in self.w_z_map:
-            out |= ws
-        return out
-
     def to_dict(self) -> dict:
         return {
             "criterion": "elf-htc",

@@ -295,7 +295,85 @@ def _index(index: dict[str, int], node: str, kind: str) -> int:
 
 
 def _mask(index: dict[str, int], nodes: Iterable[str], kind: str) -> int:
-    return sum(1 << _index(index, n, kind) for n in set(nodes))
+    mask = 0
+    for n in nodes:
+        i = index.get(n)
+        if i is None:
+            raise UnknownNodeError(f"{n!r} is not {kind} node")
+        mask |= 1 << i
+    return mask
+
+
+class _Entries:
+    """The covariance entries of one deletion context's formulas, each
+    built once and shared by every formula of the context that holds it:
+    subgraph covariances (`sig`), covariances corrected by the row node's
+    parent coefficients (`corrected`), and entries with the terms of known
+    parents taken off (`partial`), keyed by node numbers in the context's
+    compiled subgraph.
+
+    A table serves one map, which only grows while the table lives: an
+    entry built once holds no coefficient handle that the map lacks later,
+    so reusing it skips no `DependencyError` that building it again would
+    raise, and an entry that raises is not kept."""
+
+    def __init__(self, ctx: DeletionContext, fmap: FormulaMap):
+        self.ctx = ctx
+        self.fmap = fmap
+        view = ctx.view
+        self.names, self.pa = view.names, view.pa
+        self.lat_index = {n: j for j, n in enumerate(view.latent)}
+        self._sig: dict[tuple[int, int], RationalExpr] = {}
+        self._corrected: dict[tuple[int, int], RationalExpr] = {}
+        self._partial: dict[tuple, RationalExpr] = {}
+
+    def lam(self, p: int, t: int) -> Lam:
+        edge = (self.names[p], self.names[t])
+        if edge not in self.fmap:
+            raise DependencyError(edge)
+        return Lam(edge)
+
+    def sig(self, a: int, b: int) -> RationalExpr:
+        out = self._sig.get((a, b))
+        if out is None:
+            names = self.names
+            out = adjusted_cov(names[a], names[b], self.ctx, self.fmap)
+            self._sig[a, b] = out
+        return out
+
+    def corrected(self, y: int, t: int) -> RationalExpr:
+        # [(I - Lambda)^T Sigma]_{yt} with the y-column coefficients
+        # pulled from previously derived formulas.
+        out = self._corrected.get((y, t))
+        if out is None:
+            sig, lam = self.sig, self.lam
+            out = _sub_chain(
+                sig(y, t),
+                [_lam_times(lam(p, y), sig(p, t)) for p in bits(self.pa[y])],
+            )
+            self._corrected[y, t] = out
+        return out
+
+    def partial(
+        self, y: int, t: int, parents: int, case2: bool
+    ) -> RationalExpr:
+        # The entry of t minus the parents' terms whose coefficients are
+        # already known.
+        key = (y, t, parents, case2)
+        out = self._partial.get(key)
+        if out is None:
+            entry, lam = self.corrected if case2 else self.sig, self.lam
+            out = _sub_chain(
+                entry(y, t),
+                [
+                    Prod((entry(y, p), lam(p, t)))
+                    if case2
+                    else _lam_times(lam(p, t), entry(y, p))
+                    for p in bits(parents)
+                ],
+            )
+            self._partial[key] = out
+        return out
 
 
 def build_elf_system(
@@ -318,23 +396,29 @@ def build_elf_system(
     """
     if ctx is None:
         ctx = DeletionContext(g)
-    view = ctx.view
+    return _elf_system(cert, _Entries(ctx, fmap))
+
+
+def _elf_system(cert: HtcCertificate, entries: _Entries) -> LinearSystem:
+    """`build_elf_system` with the entries drawn from `entries`."""
+    view = entries.ctx.view
     names, index, pa = view.names, view.index, view.pa
     obs = "an observed"
     v = _index(index, cert.v, obs)
     w_v = _mask(index, cert.w_v, obs)
-    w_big = _mask(index, cert.w_z_union, obs)
     sinks = _mask(index, cert.z, obs)
-    named_w_z = cert.w_z()
     w_z = {
-        z: _mask(index, named_w_z[names[z]], obs) for z in bits(sinks)
+        _index(index, z, obs): _mask(index, ws, obs) for z, ws in cert.w_z_map
     }
+    w_big = 0
+    for ws in w_z.values():
+        w_big |= ws
     # Z1 holds the sinks whose W_z is a proper subset of their parents.
     z1 = sum(
-        1 << z for z, ws in w_z.items() if ws != pa[z] and not ws & ~pa[z]
+        1 << z for z in bits(sinks) if w_z[z] != pa[z] and not w_z[z] & ~pa[z]
     )
     z2 = sinks & ~z1
-    h = _mask({n: j for j, n in enumerate(view.latent)}, cert.h, "a latent")
+    h = _mask(entries.lat_index, cert.h, "a latent")
     # The nodes that half-treks from Z and v avoiding H reach, as in
     # `criteria._elf_allowed_sources`.
     reachable = 0
@@ -345,47 +429,22 @@ def build_elf_system(
         reachable |= reach & ~(1 << t)
     alpha = w_v & ~(z2 | w_big)
 
-    def lam(p: int, t: int) -> Lam:
-        edge = (names[p], names[t])
-        if edge not in fmap:
-            raise DependencyError(edge)
-        return Lam(edge)
-
-    def sig(a: int, b: int) -> RationalExpr:
-        return adjusted_cov(names[a], names[b], ctx, fmap)
-
-    def corrected(y: int, t: int) -> RationalExpr:
-        # [(I - Lambda)^T Sigma]_{yt} with the y-column coefficients
-        # pulled from previously derived formulas.
-        return _sub_chain(
-            sig(y, t), [_lam_times(lam(p, y), sig(p, t)) for p in bits(pa[y])]
-        )
-
-    def partial(y: int, t: int, parents: int, case2: bool) -> RationalExpr:
-        # The entry of t minus the parents' terms whose coefficients are
-        # already known.
-        entry = corrected if case2 else sig
-        return _sub_chain(
-            entry(y, t),
-            [
-                Prod((corrected(y, p), lam(p, t)))
-                if case2
-                else _lam_times(lam(p, t), sig(y, p))
-                for p in bits(parents)
-            ],
-        )
-
+    sig, corrected, partial = entries.sig, entries.corrected, entries.partial
+    alpha_cols = bits(alpha)
+    partial_cols = [(z, pa[z] & ~w_z[z]) for z in bits(z1)]
+    tail_cols = (*bits(z2), *bits(w_big & ~z2))
+    v_parents = pa[v] & ~w_v
     matrix: list[tuple[RationalExpr, ...]] = []
     rhs: list[RationalExpr] = []
     rows = _mask(index, cert.y, obs)
     for y in bits(rows):
         case2 = bool(reachable >> y & 1)
         entry = corrected if case2 else sig
-        row = [entry(y, p) for p in bits(alpha)]
-        row += [partial(y, z, pa[z] & ~w_z[z], case2) for z in bits(z1)]
-        row += [entry(y, w) for m in (z2, w_big & ~z2) for w in bits(m)]
+        row = [entry(y, p) for p in alpha_cols]
+        row += [partial(y, z, parents, case2) for z, parents in partial_cols]
+        row += [entry(y, w) for w in tail_cols]
         matrix.append(tuple(row))
-        rhs.append(partial(y, v, pa[v] & ~w_v, case2))
+        rhs.append(partial(y, v, v_parents, case2))
 
     columns = (alpha, z1, z2, w_big & ~z2)
     return LinearSystem(
@@ -393,7 +452,7 @@ def build_elf_system(
         rhs=tuple(rhs),
         columns=tuple(names[c] for m in columns for c in bits(m)),
         rows=tuple(names[y] for y in bits(rows)),
-        alpha_edges=tuple((names[p], names[v]) for p in bits(alpha)),
+        alpha_edges=tuple((names[p], names[v]) for p in alpha_cols),
     )
 
 
@@ -420,22 +479,26 @@ def build_det_formula(
     """Determinant-ratio formula determined by a determinantal witness.
     Every coefficient handle it holds must already have a formula in
     `fmap` (`DependencyError`)."""
-    rows = sorted(cert.s)
-    t_cols = sorted(cert.t)
+    return _det_formula(cert, _Entries(ctx, fmap))
+
+
+def _det_formula(cert: DetCertificate, entries: _Entries) -> RationalExpr:
+    """`build_det_formula` with the entries drawn from `entries`."""
+    index, sig = entries.ctx.view.index, entries.sig
+    obs = "an observed"
+    rows = [_index(index, s, obs) for s in sorted(cert.s)]
+    t_cols = [_index(index, t, obs) for t in sorted(cert.t)]
 
     def mat(target: str) -> RationalExpr:
+        col = _index(index, target, obs)
         if len(rows) == 1:
-            return adjusted_cov(rows[0], target, ctx, fmap)
-        return Det(
-            tuple(
-                tuple(adjusted_cov(s, t, ctx, fmap) for t in t_cols + [target])
-                for s in rows
-            )
-        )
+            return sig(rows[0], col)
+        cols = t_cols + [col]
+        return Det(tuple(tuple(sig(s, t) for t in cols) for s in rows))
 
     correction = []
     for w in sorted(cert.deleted_parents):
-        if (w, cert.v) not in fmap:
+        if (w, cert.v) not in entries.fmap:
             raise DependencyError((w, cert.v))
         correction.append(_lam_times(Lam((w, cert.v)), mat(w)))
     numerator = _sub_chain(mat(cert.v), correction)
@@ -452,18 +515,23 @@ def formula_map_from_state(
     make it, so the formulas go into the map without `FormulaMap.add`
     walking them again. A record's edges are among the α-edges of its
     system, so a built system always adds a formula, and a missing
-    dependency raises `DependencyError` just as that walk would."""
+    dependency raises `DependencyError` just as that walk would.
+
+    Each deletion context keeps one entry table (`_Entries`) for the
+    call, so an entry that several formulas of the context hold is built
+    once and is the same object in each of them."""
     fmap = FormulaMap()
     formulas = fmap.formulas
-    contexts: dict[tuple[Edge, ...], DeletionContext] = {}
+    tables: dict[tuple[Edge, ...], _Entries] = {}
     for record in state.certificates:
         if all(e in formulas for e in record.edges):
             continue
-        ctx = contexts.get(record.deleted)
-        if ctx is None:
-            ctx = contexts[record.deleted] = DeletionContext(g, record.deleted)
+        entries = tables.get(record.deleted)
+        if entries is None:
+            ctx = DeletionContext(g, record.deleted)
+            entries = tables[record.deleted] = _Entries(ctx, fmap)
         if isinstance(record.cert, HtcCertificate):
-            system = build_elf_system(g, record.cert, fmap, ctx)
+            system = _elf_system(record.cert, entries)
             wanted = set(record.edges)
             for edge, expr in solve_alpha(system):
                 if edge not in formulas and edge in wanted:
@@ -471,7 +539,7 @@ def formula_map_from_state(
         else:
             edge = (record.cert.w0, record.cert.v)
             if edge not in formulas:
-                formulas[edge] = build_det_formula(record.cert, fmap, ctx)
+                formulas[edge] = _det_formula(record.cert, entries)
     return fmap
 
 
@@ -516,49 +584,64 @@ def expr_to_dict(expr: RationalExpr) -> dict:
     raise TypeError(f"unknown expression node: {expr!r}")
 
 
-def expr_to_json(expr: RationalExpr, indent: str = "\n") -> str:
+def expr_to_json(
+    expr: RationalExpr, indent: str = "\n", memo: Optional[dict] = None
+) -> str:
     """`json.dumps(expr_to_dict(expr), indent=2, sort_keys=True)`, byte for
     byte, written straight from the tree without building the dicts.
 
     `indent` is a line break plus the indentation of the line the
     expression starts on, as `cli.to_json` passes it for a nested value.
     Each branch writes its node's keys already in sorted order; strings go
-    through the stdlib's C escaper."""
+    through the stdlib's C escaper.
+
+    Each linear system and each matrix or right-hand-side entry is written
+    once per `memo` and indentation, as `render_latex` does; without a
+    memo the call keeps its own."""
+    if memo is None:
+        memo = {}
     i = indent + "  "
     if isinstance(expr, Cov):
         x, y = _json_str(expr.x), _json_str(expr.y)
         return f'{{{i}"op": "cov",{i}"x": {x},{i}"y": {y}{indent}}}'
     if isinstance(expr, Neg):
-        term = expr_to_json(expr.term, i)
+        term = expr_to_json(expr.term, i, memo)
         return f'{{{i}"op": "neg",{i}"term": {term}{indent}}}'
     if isinstance(expr, Prod):
-        factors = _json_exprs(expr.factors, i)
+        factors = _json_exprs(expr.factors, i, memo)
         return f'{{{i}"factors": {factors},{i}"op": "prod"{indent}}}'
     if isinstance(expr, Lam):
         edge = _json_array([_json_str(n) for n in expr.edge], i)
         return f'{{{i}"edge": {edge},{i}"op": "coeff"{indent}}}'
     if isinstance(expr, Sum):
-        terms = _json_exprs(expr.terms, i)
+        terms = _json_exprs(expr.terms, i, memo)
         return f'{{{i}"op": "sum",{i}"terms": {terms}{indent}}}'
     if isinstance(expr, Quot):
-        num, den = expr_to_json(expr.num, i), expr_to_json(expr.den, i)
+        num = expr_to_json(expr.num, i, memo)
+        den = expr_to_json(expr.den, i, memo)
         return f'{{{i}"den": {den},{i}"num": {num},{i}"op": "quot"{indent}}}'
     if isinstance(expr, Det):
-        matrix = _json_matrix(expr.matrix, i)
+        matrix = _json_matrix(expr.matrix, i, memo)
         return f'{{{i}"matrix": {matrix},{i}"op": "det"{indent}}}'
     if isinstance(expr, SolveCoord):
         index = int.__repr__(expr.index)
-        matrix = _json_matrix(expr.matrix, i)
-        rhs = _json_exprs(expr.rhs, i)
-        return (
-            f'{{{i}"index": {index},{i}"matrix": {matrix},'
-            f'{i}"op": "solve-coord",{i}"rhs": {rhs}{indent}}}'
-        )
+        system = _system_text(memo, _json_system, expr.matrix, expr.rhs, i)
+        return f'{{{i}"index": {index},{system}{indent}}}'
     if isinstance(expr, Const):
         # A scalar's JSON text does not depend on the indentation.
         value = json.dumps(expr.value)
         return f'{{{i}"op": "const",{i}"value": {value}{indent}}}'
     raise TypeError(f"unknown expression node: {expr!r}")
+
+
+def _json_system(matrix, rhs, indent: str, memo: dict) -> str:
+    """The keys of a `SolveCoord` after its index."""
+    matrix_text = _json_matrix(matrix, indent, memo)
+    rhs_text = _json_entries(rhs, indent, memo)
+    return (
+        f'{indent}"matrix": {matrix_text},'
+        f'{indent}"op": "solve-coord",{indent}"rhs": {rhs_text}'
+    )
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -569,33 +652,97 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + i + ("," + i).join(items) + indent + "]"
 
 
-def _json_exprs(exprs: tuple[RationalExpr, ...], indent: str) -> str:
+def _json_exprs(
+    exprs: tuple[RationalExpr, ...], indent: str, memo: dict
+) -> str:
     i = indent + "  "
-    return _json_array([expr_to_json(e, i) for e in exprs], indent)
+    return _json_array([expr_to_json(e, i, memo) for e in exprs], indent)
+
+
+def _json_entries(
+    entries: tuple[RationalExpr, ...], indent: str, memo: dict
+) -> str:
+    """A matrix row or right-hand side, each entry written once per memo
+    and indentation."""
+    i = indent + "  "
+    texts = []
+    for e in entries:
+        hit = memo.get((id(e), i))
+        if hit is None:
+            hit = memo[id(e), i] = (e, expr_to_json(e, i, memo))
+        texts.append(hit[1])
+    return _json_array(texts, indent)
 
 
 def _json_matrix(
-    rows: tuple[tuple[RationalExpr, ...], ...], indent: str
+    rows: tuple[tuple[RationalExpr, ...], ...],
+    indent: str,
+    memo: dict,
 ) -> str:
     i = indent + "  "
-    return _json_array([_json_exprs(row, i) for row in rows], indent)
+    return _json_array([_json_entries(row, i, memo) for row in rows], indent)
 
 
 # -- rendering -------------------------------------------------------------
 
 
+# A memo serves one payload and one renderer. It maps the ids of a linear
+# system's matrix and right-hand side, or of a matrix or right-hand-side
+# entry, with the JSON indentation, to the text and the objects the ids
+# belong to: holding them keeps any other object from taking their ids
+# while the memo lives. Entries are looked up inline in `_pmatrix` and
+# `_json_entries`, where a call per entry would cost as much as a hit saves.
+
+
+def _system_text(memo: dict, render, matrix, rhs, *indent) -> str:
+    """`render(matrix, rhs, *indent, memo)`, written once per memo."""
+    key = (id(matrix), id(rhs), *indent)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (matrix, rhs, render(matrix, rhs, *indent, memo))
+    return hit[2]
+
+
+_LATEX_ESCAPES = str.maketrans(
+    {
+        "\\": r"\backslash{}",
+        "{": r"\{",
+        "}": r"\}",
+        "$": r"\$",
+        "&": r"\&",
+        "#": r"\#",
+        "%": r"\%",
+    }
+)
+
+
 def _subscript(a: str, b: str) -> str:
-    if len(a) == 1 and len(b) == 1:
-        return a + b
-    return f"{a},{b}"
+    """The subscript of a symbol over nodes a and b: two one-character
+    names run together, others are separated by a comma (the rule reads
+    the raw names). The characters TeX reads as markup are escaped in
+    forms valid in math mode."""
+    sep = "" if len(a) == 1 and len(b) == 1 else ","
+    if not (a.isalnum() and b.isalnum()):
+        a, b = a.translate(_LATEX_ESCAPES), b.translate(_LATEX_ESCAPES)
+    return a + sep + b
 
 
 def _needs_parens(expr: RationalExpr) -> bool:
     return isinstance(expr, (Sum, Neg))
 
 
-def render_latex(expr: RationalExpr) -> str:
-    """Deterministic LaTeX form of an expression."""
+def render_latex(expr: RationalExpr, memo: Optional[dict] = None) -> str:
+    """Deterministic LaTeX form of an expression.
+
+    Each linear system and each matrix or right-hand-side entry is
+    rendered once per `memo`, a dict the caller keeps for one payload and
+    then drops, and its text looked up by object identity after: the
+    formulas of one map share their systems and, within a deletion
+    context, their entries (`formula_map_from_state`). Without a memo the
+    call keeps its own. A memo serves one renderer; `expr_to_json` keys
+    its texts by indentation as well."""
+    if memo is None:
+        memo = {}
     if isinstance(expr, Cov):
         return rf"\Sigma_{{{_subscript(expr.x, expr.y)}}}"
     if isinstance(expr, Lam):
@@ -603,7 +750,7 @@ def render_latex(expr: RationalExpr) -> str:
     if isinstance(expr, Const):
         return format(expr.value, "g")
     if isinstance(expr, Neg):
-        inner = render_latex(expr.term)
+        inner = render_latex(expr.term, memo)
         if _needs_parens(expr.term):
             inner = f"({inner})"
         return f"-{inner}"
@@ -611,38 +758,50 @@ def render_latex(expr: RationalExpr) -> str:
         parts = []
         for i, t in enumerate(expr.terms):
             if isinstance(t, Neg):
-                inner = render_latex(t.term)
+                inner = render_latex(t.term, memo)
                 if _needs_parens(t.term):
                     inner = f"({inner})"
                 parts.append(("-" if i == 0 else " - ") + inner)
             else:
-                parts.append(("" if i == 0 else " + ") + render_latex(t))
+                parts.append(("" if i == 0 else " + ") + render_latex(t, memo))
         return "".join(parts)
     if isinstance(expr, Prod):
         parts = []
         for f in expr.factors:
-            s = render_latex(f)
+            s = render_latex(f, memo)
             if _needs_parens(f) or isinstance(f, Quot):
                 s = f"({s})"
             parts.append(s)
         return "".join(parts)
     if isinstance(expr, Quot):
-        return rf"\frac{{{render_latex(expr.num)}}}{{{render_latex(expr.den)}}}"
+        num, den = render_latex(expr.num, memo), render_latex(expr.den, memo)
+        return rf"\frac{{{num}}}{{{den}}}"
     if isinstance(expr, Det):
-        return rf"\det{_pmatrix(expr.matrix)}"
+        return rf"\det{_pmatrix(expr.matrix, memo)}"
     if isinstance(expr, SolveCoord):
-        body = (
-            rf"{_pmatrix(expr.matrix)}^{{-1}} \cdot "
-            rf"{_pmatrix(tuple((r,) for r in expr.rhs))}"
-        )
+        body = _system_text(memo, _latex_system, expr.matrix, expr.rhs)
         return rf"\left[{body}\right]_{{{expr.index + 1}}}"
     raise TypeError(f"unknown expression node: {expr!r}")
 
 
-def _pmatrix(rows: tuple[tuple[RationalExpr, ...], ...]) -> str:
-    body = r" \\ ".join(
-        " & ".join(render_latex(e) for e in row) for row in rows
-    )
+def _latex_system(matrix, rhs, memo: dict) -> str:
+    column = tuple((r,) for r in rhs)
+    return rf"{_pmatrix(matrix, memo)}^{{-1}} \cdot {_pmatrix(column, memo)}"
+
+
+def _pmatrix(
+    rows: tuple[tuple[RationalExpr, ...], ...], memo: dict
+) -> str:
+    cells = []
+    for row in rows:
+        texts = []
+        for e in row:
+            hit = memo.get(id(e))
+            if hit is None:
+                hit = memo[id(e)] = (e, render_latex(e, memo))
+            texts.append(hit[1])
+        cells.append(" & ".join(texts))
+    body = r" \\ ".join(cells)
     return rf"\begin{{pmatrix}} {body} \end{{pmatrix}}"
 
 

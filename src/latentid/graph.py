@@ -21,7 +21,8 @@ class EdgeIntoLatentError(GraphError):
 
 
 class NamespaceError(GraphError):
-    """Observed and latent node names overlap, or a name is duplicated."""
+    """Observed and latent node names overlap, a name is duplicated, or a
+    name is empty."""
 
 
 class UnknownNodeError(GraphError):
@@ -54,6 +55,8 @@ class LatentFactorGraph:
             raise NamespaceError(
                 "observed and latent node names must be distinct"
             )
+        if "" in names:
+            raise NamespaceError("node names must not be empty")
         obs_set = set(self.observed)
         lat_set = set(self.latent)
 

@@ -1215,6 +1215,67 @@ G7 = LatentFactorGraph(
 
 
 
+# -- LaTeX without a memo --------------------------------------------------
+# The reference for `formulas.render_latex`: every node rendered where it
+# stands, so a shared system or entry is rendered each time it occurs.
+
+_TEX_MARKUP = {
+    "\\": r"\backslash{}",
+    "{": r"\{",
+    "}": r"\}",
+    "$": r"\$",
+    "&": r"\&",
+    "#": r"\#",
+    "%": r"\%",
+}
+
+
+def _ref_subscript(a: str, b: str) -> str:
+    sep = "" if len(a) == 1 and len(b) == 1 else ","
+    a, b = ("".join(_TEX_MARKUP.get(c, c) for c in n) for n in (a, b))
+    return a + sep + b
+
+
+def ref_latex(expr: RationalExpr) -> str:
+    """LaTeX of an expression, rendered node by node without a memo."""
+    def wrapped(e: RationalExpr, quot_too: bool = False) -> str:
+        text = ref_latex(e)
+        kinds = (Sum, Neg, Quot) if quot_too else (Sum, Neg)
+        return f"({text})" if isinstance(e, kinds) else text
+
+    def pmatrix(rows) -> str:
+        body = r" \\ ".join(" & ".join(ref_latex(e) for e in r) for r in rows)
+        return rf"\begin{{pmatrix}} {body} \end{{pmatrix}}"
+
+    if isinstance(expr, Cov):
+        return rf"\Sigma_{{{_ref_subscript(expr.x, expr.y)}}}"
+    if isinstance(expr, Lam):
+        return rf"\lambda_{{{_ref_subscript(*expr.edge)}}}"
+    if isinstance(expr, Const):
+        return format(expr.value, "g")
+    if isinstance(expr, Neg):
+        return "-" + wrapped(expr.term)
+    if isinstance(expr, Sum):
+        parts = []
+        for i, t in enumerate(expr.terms):
+            if isinstance(t, Neg):
+                parts.append(("-" if i == 0 else " - ") + wrapped(t.term))
+            else:
+                parts.append(("" if i == 0 else " + ") + ref_latex(t))
+        return "".join(parts)
+    if isinstance(expr, Prod):
+        return "".join(wrapped(f, quot_too=True) for f in expr.factors)
+    if isinstance(expr, Quot):
+        return rf"\frac{{{ref_latex(expr.num)}}}{{{ref_latex(expr.den)}}}"
+    if isinstance(expr, Det):
+        return rf"\det{pmatrix(expr.matrix)}"
+    if isinstance(expr, SolveCoord):
+        column = pmatrix(tuple((r,) for r in expr.rhs))
+        body = rf"{pmatrix(expr.matrix)}^{{-1}} \cdot {column}"
+        return rf"\left[{body}\right]_{{{expr.index + 1}}}"
+    raise TypeError(f"unknown expression node: {expr!r}")
+
+
 def random_latent_factor_graph(
     rng: random.Random,
     max_obs: int = 7,
@@ -1248,3 +1309,20 @@ def random_latent_factor_graph(
             kids = [rng.choice(observed)]
         edges_lat.extend((h, v) for v in kids)
     return LatentFactorGraph(observed, latent, edges_obs, edges_lat)
+
+
+def dense_factor_graph(rng: random.Random, n: int = 7) -> LatentFactorGraph:
+    """A random DAG on observed nodes "1".."n" with n to n + 3 edges and
+    one latent node over every observed node, the shape that sends the
+    search into edge-deleted subgraphs and gives eLF-HTC systems with
+    several target coefficients."""
+    observed = [str(i + 1) for i in range(n)]
+    order = observed[:]
+    rng.shuffle(order)
+    pairs = [
+        (order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+    ]
+    edges = rng.sample(pairs, rng.randint(n, n + 3))
+    return LatentFactorGraph(
+        observed, ["h1"], edges, [("h1", v) for v in observed]
+    )

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface."""
 
+import hashlib
 import json
 import os
 import random
@@ -32,6 +33,7 @@ from latentid.formulas import (
     Quot,
     SolveCoord,
     Sum,
+    cov,
     expr_to_dict,
     formula_map_from_state,
     render_latex,
@@ -43,7 +45,12 @@ from latentid.numerics import (
     covariance_to_csv,
     sample_parameters,
 )
-from oracles import random_latent_factor_graph
+from oracles import (
+    G7,
+    dense_factor_graph,
+    random_latent_factor_graph,
+    ref_latex,
+)
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +66,33 @@ def assert_one_line_error(err):
 
 def stdlib_json(value):
     return json.dumps(value, indent=2, sort_keys=True)
+
+
+def formula_reference(g, spec, fmap):
+    """The `formula` JSON and LaTeX output for `g` given as `--graph spec`,
+    written from `fmap` by the stdlib (from `expr_to_dict`) and by the
+    memo-free `ref_latex`."""
+    entries, lines = [], []
+    for edge in sorted(g.edges_obs):
+        name = ref_latex(Lam(edge))
+        entry = {"edge": list(edge), "status": "unidentified"}
+        entry["latex"] = entry["expression"] = None
+        if edge in fmap:
+            expr = fmap.get(edge)
+            entry["status"] = "identified"
+            entry["latex"] = ref_latex(expr)
+            entry["expression"] = expr_to_dict(expr)
+            lines.append(f"{name} = {entry['latex']}\n")
+        else:
+            lines.append(f"% {name}: unidentified\n")
+        entries.append(entry)
+    payload = {
+        "schema": 1,
+        "command": "formula",
+        "graph": spec,
+        "formulas": entries,
+    }
+    return stdlib_json(payload) + "\n", "".join(lines)
 
 
 # Recorded `check` and `formula` JSON output and exit code per builtin
@@ -172,6 +206,17 @@ class TestCheck:
         assert_one_line_error(err)
         assert f"'{field}' must be a list" in err
 
+    def test_empty_node_name_rejected(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(
+            json.dumps({"observed": ["", "b"], "edges_obs": [["", "b"]]})
+        )
+        code, out, err = run_cli(capsys, "formula", "--graph", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+        assert "must not be empty" in err
+
     def test_graph_file_must_hold_object(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps([["1", "2"]]))
@@ -281,10 +326,11 @@ class TestJsonWriter:
 
         check()
 
-    # Node names that need JSON escapes, and float constants that JSON
-    # writes in words or that compare equal to other values.
+    # Node names that need JSON or LaTeX escapes, and float constants that
+    # JSON writes in words or that compare equal to other values.
     NAMES = [
-        "1", "h1", 'a"b', "c\\d", "e\nf", "\x00", "\u00e9", "\U0001f600", ""
+        "1", "h1", 'a"b', "c\\d", "e\nf", "\x00", "\u00e9", "\U0001f600", "",
+        "a%", "{&}",
     ]
     CONSTS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300]
 
@@ -298,6 +344,14 @@ class TestJsonWriter:
             ]
         }
         assert to_json(nested) == stdlib_json(reference)
+        # Through one memo: the same node at two depths, and again.
+        memo = {}
+        for _ in range(2):
+            assert to_json(nested, memo=memo) == stdlib_json(reference)
+            assert to_json(expr, memo=memo) == stdlib_json(expr_to_dict(expr))
+        latex_memo = {}
+        for _ in range(2):
+            assert render_latex(expr, latex_memo) == ref_latex(expr)
 
     def test_expression_nodes_match_stdlib(self):
         a, b = Cov("1", "2"), Lam(('a"b', "\u00e9"))
@@ -366,6 +420,26 @@ class TestJsonWriter:
 
         check()
 
+    def test_shared_systems_and_entries_through_one_memo(self):
+        """Systems and entries shared by identity, each also inside other
+        nodes and at other depths, write as the unshared trees do."""
+        a = Sum((cov("1", "2"), Neg(Prod((Lam(("1", "2")), cov("1", "1"))))))
+        matrix = ((a, cov("1", "3")), (cov("2", "2"), a))
+        rhs = (a, cov("2", "3"))
+        coords = [SolveCoord(matrix, rhs, i) for i in (0, 1)]
+        exprs = coords + [Quot(Det(matrix), a), Prod((coords[1], a))]
+        payload = {"formulas": [{"expression": e} for e in exprs], "x": exprs}
+        reference = {
+            "formulas": [{"expression": expr_to_dict(e)} for e in exprs],
+            "x": [expr_to_dict(e) for e in exprs],
+        }
+        assert to_json(payload) == stdlib_json(reference)
+        memo = {}
+        assert [render_latex(e, memo) for e in exprs * 2] == [
+            ref_latex(e) for e in exprs * 2
+        ]
+        assert len(memo) == 5  # one system, four distinct entries
+
     @pytest.mark.parametrize(
         "value",
         [{1, 2}, np.int64(3), [np.int64(3)], {"a": {1}}, {1: "a"}],
@@ -424,6 +498,28 @@ class TestFormula:
         )
         assert r"\lambda_{HA,TC} = " in out
 
+    def test_markup_characters_in_names_escaped(self, capsys, tmp_path):
+        # `%` would comment out the rest of the line, `&` would end a
+        # `pmatrix` cell. The JSON tree keeps the raw names.
+        g = LatentFactorGraph(["a%", "b&c"], [], [("a%", "b&c")], [])
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph_to_dict(g)))
+        body = r"\frac{\Sigma_{a\%,b\&c}}{\Sigma_{a\%,a\%}}"
+        code, out, _ = run_cli(
+            capsys, "formula", "--graph", str(path), "--format", "latex"
+        )
+        assert code == EXIT_OK
+        assert out == rf"\lambda_{{a\%,b\&c}} = {body}" + "\n"
+        code, out, _ = run_cli(capsys, "formula", "--graph", str(path))
+        assert code == EXIT_OK
+        (entry,) = json.loads(out)["formulas"]
+        assert entry["latex"] == body
+        assert entry["expression"] == {
+            "op": "quot",
+            "num": {"op": "cov", "x": "a%", "y": "b&c"},
+            "den": {"op": "cov", "x": "a%", "y": "a%"},
+        }
+
     def test_json_expressions(self, capsys):
         code, out, _ = run_cli(capsys, "formula", "--graph", "fig2a")
         assert code == EXIT_OK
@@ -450,35 +546,130 @@ class TestFormula:
             code, out, _ = run_cli(capsys, "formula", "--graph", path)
             fully = all(e in fmap for e in g.edges_obs)
             assert code == (EXIT_OK if fully else EXIT_PARTIAL)
-            entries = []
-            lines = []
-            for edge in sorted(g.edges_obs):
-                name = render_latex(Lam(edge))
-                entry = {"edge": list(edge), "status": "unidentified"}
-                entry["latex"] = entry["expression"] = None
-                if edge in fmap:
-                    expr = fmap.get(edge)
-                    entry["status"] = "identified"
-                    entry["latex"] = render_latex(expr)
-                    entry["expression"] = expr_to_dict(expr)
-                    lines.append(f"{name} = {entry['latex']}\n")
-                else:
-                    lines.append(f"% {name}: unidentified\n")
-                entries.append(entry)
-            payload = {
-                "schema": 1,
-                "command": "formula",
-                "graph": path,
-                "formulas": entries,
-            }
-            assert out == stdlib_json(payload) + "\n"
+            json_text, latex_text = formula_reference(g, path, fmap)
+            assert out == json_text
 
             code, out, _ = run_cli(
                 capsys, "formula", "--graph", path, "--format", "latex"
             )
             assert code == (EXIT_OK if fully else EXIT_PARTIAL)
-            assert out == "".join(lines)
+            assert out == latex_text
         assert with_deletions == {True, False}
+
+
+def dense_graphs(seed, count):
+    rng = random.Random(seed)
+    return [dense_factor_graph(rng) for _ in range(count)]
+
+
+# `formula` inputs as (--graph argument, graph): the builtins by name, G7
+# and seeded graphs as files named relative to the working directory, so
+# that the payloads do not depend on where the test runs. Of the 120 dense
+# graphs, 117 have eLF-HTC systems with several target coefficients and 11
+# have records found in edge-deleted subgraphs (18 records). Cyclic graphs
+# are compared in `TestFormula::test_random_graphs_match_library`.
+PAYLOAD_CASES = {
+    "builtins": lambda: [
+        (name, builtin_graph(name)) for name in sorted(BUILTIN_GRAPHS)
+    ],
+    "G7": lambda: [("G7.json", G7)],
+    "120 dense graphs, seed 24": lambda: [
+        (f"dense{i:03d}.json", g) for i, g in enumerate(dense_graphs(24, 120))
+    ],
+}
+
+# sha256 per case of every `formula` exit code and output, JSON then
+# LaTeX per graph, recorded before the memo of shared systems and entries
+# was added. Update it only for an intended change of formulas.
+PAYLOAD_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "formula_payloads_digest.json")
+    .read_text()
+)
+
+
+def formula_runs(capsys, case):
+    """Per graph of `case`: the graph, its `--graph` argument, and the
+    exit code and output of `formula` in JSON and in LaTeX. Run in a
+    working directory that holds the case's graph files."""
+    runs = []
+    for spec, g in PAYLOAD_CASES[case]():
+        if spec not in BUILTIN_GRAPHS:
+            Path(spec).write_text(json.dumps(graph_to_dict(g)))
+        outputs = [
+            run_cli(capsys, "formula", "--graph", spec, "--format", fmt)[:2]
+            for fmt in ("json", "latex")
+        ]
+        runs.append((g, spec, outputs))
+    return runs
+
+
+class TestFormulaPayload:
+    """`formula` writes each linear system, and each matrix or
+    right-hand-side entry, once per payload through a memo keyed by object
+    identity; the bytes are those written without one."""
+
+    def test_every_case_pinned(self):
+        assert set(PAYLOAD_DIGESTS) == set(PAYLOAD_CASES)
+
+    @pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))
+    def test_payload_matches_reference(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        monkeypatch.chdir(tmp_path)
+        shared_systems = deleted = 0
+        for g, spec, outputs in formula_runs(capsys, case):
+            state = combined_algorithm(g)
+            fmap = formula_map_from_state(g, state)
+            fully = g.edges_obs <= set(fmap.formulas)
+            code = EXIT_OK if fully else EXIT_PARTIAL
+            assert outputs == [
+                (code, text) for text in formula_reference(g, spec, fmap)
+            ]
+            shared_systems += sum(
+                isinstance(e, SolveCoord) and e.index > 0
+                for e in fmap.formulas.values()
+            )
+            deleted += sum(1 for r in state.certificates if r.deleted)
+        if case not in ("builtins", "G7"):
+            assert shared_systems and deleted, case
+
+    @pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))
+    def test_payload_bytes_match_recorded(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for _, _, outputs in formula_runs(capsys, case):
+            for code, out in outputs:
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == PAYLOAD_DIGESTS[case]
+
+    def test_no_state_survives_a_payload(self, capsys, tmp_path, monkeypatch):
+        """In-process calls on two graphs, interleaved, print what a fresh
+        process prints for each."""
+        monkeypatch.chdir(tmp_path)
+        Path("G7.json").write_text(json.dumps(graph_to_dict(G7)))
+        dense = next(
+            g for g in dense_graphs(24, 120)
+            if any(r.deleted for r in combined_algorithm(g).certificates)
+        )
+        Path("dense.json").write_text(json.dumps(graph_to_dict(dense)))
+        argvs = [
+            ["formula", "--graph", spec, "--format", fmt]
+            for fmt in ("json", "latex")
+            for spec in ("G7.json", "dense.json")
+        ]
+        fresh = {}
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "latentid", *argv],
+                capture_output=True,
+                text=True,
+                env=module_env(),
+            )
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout)
+        for argv in argvs + argvs[::-1]:
+            assert run_cli(capsys, *argv)[:2] == fresh[tuple(argv)]
 
 
 class TestEstimate:

@@ -56,6 +56,13 @@ class TestConstruction:
         with pytest.raises(NamespaceError):
             LatentFactorGraph(["1", "x"], ["x"], [], [])
 
+    @pytest.mark.parametrize(
+        "observed, latent", [(["", "b"], []), (["a"], [""])]
+    )
+    def test_empty_name_rejected(self, observed, latent):
+        with pytest.raises(NamespaceError):
+            LatentFactorGraph(observed, latent, [], [])
+
     def test_unknown_node_rejected(self):
         with pytest.raises(UnknownNodeError):
             LatentFactorGraph(["1", "2"], [], [("1", "3")], [])
