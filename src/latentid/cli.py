@@ -21,6 +21,7 @@ from typing import Optional
 from .catalog import BUILTIN_GRAPHS, builtin_graph
 from .criteria import SearchConfig, combined_algorithm
 from .enumeration import (
+    DEFAULT_METHODS,
     METHOD_PRESETS,
     PATTERNS,
     run_benchmark,
@@ -148,13 +149,6 @@ def to_json(value, indent: str = "\n", memo: Optional[dict] = None) -> str:
     )
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(to_json(payload))
-    else:
-        raise CliError(f"unsupported output format {fmt!r} for this command")
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -200,7 +194,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"| {'yes' if rec['solved'] else 'no'} | {crit} |"
             )
     else:
-        _emit(payload, args.format)
+        print(to_json(payload))
     return EXIT_OK if fully else EXIT_PARTIAL
 
 
@@ -238,15 +232,13 @@ def cmd_formula(args: argparse.Namespace) -> int:
             else:
                 print(f"% {name}: unidentified")
     else:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "formula",
-                "graph": args.graph,
-                "formulas": entries,
-            },
-            args.format,
-        )
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "command": "formula",
+            "graph": args.graph,
+            "formulas": entries,
+        }
+        print(to_json(payload))
     fully = all(e["status"] == "identified" for e in entries)
     return EXIT_OK if fully else EXIT_PARTIAL
 
@@ -295,15 +287,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 f"{int(e['degenerate'])},{int(e['identified'])}"
             )
     else:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "estimate",
-                "graph": args.graph,
-                "estimates": entries,
-            },
-            args.format,
-        )
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "command": "estimate",
+            "graph": args.graph,
+            "estimates": entries,
+        }
+        print(to_json(payload))
     complete = all(e["identified"] and not e["degenerate"] for e in entries)
     return EXIT_OK if complete else EXIT_PARTIAL
 
@@ -349,15 +339,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     elif args.format == "md":
         print(rows_to_markdown(rows))
     else:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "enumerate",
-                "pattern": args.pattern,
-                "rows": [r.to_dict() for r in rows],
-            },
-            args.format,
-        )
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "command": "enumerate",
+            "pattern": args.pattern,
+            "rows": [r.to_dict() for r in rows],
+        }
+        print(to_json(payload))
     return EXIT_OK
 
 
@@ -374,15 +362,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     except SamplingError as exc:
         raise CliError(str(exc)) from exc
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "verify",
-            "graph": args.graph,
-            "report": report.to_dict(),
-        },
-        args.format,
-    )
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "command": "verify",
+        "graph": args.graph,
+        "report": report.to_dict(),
+    }
+    print(to_json(payload))
     clean = not report.failures and not report.unverified_edges
     return EXIT_OK if clean else EXIT_PARTIAL
 
@@ -450,9 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pattern", default="fig5a", choices=sorted(PATTERNS)
     )
     p_enum.add_argument("--max-edges", type=int, default=6)
-    p_enum.add_argument(
-        "--methods", default=",".join(("LF-HTC", "Det+eLF-HTC+rec"))
-    )
+    p_enum.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p_enum.add_argument("--workers", type=int, default=None)
     p_enum.add_argument(
         "--format", default="md", choices=["json", "csv", "md"]

@@ -245,7 +245,7 @@ class IdentificationState:
             certificates=self.certificates,
             frame=self.frame,
             flow_net=self.frame.without_edge(self.flow_net, a, b),
-            allowed_rows=_rows_update(self.allowed_rows, b, 1 << a, dec_v),
+            allowed_rows=_rows_update(self.allowed_rows, b, dec_v),
             cuts=({},) + self.cuts,
             elf_cuts=({},) + self.elf_cuts,
             verdict=self.verdict,
@@ -260,11 +260,6 @@ class IdentificationState:
             for c, pa in enumerate(self.solved_pa)
             for p in bits(pa)
         )
-
-    @property
-    def solved_nodes(self) -> frozenset[str]:
-        """The nodes all of whose parent edges are solved."""
-        return self.view.nodes(self.solved_mask)
 
     def solve(self, v: int, parents: int) -> tuple[Edge, ...]:
         """Mark the edges from `parents` into node `v` solved; returns
@@ -835,13 +830,11 @@ def det_subprocedure(
 # -- allowed-covariance bookkeeping ---------------------------------------
 
 
-def _rows_update(
-    rows: tuple[int, ...], v: int, removed: int, dec_v: int
-) -> tuple[int, ...]:
-    """The allowed rows after deleting the edges from the nodes of
-    `removed` into node `v`, whose descendants (in the root graph) are
-    `dec_v`: a pair stays allowed when both members avoid `dec_v` and the
-    pair is not (v, v).
+def _rows_update(rows: tuple[int, ...], v: int, dec_v: int) -> tuple[int, ...]:
+    """The allowed rows after deleting edges into node `v`, whose
+    descendants (in the root graph) are `dec_v`: a pair stays allowed
+    when both members avoid `dec_v` and the pair is not (v, v). The rows
+    do not depend on which parents lose their edge.
 
     `rows` must be reachable from the all-ones rows by such deletions.
     There the rule that a pair with `v` also needs its other member

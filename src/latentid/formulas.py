@@ -226,7 +226,7 @@ class DeletionContext:
             # Descendants are taken in the base graph so the allowed rows
             # only depend on the union of deleted edges (order-free).
             a, b = index[w], index[v]
-            rows = _rows_update(rows, b, 1 << a, base.descendants(b))
+            rows = _rows_update(rows, b, base.descendants(b))
             view = view.without_edge(a, b)
         self.view = view
         self.rows = rows

@@ -112,21 +112,6 @@ class LatentFactorGraph:
             f"edges_lat={sorted(self.edges_lat)})"
         )
 
-    # -- derived graphs ---------------------------------------------------
-
-    def without_obs_edges(self, removed: Iterable[Edge]) -> "LatentFactorGraph":
-        """Return a copy with the given observed edges deleted."""
-        removed = set(removed)
-        missing = removed - self.edges_obs
-        if missing:
-            raise UnknownNodeError(f"edges not in graph: {sorted(missing)}")
-        return LatentFactorGraph(
-            self.observed,
-            self.latent,
-            self.edges_obs - removed,
-            self.edges_lat,
-        )
-
 
 # -- compiled form ---------------------------------------------------------
 

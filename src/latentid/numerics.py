@@ -166,10 +166,6 @@ class VerificationReport:
     degenerate_trials: int
     unverified_edges: list[Edge]
 
-    @property
-    def failure_count(self) -> int:
-        return len(self.failures)
-
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,

@@ -87,7 +87,12 @@ def covariance(
     n = len(view.names)
     if point is None:
         point = draw_point(n, len(view.latent))
-    a = _path_sums(view, point.lam)
+    # A = (I − Λ)⁻¹, whose row x holds the path sums from x:
+    # A[x] = e_x + Σ_c λ_xc A[c] over the children c of x.
+    unit = [[0] * n for _ in range(n)]
+    for x, row in enumerate(unit):
+        row[x] = 1
+    a = _solve(view, view.ch, point.lam, unit)
     if a is None:
         return None
     # Σ sums, over the trek tops, the top's variance times the path sums
@@ -110,23 +115,36 @@ def covariance(
     return Covariance(point, sigma)
 
 
-def _path_sums(
-    view: CompiledGraph, lam: list[list[int]]
+def _solve(
+    view: CompiledGraph,
+    deps: tuple[int, ...],
+    coef: Sequence[Sequence[int]],
+    rhs: list[list[int]],
 ) -> Optional[list[list[int]]]:
-    """A = (I − Λ)⁻¹ mod P, whose row x holds the path sums from x, or
-    None when I − Λ is singular mod P. On an acyclic graph each row comes
-    from its children's, A[x] = e_x + Σ_c λ_xc A[c]; a cycle needs
-    Gauss–Jordan elimination."""
-    n, ch = len(view.names), view.ch
-    order = _dependency_order(view, ch)
+    """The rows X[x] = rhs[x] + Σ_c coef[x][c]·X[c] mod P over the nodes
+    c of the mask `deps[x]`, that is (I − C)X = `rhs`, or None when
+    I − C is singular mod P. When the masks have no cycle each row comes
+    from those of its dependencies; a cycle needs the elimination of
+    [I − C | rhs]."""
+    n = len(view.names)
+    order = _dependency_order(view, deps)
     if order is None:
-        return _inverse(view, lam)
+        system = []
+        for x, dep in enumerate(deps):
+            row = [0] * n + rhs[x]
+            row[x] = 1
+            for c in bits(dep):
+                row[c] = -coef[x][c] % P
+            system.append(row)
+        system, pivots = rref(system)
+        if pivots[:n] != list(range(n)):
+            return None
+        return [row[n:] for row in system]
     rows: list[list[int]] = [[]] * n
     for x in order:
-        row = [0] * n
-        row[x] = 1
-        for c in bits(ch[x]):
-            f = lam[x][c]
+        row = rhs[x]
+        for c in bits(deps[x]):
+            f = coef[x][c]
             row = [(u + f * w) % P for u, w in zip(row, rows[c])]
         rows[x] = row
     return rows
@@ -147,21 +165,6 @@ def _dependency_order(
         for x in ready:
             done |= 1 << x
     return order
-
-
-def _inverse(
-    view: CompiledGraph, lam: list[list[int]]
-) -> Optional[list[list[int]]]:
-    """(I − Λ)⁻¹ mod P by Gauss–Jordan elimination, or None."""
-    n = len(view.names)
-    rows = [[int(i == j) for j in range(n)] * 2 for i in range(n)]
-    for b, parents in enumerate(view.pa):
-        for a in bits(parents):
-            rows[a][b] = -lam[a][b] % P
-    rows, pivots = rref(rows)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in rows]
 
 
 def rref(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -214,7 +217,6 @@ def identifiable_parents(
     n = len(view.names)
     if point is None:
         point = draw_point(n, len(view.latent))
-    lam = point.lam
     # M = Ω + ΓᵀVΓ.
     m = [[0] * n for _ in range(n)]
     for a, row in enumerate(m):
@@ -224,7 +226,8 @@ def identifiable_parents(
             if f:
                 f = f * v
                 m[a] = [(x + f * y) % P for x, y in zip(m[a], load)]
-    k = _transposed_solve(view, lam, m)
+    # K[a] = M[a] + Σ_c λ_ca K[c] over the parents c of a.
+    k = _solve(view, view.pa, list(zip(*point.lam)), m)
     if k is None:
         return None
     # In the quotient edge a -> b's column has entry Σ_y q[b][y]K[a, y]
@@ -241,34 +244,6 @@ def identifiable_parents(
             a, b = edges[c]
             out[b] |= 1 << a
     return out
-
-
-def _transposed_solve(
-    view: CompiledGraph, lam: list[list[int]], m: list[list[int]]
-) -> Optional[list[list[int]]]:
-    """K solving (I − Λ)ᵀK = `m` mod P, or None when I − Λ is singular
-    mod P. On an acyclic graph each row comes from its parents',
-    K[a] = M[a] + Σ_c λ_ca K[c], as `_path_sums` goes children first; a
-    cycle needs the elimination of [(I − Λ)ᵀ | M]."""
-    n, pa = len(view.names), view.pa
-    order = _dependency_order(view, pa)
-    if order is None:
-        system = [[int(a == c) for c in range(n)] + m[a] for a in range(n)]
-        for a, row in enumerate(system):
-            for c in bits(pa[a]):
-                row[c] = -lam[c][a] % P
-        system, pivots = rref(system)
-        if pivots[:n] != list(range(n)):
-            return None
-        return [row[n:] for row in system]
-    rows: list[list[int]] = [[]] * n
-    for a in order:
-        row = m[a]
-        for c in bits(pa[a]):
-            f = lam[c][a]
-            row = [(u + f * w) % P for u, w in zip(row, rows[c])]
-        rows[a] = row
-    return rows
 
 
 def _loadings(lat_ch: tuple[int, ...], point: Point) -> list[list[int]]:

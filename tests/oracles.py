@@ -75,6 +75,18 @@ def _adjacency(g: LatentFactorGraph):
     )
 
 
+def without_obs_edges(g: LatentFactorGraph, removed) -> LatentFactorGraph:
+    """A copy of `g` with the observed edges `removed` deleted: the
+    name-keyed reference for a subgraph of the edge-deletion recursion."""
+    removed = set(removed)
+    missing = removed - g.edges_obs
+    if missing:
+        raise UnknownNodeError(f"edges not in graph: {sorted(missing)}")
+    return LatentFactorGraph(
+        g.observed, g.latent, g.edges_obs - removed, g.edges_lat
+    )
+
+
 def _check_nodes(g: LatentFactorGraph, nodes) -> None:
     for n in nodes:
         if n not in _adjacency(g)[0]:
@@ -684,7 +696,7 @@ def ref_elf_htc_subprocedure(g, state, v, cfg):
     pools and the legacy sink pool read the solved nodes as the call
     found them."""
     pa = parents_obs(g, v)
-    solved_nodes = frozenset(state.solved_nodes)
+    solved_nodes = state.view.nodes(state.solved_mask)
     allowed_cov = allowed_pairs(state.view, state.allowed_rows)
     legacy = cfg.legacy_lf_htc_only
     view = CompiledGraph(g)

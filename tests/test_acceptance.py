@@ -340,7 +340,7 @@ class TestNumericRoundTrip:
                 report = verify_identification(
                     g, state, trials=100, tol=1e-8, seed=0
                 )
-                assert report.failure_count == 0, name
+                assert len(report.failures) == 0, name
                 total_trials += report.trials
                 degenerate += report.degenerate_trials
 
@@ -358,7 +358,7 @@ class TestNumericRoundTrip:
                 report = verify_identification(
                     g, state, trials=100, tol=1e-8, seed=seed
                 )
-                assert report.failure_count == 0, g
+                assert len(report.failures) == 0, g
                 assert report.unverified_edges == []
                 total_trials += report.trials
                 degenerate += report.degenerate_trials

@@ -233,6 +233,14 @@ class TestCheck:
         assert_one_line_error(err)
         assert "could not load graph" in err
 
+    def test_negative_recursion_cap_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "--graph", "fig2a", "--cap-recursion", "-1"
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert_one_line_error(err)
+
     def test_repeated_runs_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "check", "--graph", "fig3")
         _, out2, _ = run_cli(capsys, "check", "--graph", "fig3")

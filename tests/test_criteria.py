@@ -70,6 +70,7 @@ from oracles import (
     ref_solve,
     ref_solved_nodes,
     ref_verify_certificate,
+    without_obs_edges,
 )
 
 LEGACY = SearchConfig(
@@ -96,7 +97,7 @@ def scratch_state(root, deleted, solved, rows, frame):
     `rows`, built from scratch: the subgraph's own `CompiledGraph`, and
     its determinantal network derived from `frame`, a frame that holds
     `root`."""
-    view = CompiledGraph(root.without_obs_edges(set(deleted)))
+    view = CompiledGraph(without_obs_edges(root, set(deleted)))
     solved_pa = [0] * len(view.names)
     for p, c in set(solved) - set(deleted):
         solved_pa[view.index[c]] |= 1 << view.index[p]
@@ -392,7 +393,7 @@ class TestCertificateVerification:
         kinds = set()
         for g, preset in cases:
             for rec in combined_algorithm(g, METHOD_PRESETS[preset]).certificates:
-                sub = g.without_obs_edges(set(rec.deleted))
+                sub = without_obs_edges(g, set(rec.deleted))
                 assert verify_certificate(sub, rec.cert), (g, preset, rec)
                 kinds.add((type(rec.cert), rec.depth > 0))
         assert len(kinds) == 4
@@ -416,7 +417,7 @@ class TestCertificateVerification:
             for rec in combined_algorithm(g, cfg).certificates:
                 records += 1
                 c = rec.cert
-                sub = g.without_obs_edges(set(rec.deleted))
+                sub = without_obs_edges(g, set(rec.deleted))
                 assert verify_certificate(sub, c), (g, rec)
                 if cfg.legacy_lf_htc_only and isinstance(c, HtcCertificate):
                     assert check_lf_htc(sub, c.v, c.y, c.z, c.h), (g, rec)
@@ -473,31 +474,6 @@ class TestAllowedUpdate:
             forward = apply_seq(seq)
             backward = apply_seq(list(reversed(seq)))
             assert forward == backward, (g, seq)
-
-    def test_batch_equals_one_at_a_time(self):
-        rng = random.Random(19)
-        for _ in range(50):
-            g = random_latent_factor_graph(rng, max_obs=6)
-            by_target: dict = {}
-            for w, v in sorted(g.edges_obs):
-                by_target.setdefault(v, []).append(w)
-            if not by_target:
-                continue
-            v, parents = max(by_target.items(), key=lambda kv: len(kv[1]))
-            if len(parents) < 2:
-                continue
-            view = CompiledGraph(g)
-            idx = view.index
-            b, full = idx[v], (view.all,) * len(view.names)
-            dec_v = view.descendants(b)
-            removed = sum(1 << idx[w] for w in parents)
-            batch = criteria._rows_update(full, b, removed, dec_v)
-            stepwise = full
-            for w in parents:
-                stepwise = criteria._rows_update(
-                    stepwise, b, 1 << idx[w], dec_v
-                )
-            assert batch == stepwise, (g, v, parents)
 
     def test_context_matches_set_reference(self, monkeypatch, unpruned):
         """`DeletionContext` allows exactly the pairs the set-based
@@ -618,7 +594,7 @@ class TestCombinedAlgorithm:
                 for v in g.observed
                 if all((p, v) in state.solved_edges for p in parents_obs(g, v))
             }
-            assert state.solved_nodes == expected
+            assert state.view.nodes(state.solved_mask) == expected
 
     def test_plain_criterion_subsumed_by_combined(self):
         rng = random.Random(23)
@@ -636,6 +612,57 @@ class TestCombinedAlgorithm:
         assert [r.cert for r in a.certificates] == [
             r.cert for r in b.certificates
         ]
+
+
+class TestRecursionCap:
+    """`SearchConfig.cap_recursion` bounds the number of deleted edges of
+    the subgraphs the search enters."""
+
+    PRESETS = ("eLF-HTC+rec", "Det+eLF-HTC+rec")
+
+    @staticmethod
+    def records(state):
+        return [r.to_dict() for r in state.certificates]
+
+    def test_cap_zero_is_no_recursion(self):
+        graphs = [builtin_graph(name) for name in BUILTINS] + [G7]
+        deep = 0
+        for preset in self.PRESETS:
+            cfg = METHOD_PRESETS[preset]
+            for g in graphs:
+                capped = combined_algorithm(g, replace(cfg, cap_recursion=0))
+                flat = combined_algorithm(
+                    g, replace(cfg, enable_recursion=False)
+                )
+                assert capped.solved_edges == flat.solved_edges, g
+                assert self.records(capped) == self.records(flat), g
+                deep += any(
+                    r.depth for r in combined_algorithm(g, cfg).certificates
+                )
+        # Uncapped, some of these runs find certificates in subgraphs.
+        assert deep
+
+    def test_solved_set_grows_with_cap(self):
+        """On a seeded sample of fig5b row 5 (eLF-HTC+rec), no certificate
+        lies deeper than the cap, the solved edges grow with the cap, and
+        a cap of the graph's edge count solves what the uncapped search
+        solves. Some graphs need a cap of 1 and some a cap of 2."""
+        cfg = METHOD_PRESETS["eLF-HTC+rec"]
+        rows = list(enumerate_dags(PATTERNS["fig5b"], 5))
+        grown = Counter()
+        for g in random.Random(1).sample(rows, 800):
+            uncapped = combined_algorithm(g, cfg)
+            before = frozenset()
+            for cap in range(len(g.edges_obs) + 1):
+                state = combined_algorithm(g, replace(cfg, cap_recursion=cap))
+                assert all(r.depth <= cap for r in state.certificates), g
+                assert before <= state.solved_edges, (g, cap)
+                if cap and before != state.solved_edges:
+                    grown[cap] += 1
+                before = state.solved_edges
+            assert before == uncapped.solved_edges, g
+            assert self.records(state) == self.records(uncapped), g
+        assert grown[1] and grown[2]
 
 
 # sha256 per case of the JSON of every graph's sorted solved edges and
@@ -765,7 +792,7 @@ class TestDeterminantalPools:
             allowed = all_cov_pairs(g)
             for w, v in deleted:
                 allowed = allowed_update(g, allowed, v, {w}, solved)
-            sub = g.without_obs_edges(set(deleted))
+            sub = without_obs_edges(g, set(deleted))
             rows = allowed_rows(CompiledGraph(sub), allowed)
             frame = FlowFrame(CompiledGraph(g))
 
@@ -1033,7 +1060,7 @@ class TestReferenceVerifier:
         for g in graphs:
             state = combined_algorithm(g, METHOD_PRESETS["Det+eLF-HTC+rec"])
             for rec in state.certificates:
-                sub = g.without_obs_edges(set(rec.deleted))
+                sub = without_obs_edges(g, set(rec.deleted))
                 for kind, cert in certificate_mutants(sub, rec.cert):
                     got = verify_certificate(sub, cert)
                     assert got == ref_verify_certificate(sub, cert), (
@@ -1074,7 +1101,7 @@ class TestInheritedCuts:
                 state.allowed_rows,
                 state.frame,
             )
-            sub = root.without_obs_edges(set(deleted))
+            sub = without_obs_edges(root, set(deleted))
             ref_det_subprocedure(sub, ref, v, cfg)
             start = len(state.certificates)
             det(g, state, v, cfg)
@@ -1187,8 +1214,10 @@ class TestElfFlowBounds:
                 state.allowed_rows,
                 state.frame,
             )
-            assert ref.solved_nodes == state.solved_nodes
-            sub = root.without_obs_edges(set(deleted))
+            assert ref.view.nodes(ref.solved_mask) == state.view.nodes(
+                state.solved_mask
+            )
+            sub = without_obs_edges(root, set(deleted))
             ref_elf_htc_subprocedure(sub, ref, v, cfg)
             start = len(state.certificates)
             elf(g, state, v, cfg)
@@ -1235,17 +1264,17 @@ def search_with_checked_state(monkeypatch, extra=()):
     seeded cyclic graphs (eLF-HTC+rec and the default) and the (graph,
     config) pairs `extra`, asserting before and after every subprocedure
     call that `solved_edges` names the bits of `solved_pa`, all of them
-    edges of the subgraph, and that `solved_mask`, `solved_nodes` and
-    `open_mask` equal a full re-derive from `solved_edges` and the
-    verdict. Returns the number of calls, of calls that solved an edge,
-    of those inside the recursion, and of calls on a state whose verdict
-    left some unsolved node closed."""
+    edges of the subgraph, and that `solved_mask` and `open_mask` equal
+    a full re-derive from `solved_edges` and the verdict. Returns the
+    number of calls, of calls that solved an edge, of those inside the
+    recursion, and of calls on a state whose verdict left some unsolved
+    node closed."""
     root = None
     calls = solving = sub_solving = closed = 0
 
     def assert_current(state):
         view, edges = state.view, state.solved_edges
-        sub = root.without_obs_edges(set(state.deleted_edges))
+        sub = without_obs_edges(root, set(state.deleted_edges))
         assert edges == {
             (p, n)
             for i, n in enumerate(view.names)
@@ -1253,7 +1282,6 @@ def search_with_checked_state(monkeypatch, extra=()):
         }
         assert edges <= sub.edges_obs
         nodes = ref_solved_nodes(sub, edges)
-        assert state.solved_nodes == nodes
         assert state.solved_mask == sum(1 << view.index[n] for n in nodes)
         assert state.open_mask == open_nodes(state)
 
@@ -1508,7 +1536,7 @@ class TestStateDerivation:
                 )
             state, deleted = chain[-1], chain[-1].deleted_edges
             depths.add(len(deleted))
-            view = CompiledGraph(g.without_obs_edges(set(deleted)))
+            view = CompiledGraph(without_obs_edges(g, set(deleted)))
             ref = scratch_state(
                 g,
                 deleted,
@@ -1606,10 +1634,10 @@ class TestCompiledQueries:
                 dec_v = descendants(g, [v])
                 allowed = allowed_update(g, allowed, v, {w}, solved, dec_v)
                 rows = criteria._rows_update(
-                    rows, idx[v], 1 << idx[w], root.descendants(idx[v])
+                    rows, idx[v], root.descendants(idx[v])
                 )
                 view = view.without_edge(idx[w], idx[v])
-            sub = g.without_obs_edges(set(deleted))
+            sub = without_obs_edges(g, set(deleted))
             names = view.names
 
             assert view.edges_obs == sub.edges_obs
@@ -1648,12 +1676,8 @@ class TestCompiledQueries:
             ref_det = ref_build_det_flow(sub)
             assert named.node_capacity == ref_det.node_capacity
             assert named.arcs == ref_det.arcs
-            assert state.solved_nodes == ref_solved_nodes(
-                sub, state.solved_edges
-            )
-            assert state.solved_mask == sum(
-                1 << idx[n] for n in state.solved_nodes
-            )
+            solved_nodes = ref_solved_nodes(sub, state.solved_edges)
+            assert state.solved_mask == sum(1 << idx[n] for n in solved_nodes)
 
             for v in names:
                 j = idx[v]
@@ -1675,7 +1699,7 @@ class TestCompiledQueries:
                                 sources
                             ) == ref_elf_allowed_sources(
                                 sub,
-                                state.solved_nodes,
+                                solved_nodes,
                                 allowed,
                                 v,
                                 view.nodes(z),

@@ -20,6 +20,7 @@ from oracles import (
     ref_solve,
     solve_outcome,
     without_named_arcs,
+    without_obs_edges,
 )
 
 
@@ -401,7 +402,7 @@ class TestFlowFrame:
                     nets.append(
                         (
                             frame.without_edge(full, a_, b_),
-                            ref_build_det_flow(g.without_obs_edges({edge})),
+                            ref_build_det_flow(without_obs_edges(g, {edge})),
                         )
                     )
                 for residual, net in nets:
@@ -444,7 +445,7 @@ class TestFlowFrame:
                 deleted = rng.sample(edges, rng.randint(0, min(3, len(edges))))
                 for a, b in deleted:
                     net = elf.without_edge(net, view.index[a], view.index[b])
-                sub = graph.without_obs_edges(set(deleted) & graph.edges_obs)
+                sub = without_obs_edges(graph, set(deleted) & graph.edges_obs)
                 chain.append((sub, net))
 
             def solve(net, a, z, t):

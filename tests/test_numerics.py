@@ -277,7 +277,7 @@ class TestVerification:
         g = builtin_graph(name)
         state = combined_algorithm(g)
         report = verify_identification(g, state, trials=50, tol=1e-8, seed=0)
-        assert report.failure_count == 0
+        assert len(report.failures) == 0
         assert report.max_rel_error < 1e-8
         assert report.unverified_edges == []
 

@@ -112,15 +112,29 @@ class TestCovariance:
         assert singular < 40
 
     def test_acyclic_path_sums_match_inverse(self):
-        """On acyclic graphs the children-first path sums equal the
-        Gauss–Jordan inverse of I − Λ at the search's fixed point."""
+        """On acyclic graphs the children-first path sums (`rank._solve`
+        in dependency order) equal the inverse of I − Λ that elimination
+        of [I − Λ | I] gives, at the search's fixed point."""
         rng = random.Random(47)
         for _ in range(40):
             view = CompiledGraph(
                 random_latent_factor_graph(rng, max_obs=7, acyclic=True)
             )
-            lam = rank.draw_point(len(view.names), len(view.latent)).lam
-            assert rank._path_sums(view, lam) == rank._inverse(view, lam)
+            n = len(view.names)
+            lam = rank.draw_point(n, len(view.latent)).lam
+            unit = [[int(x == y) for y in range(n)] for x in range(n)]
+            system = [
+                [
+                    (int(x == y) - (view.ch[x] >> y & 1) * lam[x][y]) % rank.P
+                    for y in range(n)
+                ]
+                + unit[x]
+                for x in range(n)
+            ]
+            reduced, pivots = rank.rref(system)
+            assert pivots[:n] == list(range(n))
+            inverse = [row[n:] for row in reduced]
+            assert rank._solve(view, view.ch, lam, unit) == inverse
 
     def test_nonsingular_matches_elimination(self):
         """The written-out small determinants agree with plain
