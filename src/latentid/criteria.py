@@ -19,7 +19,6 @@ from .flow import FlowFrame
 from .graph import (
     CompiledGraph,
     Edge,
-    GraphError,
     LatentFactorGraph,
     bits,
 )
@@ -150,9 +149,10 @@ class IdentificationState:
     an unsolved parent edge that the shared `verdict` counts as
     identifiable, the nodes the search still works on. Both masks are
     derived on construction (and when the verdict is taken) and kept
-    current by `solve`. The eLF-HTC networks (as residuals of
-    `FlowFrame.network`) and the covariance matrix mod p are built on
-    first use and kept for the state's lifetime.
+    current by `solve`. The base of its eLF-HTC networks
+    (`FlowFrame.base`) and the covariance matrix mod p are built on first
+    use and kept for the state's lifetime; `frame` is bound to the root
+    graph, and keeps the networks and flows of every state of the search.
 
     `cuts` keeps the minimum cuts of the full determinantal flows rejected
     and `elf_cuts` those of the eLF-HTC flows rejected, each as a chain of
@@ -176,7 +176,6 @@ class IdentificationState:
     def __post_init__(self) -> None:
         self._derive_masks()
         self._elf_base: Optional[bytes] = None
-        self._elf_nets: dict[tuple[int, int], bytes] = {}
 
     def _derive_masks(self) -> None:
         ident = self._verdict_seen = self.verdict.parents
@@ -205,13 +204,17 @@ class IdentificationState:
     def fresh(
         cls, g: LatentFactorGraph, frame: Optional[FlowFrame] = None
     ) -> "IdentificationState":
-        """The root state of `g`, its networks derived from `frame` when
-        given, else from a frame compiled from `g`."""
-        view = CompiledGraph(g)
+        """The root state of `g`, its compiled graph and determinantal
+        network taken from `frame` bound to `g`: `frame` itself when it is
+        bound to a graph equal to `g`, else `frame` bound here (a
+        GraphError when it does not hold `g`), or a frame compiled from
+        `g` and bound to it when none is given."""
         if frame is None:
-            frame = FlowFrame(view)
-        elif not frame.fits(view):
-            raise GraphError("the flow frame does not hold the graph")
+            view = CompiledGraph(g)
+            frame = FlowFrame(view).bind(g, view)
+        elif frame.graph != g:
+            frame = frame.bind(g)
+        view = frame.root
         n = len(view.names)
         return cls(
             view=view,
@@ -219,7 +222,7 @@ class IdentificationState:
             deleted_edges=(),
             certificates=[],
             frame=frame,
-            flow_net=frame.det_network(view),
+            flow_net=frame.root_net,
             allowed_rows=(view.all,) * n,
             cuts=({},),
             elf_cuts=({},),
@@ -288,14 +291,9 @@ class IdentificationState:
     def elf_network(self, sources: int, z: int) -> bytes:
         """The eLF-HTC network of this state's graph for the source set
         `sources` and sink set Z `z`, as `FlowFrame.network` gives it."""
-        net = self._elf_nets.get((sources, z))
-        if net is None:
-            if self._elf_base is None:
-                self._elf_base = self.frame.base(self.flow_net)
-            net = self._elf_nets[sources, z] = self.frame.network(
-                self._elf_base, sources, z
-            )
-        return net
+        if self._elf_base is None:
+            self._elf_base = self.frame.base(self.flow_net)
+        return self.frame.network(self._elf_base, sources, z)
 
     @cached_property
     def covariance(self) -> Optional[rank.Covariance]:
@@ -872,7 +870,10 @@ def combined_algorithm(
     the frame does not hold `g`), or from a frame compiled from `g` when
     none is given; each subgraph of the edge-deletion recursion
     is the root with its deleted edges' parent and child bits cleared and
-    their arcs closed. A frame changes no result, only the work.
+    their arcs closed. The search runs on `frame` bound to `g`
+    (`IdentificationState.fresh`), so calls that pass one frame bound to
+    `g` share its compiled graph, networks and flows. A frame changes no
+    result, only the work.
     """
     state = IdentificationState.fresh(g, frame)
     _search(state, state.view, cfg, {})

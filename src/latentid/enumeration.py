@@ -134,14 +134,18 @@ def _reach_masks(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def _canonical_levels(
-    pattern: LatentPattern, max_edges: int
+    pattern: LatentPattern,
+    max_edges: int,
+    canon: Optional[_Canonicalizer] = None,
 ) -> list[list[int]]:
-    """Canonical edge-set bitmasks per edge count, 0..max_edges.
+    """Canonical edge-set bitmasks per edge count, 0..max_edges, under the
+    pattern's canonicalizer `canon` (built here when not given).
 
     Level m is generated by extending every level-(m-1) representative
     with one edge, discarding candidates whose head already reaches their
     tail (they close a cycle), and canonicalizing."""
-    canon = _Canonicalizer(pattern)
+    if canon is None:
+        canon = _Canonicalizer(pattern)
     levels: list[list[int]] = [[0]]
     for _ in range(max_edges):
         reps: set[int] = set()
@@ -190,7 +194,7 @@ def enumerate_dags(
     edges over the pattern, one representative per symmetry class."""
     _check_edge_count(pattern, num_edges, "num_edges")
     canon = _Canonicalizer(pattern)
-    level = _canonical_levels(pattern, num_edges)[num_edges]
+    level = _canonical_levels(pattern, num_edges, canon)[num_edges]
     return [_graph_from_edges(pattern, canon.edges_of(m)) for m in level]
 
 
@@ -270,12 +274,13 @@ def _identify_task(
     frame: Optional[FlowFrame] = None,
 ) -> dict[str, tuple[bool, float]]:
     """Worker body: run each requested method on one graph, with the
-    pattern's flow frame (the worker's when not given). Per method,
-    whether it identifies every edge and the wall-clock seconds it took."""
+    pattern's flow frame (the worker's when not given) bound to the graph
+    once, so that the methods share its compiled graph, networks and
+    flows. Per method, whether it identifies every edge and the
+    wall-clock seconds it took."""
     pattern, edges, methods = args
-    if frame is None:
-        frame = _worker_frame
     g = _graph_from_edges(pattern, edges)
+    frame = (_worker_frame if frame is None else frame).bind(g)
     out = {}
     for m in methods:
         start = time.perf_counter()
@@ -297,7 +302,7 @@ def run_benchmark(
     method preset fully identifies. Deterministic; optionally fans the
     graphs out over a process pool. The pattern's flow frame is compiled
     once, or once per pool worker, and every class's networks are derived
-    from it."""
+    from it, bound to the class for the class's methods."""
     _check_edge_count(pattern, max_edges, "max_edges")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -308,7 +313,7 @@ def run_benchmark(
                 f"{', '.join(sorted(METHOD_PRESETS))}"
             )
     canon = _Canonicalizer(pattern)
-    levels = _canonical_levels(pattern, max_edges)
+    levels = _canonical_levels(pattern, max_edges, canon)
     methods = tuple(methods)
     tasks = [
         [(pattern, canon.edges_of(mask), methods) for mask in level]

@@ -15,16 +15,19 @@ barred one, an eLF-HTC one) differs only in which of its arcs are closed,
 so a network is a byte array of arc states and a flow call copies it.
 The identification search derives every network it solves from one
 frame: that of its root graph, or of a graph whose observed edges include
-the root's (the complete graph of an enumeration pattern). The
-certificate check compiles a frame from the graph it is given.
+the root's (the complete graph of an enumeration pattern), bound to the
+root graph (`FlowFrame.bind`) so that each distinct network and flow is
+built once for every search that shares the bound frame. The certificate
+check compiles a frame from the graph it is given.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from itertools import chain
 from typing import Iterable, Optional
 
-from .graph import CompiledGraph, bits
+from .graph import CompiledGraph, GraphError, LatentFactorGraph, bits
 
 
 class _ElfResidual(bytes):
@@ -68,7 +71,20 @@ class FlowFrame:
     (`network`); the arcs these close are listed once per node, and
     closing a closed arc changes nothing. `solve` takes a network's
     residual with its source and sink sets as masks.
+
+    A frame bound to a graph it holds (`bind`) keeps that graph, compiled
+    (`root`), and its determinantal residual (`root_net`), and remembers
+    every eLF-HTC network it derives and every flow it solves, keyed by
+    the residual's kind, its bytes and the terminal masks, for as long as
+    it lives. Every search of the bound graph on it shares them. An
+    unbound frame (`graph` None) keeps nothing.
     """
+
+    graph: Optional[LatentFactorGraph] = None
+    root: Optional[CompiledGraph] = None
+    root_net: Optional[bytes] = None
+    _nets: Optional[dict[tuple, bytes]] = None
+    _flows: Optional[dict[tuple, tuple]] = None
 
     def __init__(self, view: CompiledGraph):
         self.view = view
@@ -117,8 +133,12 @@ class FlowFrame:
             adjacency[b].append((a, 2 * k + 1))
         self._adjacency = tuple(tuple(sorted(x)) for x in adjacency)
         self._tail = tuple(chain.from_iterable(ends))
-        # With no flow, every arc is open along itself only.
-        self._det = b"\x01\x00" * len(ends)
+        # With no flow, every arc is open along itself only; `det_network`
+        # opens the arcs of a graph's observed edges on this template with
+        # all of them closed.
+        self._bare = _closed(
+            b"\x01\x00" * len(ends), chain.from_iterable(self._edge.values())
+        )
         dead = {half for k in self._into for half in (2 * k, 2 * k + 1)}
         self._elf_adjacency = tuple(
             tuple(pair for pair in pairs if pair[1] not in dead)
@@ -135,19 +155,33 @@ class FlowFrame:
             and all(not pa & ~own for pa, own in zip(g.pa, view.pa))
         )
 
+    def bind(
+        self, g: LatentFactorGraph, view: Optional[CompiledGraph] = None
+    ) -> "FlowFrame":
+        """This frame bound to the graph `g`, compiled as `view` when the
+        caller has it compiled: it shares this frame's compiled network and
+        starts with no network or flow kept. A GraphError when the frame
+        does not hold `g`."""
+        if view is None:
+            view = CompiledGraph(g)
+        if not self.fits(view):
+            raise GraphError("the flow frame does not hold the graph")
+        bound = copy(self)
+        bound.graph, bound.root = g, view
+        bound.root_net = self.det_network(view)
+        bound._nets, bound._flows = {}, {}
+        return bound
+
     def det_network(self, g: CompiledGraph) -> bytes:
         """The residual of the determinantal network of `g`, a graph the
         frame holds."""
-        pa = g.pa
-        return _closed(
-            self._det,
-            (
-                k
-                for (a, b), arcs in self._edge.items()
-                if not pa[b] >> a & 1
-                for k in arcs
-            ),
-        )
+        residual = bytearray(self._bare)
+        edge = self._edge
+        for b, pa in enumerate(g.pa):
+            for a in bits(pa):
+                k, p = edge[a, b]
+                residual[2 * k] = residual[2 * p] = 1
+        return bytes(residual)
 
     def without_edge(self, residual: bytes, a: int, b: int) -> bytes:
         """`residual`, a determinantal network of the frame, with the
@@ -169,7 +203,13 @@ class FlowFrame:
     def network(self, base: bytes, sources: int, z: int) -> bytes:
         """The residual arc states of the eLF-HTC network over the residual
         `base` (of `base`) for the source set `sources` and sink set Z `z`;
-        `solve` takes its sinks."""
+        `solve` takes its sinks. A bound frame builds each once."""
+        nets = self._nets
+        if nets is not None:
+            key = (type(base), base, sources, z)
+            net = nets.get(key)
+            if net is not None:
+                return net
         residual = bytearray(base)
         for i in bits(self._all & ~sources):
             for k in self._outside[i]:
@@ -177,7 +217,10 @@ class FlowFrame:
         for i in bits(z):
             for k in self._z[i]:
                 residual[2 * k] = 0
-        return type(base)(residual)
+        net = type(base)(residual)
+        if nets is not None:
+            nets[key] = net
+        return net
 
     def solve(
         self, residual: bytes, sources: int, sinks: int
@@ -201,7 +244,23 @@ class FlowFrame:
         bounds the flow between them, in this network and in every network
         derived from it by closing arcs, which can only close arcs leaving
         R.
+
+        A bound frame runs each flow once and returns the same result to
+        every later call with the same residual kind, bytes and masks.
         """
+        flows = self._flows
+        if flows is None:
+            return self._solve(residual, sources, sinks)
+        key = (type(residual), residual, sources, sinks)
+        out = flows.get(key)
+        if out is None:
+            out = flows[key] = self._solve(residual, sources, sinks)
+        return out
+
+    def _solve(
+        self, residual: bytes, sources: int, sinks: int
+    ) -> tuple[int, frozenset[str], Optional[tuple[int, int]]]:
+        """The flow `solve` returns, run on every call."""
         entry, exit_ = self._entry, self._exit
         count = sinks.bit_count()
         total, flowed, via = _augment(

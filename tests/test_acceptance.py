@@ -2,8 +2,9 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; each test covers exactly one criterion and prints ``[PASS]`` or
-``[FAIL]`` with its label.  The extended benchmark rows (tens of minutes)
-run only when ``LATENTID_EXTENDED=1`` is set.
+``[FAIL]`` with its label.  The extended benchmark rows (about 35 s on a
+2-core machine: 6 s for fig5a rows 7-9, 27 s for fig5b rows 4-6) run only
+when ``LATENTID_EXTENDED=1`` is set.
 """
 
 import contextlib

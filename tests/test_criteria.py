@@ -1140,18 +1140,36 @@ class TestInheritedCuts:
 
 
 class TestElfNetworkMemo:
-    def test_each_network_built_once_per_state(self, monkeypatch):
-        """A state builds the eLF-HTC network of a (sources, Z) pair once
-        and hands the same network to every later request."""
-        builds = count_calls(monkeypatch, flow.FlowFrame, "network")
-        requests = count_calls(
-            monkeypatch, IdentificationState, "elf_network"
-        )
-        # `requests` keeps every state alive, so their ids stay distinct.
+    def test_each_network_built_once_per_frame(self, monkeypatch):
+        """A bound frame builds the eLF-HTC network of a (base, sources, Z)
+        triple once and hands the same network to every later request,
+        from any state of any search on it: with LF-HTC and eLF-HTC+rec
+        sharing one bound frame per class, fewer networks than requests,
+        and than (state, sources, Z) triples."""
+        requests = []
+        original = IdentificationState.elf_network
+
+        def recorded(state, sources, z):
+            net = original(state, sources, z)
+            requests.append((state, sources, z, net))
+            return net
+
+        monkeypatch.setattr(IdentificationState, "elf_network", recorded)
+        # `requests` keeps every state, frame and network alive, so their
+        # ids stay distinct.
+        frame = enumeration._pattern_frame(PATTERNS["fig5b"])
         for g in enumerate_dags(PATTERNS["fig5b"], 3):
-            combined_algorithm(g, METHOD_PRESETS["eLF-HTC+rec"])
-        keys = {(id(state), sources, z) for state, sources, z in requests}
-        assert len(builds) == len(keys) < len(requests)
+            bound = frame.bind(g)
+            for preset in ("LF-HTC", "eLF-HTC+rec"):
+                combined_algorithm(g, METHOD_PRESETS[preset], bound)
+        built: dict[tuple, set[int]] = {}
+        for state, sources, z, net in requests:
+            key = (id(state.frame), state._elf_base, sources, z)
+            built.setdefault(key, set()).add(id(net))
+        assert all(len(nets) == 1 for nets in built.values())
+        per_state = {(id(r[0]), r[1], r[2]) for r in requests}
+        networks = {id(r[3]) for r in requests}
+        assert len(networks) == len(built) < len(per_state) < len(requests)
 
 
 class TestElfFlowBounds:
@@ -1183,12 +1201,17 @@ class TestElfFlowBounds:
         """Without identifiability pruning fig5b rows 0-4 under LF-HTC and
         eLF-HTC+rec make 18,991 eLF-HTC flow solves (60,455 with neither
         filter: 23,951 of the failing ones had fewer sources than sinks),
-        with the same counts."""
+        with the same counts. The kernel (`flow._augment`) runs 11,255 of
+        the 18,991:
+        the two presets of a class share one bound frame, which runs each
+        distinct flow once."""
         flows = count_flows(monkeypatch)
+        runs = count_calls(monkeypatch, flow, "_augment")
         rows = run_benchmark(
             PATTERNS["fig5b"], 4, ("LF-HTC", "eLF-HTC+rec"), workers=1
         )
         assert flows() == (0, 18991)
+        assert len(runs) == 11255
         assert [
             (r.counts["LF-HTC"], r.counts["eLF-HTC+rec"]) for r in rows
         ] == [(1, 1), (6, 6), (43, 45), (236, 254), (1018, 1146)]
@@ -1585,12 +1608,45 @@ class TestPatternFrame:
                         r.to_dict() for r in own.certificates
                     ], (g, preset)
 
+    @pytest.mark.parametrize(
+        "pattern, max_edges, presets",
+        [
+            (
+                "fig5b", 4,
+                ("LF-HTC", "LF-HTC+rec", "eLF-HTC+rec", "Det+eLF-HTC+rec"),
+            ),
+            ("fig5a", 5, ("LF-HTC", "Det+eLF-HTC+rec", "cap10")),
+        ],
+    )
+    def test_bound_frame_shared_by_presets(self, pattern, max_edges, presets):
+        """Presets run in sequence on one bound frame per class, as
+        `run_benchmark` runs them, sharing its compiled graph, networks
+        and flows, get the solved edges and certificate records of a
+        search that compiles its own frame."""
+        frame = enumeration._pattern_frame(PATTERNS[pattern])
+        for m in range(max_edges + 1):
+            for g in enumerate_dags(PATTERNS[pattern], m):
+                bound = frame.bind(g)
+                for preset in presets:
+                    cfg = METHOD_PRESETS[preset]
+                    framed = combined_algorithm(g, cfg, bound)
+                    own = combined_algorithm(g, cfg)
+                    assert framed.frame is bound
+                    assert framed.view is bound.root
+                    assert framed.solved_edges == own.solved_edges
+                    assert [r.to_dict() for r in framed.certificates] == [
+                        r.to_dict() for r in own.certificates
+                    ], (g, preset)
+
     def test_frame_must_hold_graph(self):
-        """A frame refuses a graph with an observed edge or a latent edge
-        it lacks."""
+        """A frame, unbound or bound to a graph, refuses a graph with an
+        observed edge or a latent edge it lacks, in the search and when
+        bound to it directly."""
         g = builtin_graph("fig2a")
         frame = FlowFrame(CompiledGraph(g))
+        bound = frame.bind(g)
         combined_algorithm(g, SearchConfig(), frame)
+        combined_algorithm(g, SearchConfig(), bound)
         extra = LatentFactorGraph(
             g.observed, g.latent, g.edges_obs | {("6", "1")}, g.edges_lat
         )
@@ -1598,8 +1654,11 @@ class TestPatternFrame:
             g.observed, g.latent, g.edges_obs, sorted(g.edges_lat)[1:]
         )
         for other in (extra, fewer_lat):
-            with pytest.raises(GraphError, match="frame"):
-                combined_algorithm(other, SearchConfig(), frame)
+            for f in (frame, bound):
+                with pytest.raises(GraphError, match="frame"):
+                    combined_algorithm(other, SearchConfig(), f)
+                with pytest.raises(GraphError, match="frame"):
+                    f.bind(other)
 
     def test_pool_matches_serial(self):
         """Pool workers, each with its own frame, count what the serial

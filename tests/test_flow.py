@@ -3,6 +3,7 @@ the dict-based reference networks and exhaustive search."""
 
 import random
 
+from latentid import flow
 from latentid.catalog import builtin_graph
 from latentid.criteria import check_elf_htc
 from latentid.flow import FlowFrame
@@ -546,3 +547,81 @@ class TestFlowFrame:
                         for elf, net in ((own, mine), (frame, theirs))
                     ]
                     assert results[0] == results[1]
+
+
+class TestBoundFrame:
+    def test_solve_matches_unbound(self, monkeypatch):
+        """A frame bound to a graph returns from `solve` exactly what the
+        unbound frame returns (value, carrying sources, cut), on the
+        graph's determinantal, subgraph, barred and eLF-HTC networks and
+        on random terminals; a residual of the same kind and bytes, in a
+        new object, is answered without running the kernel again."""
+        runs = []
+        augment = flow._augment
+        monkeypatch.setattr(
+            flow, "_augment", lambda *a: runs.append(1) or augment(*a)
+        )
+        rng = random.Random(59)
+        solved = 0
+        for i in range(80):
+            g = random_latent_factor_graph(
+                rng, max_obs=6, max_lat=2, acyclic=i % 2 == 0
+            )
+            frame = FlowFrame(CompiledGraph(complete_graph(g)))
+            bound = frame.bind(g)
+            view, det = bound.root, bound.root_net
+            n = len(view.names)
+            assert det == frame.det_network(view)
+            nets = [det, bound.base(det)]
+            sub = det
+            for w, x in sorted(g.edges_obs):
+                if rng.random() < 0.3:
+                    sub = bound.without_edge(sub, view.index[w], view.index[x])
+                    nets.append(sub)
+            v = rng.randrange(n)
+            nets.append(bound.barred(det, v, view.pa[v] & rng.getrandbits(n)))
+            for _ in range(3):
+                z = random_mask(rng, n)
+                nets.append(bound.network(nets[1], random_mask(rng, n, z), z))
+            for net in nets:
+                for _ in range(4):
+                    sources, sinks = random_mask(rng, n), random_mask(rng, n)
+                    want = frame.solve(net, sources, sinks)
+                    assert bound.solve(net, sources, sinks) == want
+                    before = len(runs)
+                    assert bound.solve(type(net)(net), sources, sinks) == want
+                    assert len(runs) == before
+                    solved += 1
+        assert solved > 1000
+
+    def test_kind_in_key(self, monkeypatch):
+        """With no observed edge the determinantal residual and the eLF-HTC
+        base hold equal bytes; a bound frame keeps a network and a flow of
+        each kind apart, each as the unbound frame gives it."""
+        runs = []
+        augment = flow._augment
+        monkeypatch.setattr(
+            flow, "_augment", lambda *a: runs.append(1) or augment(*a)
+        )
+        g = LatentFactorGraph(
+            ["1", "2", "3", "4"], ["h1"], [],
+            [("h1", "1"), ("h1", "2"), ("h1", "4")],
+        )
+        frame = FlowFrame(CompiledGraph(complete_graph(g)))
+        bound = frame.bind(g)
+        det = bound.root_net
+        base = bound.base(det)
+        assert base == det and type(base) is not type(det)
+        for net in (det, base):
+            built = bound.network(net, 0b0011, 0b0100)
+            assert type(built) is type(net)
+            assert built == frame.network(net, 0b0011, 0b0100)
+            assert bound.network(net, 0b0011, 0b0100) is built
+        for sources, sinks in ((0b0011, 0b1100), (0b1001, 0b0110)):
+            before = len(runs)
+            for net in (det, base, det, base):
+                assert bound.solve(net, sources, sinks) == frame.solve(
+                    net, sources, sinks
+                )
+            # Two runs each by the unbound frame, one per kind by the bound.
+            assert len(runs) - before == 6
